@@ -12,7 +12,7 @@ from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
 from .sim import (LossBudget, SystemConfig, derive_stream_seed, route_pair,
                   run_scenario)
 from .analysis import (compute_car, cross_correlate, link_matrix,
-                       match_coincidences)
+                       link_window, match_coincidences)
 from .doqkd import (FrameConfig, QkdConfig, analyze_link, basis_sift,
                     bin_encode, estimate_qber, monitor_broadening,
                     mutual_information, secure_key_rate, sift_frames)
@@ -28,7 +28,8 @@ __all__ = [
     "sample_pair_stream",
     "LossBudget", "SystemConfig", "derive_stream_seed", "route_pair",
     "run_scenario",
-    "compute_car", "cross_correlate", "link_matrix", "match_coincidences",
+    "compute_car", "cross_correlate", "link_matrix", "link_window",
+    "match_coincidences",
     "FrameConfig", "QkdConfig", "analyze_link", "basis_sift", "bin_encode",
     "estimate_qber", "monitor_broadening", "mutual_information",
     "secure_key_rate", "sift_frames",

@@ -30,4 +30,3 @@ BACKEND = _impl.BACKEND_NAME
 dead_time_prune = _impl.dead_time_prune
 greedy_match = _impl.greedy_match
 correlation_histogram = _impl.correlation_histogram
-merge_labeled = _pykernels.merge_labeled

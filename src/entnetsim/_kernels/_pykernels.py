@@ -116,12 +116,3 @@ def correlation_histogram(a: np.ndarray, b: np.ndarray, offset: int,
     np.add.at(counts, idx, 1)
     return counts
 
-
-def merge_labeled(times_a: np.ndarray, times_b: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted int64 streams; returns (merged, source_label 0/1)."""
-    merged = np.concatenate([times_a, times_b])
-    labels = np.concatenate([np.zeros(times_a.size, dtype=np.uint8),
-                             np.ones(times_b.size, dtype=np.uint8)])
-    order = np.argsort(merged, kind="stable")
-    return merged[order], labels[order]

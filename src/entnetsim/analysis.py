@@ -4,12 +4,24 @@ coincidence matching, CAR estimation and whole-network link matrices.
 The heavy sweeps run on the kernel backend (compiled when available); both
 sweep algorithms are linear two-pointer passes over the sorted streams,
 never all-pairs enumeration.
+
+Per link, one searchsorted over the two full user streams finds the
+candidate tags: those with a partner in the other stream within the
+link's reach, the widest delay any histogram bin, coincidence window or
+monitor window of the link can accept. The histogram and matching kernels
+then run on the candidates only; a tag with no partner within reach
+falls in no bin and is never matched, so the results are exactly those
+of the full streams.
+
+Sortedness is checked at the boundary: link_matrix checks each user
+stream once, and the public cross_correlate and match_coincidences check
+their own inputs.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +69,18 @@ def _require_sorted(stream: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _histogram_bins(bin_width_ps: int, range_ps: int) -> int:
+    """Odd bin count covering range_ps (see CorrelationHistogram)."""
+    if bin_width_ps <= 0:
+        raise ValueError("bin_width_ps must be positive")
+    if range_ps < bin_width_ps:
+        raise ValueError("range_ps must cover at least one bin")
+    n_bins = -(-range_ps // bin_width_ps)  # ceil
+    if n_bins % 2 == 0:
+        n_bins += 1
+    return n_bins
+
+
 def cross_correlate(a: np.ndarray, b: np.ndarray, bin_width_ps: int,
                     range_ps: int, offset_ps: int = 0,
                     duration_ps: int = 0) -> CorrelationHistogram:
@@ -67,13 +91,7 @@ def cross_correlate(a: np.ndarray, b: np.ndarray, bin_width_ps: int,
     """
     a = _require_sorted(a, "a")
     b = _require_sorted(b, "b")
-    if bin_width_ps <= 0:
-        raise ValueError("bin_width_ps must be positive")
-    if range_ps < bin_width_ps:
-        raise ValueError("range_ps must cover at least one bin")
-    n_bins = -(-range_ps // bin_width_ps)  # ceil
-    if n_bins % 2 == 0:
-        n_bins += 1
+    n_bins = _histogram_bins(bin_width_ps, range_ps)
     counts = _kernels.correlation_histogram(a, b, int(offset_ps),
                                             int(bin_width_ps), int(n_bins))
     return CorrelationHistogram(bin_width_ps=int(bin_width_ps),
@@ -165,6 +183,97 @@ def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
                        accidental_per_window=acc_per_window, capped=False)
 
 
+def _within(gap: np.ndarray, reach_ps: int) -> np.ndarray:
+    """gap in [0, reach_ps]. A negative gap comes from an index clipped at
+    the end of a stream and names no neighbour on that side."""
+    return (gap >= 0) & (gap <= reach_ps)
+
+
+def _candidates(a: np.ndarray, b: np.ndarray, offset_ps: int, reach_ps: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the tags of a and of b that have a partner in the other
+    stream at |t_b - t_a - offset| <= reach_ps, from one searchsorted.
+
+    Temporaries are few and reused: this runs on two full user streams
+    per link.
+    """
+    if a.size == 0 or b.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    shifted = a + offset_ps
+    # b[pos - 1] < shifted[i] <= b[pos]: the nearest b-tag on each side
+    pos = np.searchsorted(b, shifted)
+    # k[j] = #{i: pos[i] <= j} = #{i: shifted[i] <= b[j]}, so
+    # shifted[k - 1] <= b[j] < shifted[k]: the nearest a-tag on each side
+    k = np.cumsum(np.bincount(pos, minlength=b.size + 1)[:b.size])
+    gap = np.take(b, pos, mode="clip")
+    gap -= shifted
+    near_a = _within(gap, reach_ps)
+    pos -= 1
+    np.subtract(shifted, np.take(b, pos, mode="clip"), out=gap)
+    near_a |= _within(gap, reach_ps)
+    del pos, gap
+    gap = np.take(shifted, k, mode="clip")
+    gap -= b
+    near_b = _within(gap, reach_ps)
+    k -= 1
+    np.subtract(b, np.take(shifted, k, mode="clip"), out=gap)
+    near_b |= _within(gap, reach_ps)
+    return np.flatnonzero(near_a), np.flatnonzero(near_b)
+
+
+@dataclass(frozen=True)
+class LinkWindow:
+    """The tags of one link that can pair, and their narrow-window match.
+
+    Candidates are the tags of each stream with a partner in the other at
+    |t_b - t_a - offset| <= reach_ps; index_a and index_b are their
+    positions in the full streams, singles_a and singles_b the full stream
+    sizes. matches indexes the candidate arrays, so index_a[matches.index_a]
+    are positions in the full stream a. Any window or histogram of at most
+    reach_ps half-width gives the same result on the candidates as on the
+    full streams.
+    """
+
+    offset_ps: int
+    reach_ps: int
+    index_a: np.ndarray
+    index_b: np.ndarray
+    times_a: np.ndarray
+    times_b: np.ndarray
+    paths_a: np.ndarray
+    paths_b: np.ndarray
+    singles_a: int
+    singles_b: int
+    matches: CoincidenceSet
+
+
+def link_window(stream_a: tuple[np.ndarray, np.ndarray],
+                stream_b: tuple[np.ndarray, np.ndarray], offset_ps: int,
+                window_ps: int, reach_ps: int) -> LinkWindow:
+    """Candidate tags of one link and their match_coincidences at window_ps.
+
+    stream_a and stream_b are (times, path_labels) with times sorted
+    ascending int64; they are not checked here (link_matrix checks each
+    user stream once).
+    """
+    if reach_ps < window_ps // 2:
+        raise ValueError("reach_ps must cover the coincidence half-window")
+    times_a, paths_a = stream_a
+    times_b, paths_b = stream_b
+    index_a, index_b = _candidates(times_a, times_b, int(offset_ps),
+                                   int(reach_ps))
+    cand_a, cand_b = times_a[index_a], times_b[index_b]
+    matches = match_coincidences(cand_a, cand_b, window_ps, offset_ps=offset_ps)
+    return LinkWindow(offset_ps=int(offset_ps), reach_ps=int(reach_ps),
+                      index_a=index_a, index_b=index_b,
+                      times_a=cand_a, times_b=cand_b,
+                      paths_a=np.asarray(paths_a)[index_a],
+                      paths_b=np.asarray(paths_b)[index_b],
+                      singles_a=int(times_a.size), singles_b=int(times_b.size),
+                      matches=matches)
+
+
 @dataclass(frozen=True)
 class LinkReport:
     user_a: int
@@ -179,32 +288,46 @@ class LinkReport:
 def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
                 plan: NetworkPlan, links, window_ps: int,
                 offsets_ps: dict[int, int], duration_s: float,
-                hist_range_ps: int | None = None
-                ) -> tuple[list[LinkReport], dict[tuple[int, int], CorrelationHistogram]]:
+                monitor_window_ps: int, hist_range_ps: int | None = None
+                ) -> tuple[list[LinkReport],
+                           dict[tuple[int, int], CorrelationHistogram],
+                           dict[tuple[int, int], LinkWindow]]:
     """Coincidence count and CAR for each requested user pair.
 
-    streams maps user id to its merged (times, path_labels); offsets_ps
-    maps user id to its configured propagation delay, whose pairwise
-    difference centers each link's window.
+    streams maps user id to its merged (times, path_labels); each times
+    array is checked sorted once here. offsets_ps maps user id to its
+    configured propagation delay, whose pairwise difference centers each
+    link's window. Also returns each link's LinkWindow, whose reach covers
+    the histogram, the coincidence window and monitor_window_ps, for
+    analyze_link.
     """
     if hist_range_ps is None:
         hist_range_ps = 33 * window_ps
+    span = _histogram_bins(window_ps, hist_range_ps) * window_ps
+    lo = -(span // 2)  # histogram delays run from lo to lo + span - 1
+    reach = max(-lo, lo + span - 1, window_ps // 2, monitor_window_ps // 2)
+    checked = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
+               for u in sorted({u for link in links for u in link})}
+    duration_ps = int(round(duration_s * 1e12))
     reports = []
     histograms = {}
+    windows = {}
     for (ua, ub) in links:
         rid, _pair, kind = resource_for_link(plan, ua, ub)
         offset = offsets_ps.get(ub, 0) - offsets_ps.get(ua, 0)
-        ta, tb = streams[ua][0], streams[ub][0]
-        hist = cross_correlate(ta, tb, window_ps, hist_range_ps,
-                               offset_ps=offset,
-                               duration_ps=int(round(duration_s * 1e12)))
+        win = link_window(checked[ua], checked[ub], offset, window_ps, reach)
+        hist = replace(cross_correlate(win.times_a, win.times_b, window_ps,
+                                       hist_range_ps, offset_ps=offset,
+                                       duration_ps=duration_ps),
+                       singles_a=win.singles_a, singles_b=win.singles_b)
         car = compute_car(hist, window_ps)
-        matches = match_coincidences(ta, tb, window_ps, offset_ps=offset)
         reports.append(LinkReport(user_a=ua, user_b=ub, kind=kind,
-                                  resource_id=rid, coincidences=len(matches),
+                                  resource_id=rid,
+                                  coincidences=len(win.matches),
                                   car=car.car, duration_s=duration_s))
         histograms[(ua, ub)] = hist
-    return reports, histograms
+        windows[(ua, ub)] = win
+    return reports, histograms, windows
 
 
 LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import match_coincidences
+from .analysis import LinkWindow, match_coincidences
 
 DISCARD_REASONS = ("basis_mismatch", "guard_band", "frame_mismatch",
                    "multi_event_frame")
@@ -205,8 +205,7 @@ def monitor_broadening(deltas_ps: np.ndarray, expected_ps: float,
         return MonitorSpread(spread_ps=float("nan"), n_pairs=int(deltas.size),
                              expected_ps=expected_ps, inconclusive=True,
                              anomalous=False)
-    q75, q25 = np.percentile(deltas, [75.0, 25.0])
-    spread = float(q75 - q25)
+    spread = timing_spread_iqr_ps(deltas)
     inconclusive = deltas.size < min_pairs
     anomalous = (not inconclusive and expected_ps > 0
                  and spread > anomaly_factor * expected_ps)
@@ -304,23 +303,44 @@ class QkdConfig:
             raise ValueError("beta must be in (0, 1]")
 
 
-def analyze_link(times_a: np.ndarray, paths_a: np.ndarray,
-                 times_b: np.ndarray, paths_b: np.ndarray,
-                 delay_a_ps: int, delay_b_ps: int, qkd: QkdConfig,
-                 duration_s: float, monitor_expected_ps: float = 0.0
-                 ) -> KeyRateReport:
-    """Full post-processing of one link from the two users' labeled streams.
+def monitor_deltas(link: LinkWindow, monitor_window_ps: int) -> np.ndarray:
+    """Residual delays of the same-path monitor pairs of one link.
 
-    Key pairs come from narrow-window matching of the merged streams
-    followed by basis sifting; monitor pairs from wide-window matching of
-    the same-path substreams. Frame clocks are aligned by subtracting each
-    user's configured propagation delay.
+    Each path's substreams are matched with the wide monitor window, on
+    the link's candidate tags; path 0 pairs come first, each path in time
+    order of a.
     """
-    offset = delay_b_ps - delay_a_ps
-    matches = match_coincidences(times_a, times_b, qkd.window_ps,
-                                 offset_ps=offset)
-    key_mask, mon_mask = basis_sift(paths_a[matches.index_a],
-                                    paths_b[matches.index_b])
+    if link.reach_ps < monitor_window_ps // 2:
+        raise ValueError("link window reach is narrower than the monitor"
+                         " half-window")
+    deltas = []
+    for path in (0, 1):
+        mon = match_coincidences(link.times_a[link.paths_a == path],
+                                 link.times_b[link.paths_b == path],
+                                 monitor_window_ps, offset_ps=link.offset_ps)
+        deltas.append(mon.deltas_ps())
+    return np.concatenate(deltas)
+
+
+def analyze_link(link: LinkWindow, delay_a_ps: int, delay_b_ps: int,
+                 qkd: QkdConfig, duration_s: float,
+                 monitor_expected_ps: float = 0.0) -> KeyRateReport:
+    """Full post-processing of one link from its LinkWindow.
+
+    Key pairs are the link's narrow-window matches (which must use
+    qkd.window_ps) after basis sifting; monitor pairs come from
+    wide-window matching of the same-path substreams. Frame clocks are
+    aligned by subtracting each user's configured propagation delay, whose
+    difference must be the link's offset.
+    """
+    matches = link.matches
+    if matches.window_ps != qkd.window_ps:
+        raise ValueError("link window was matched with another coincidence"
+                         " window than qkd.window_ps")
+    if link.offset_ps != delay_b_ps - delay_a_ps:
+        raise ValueError("link window offset differs from delay_b - delay_a")
+    key_mask, mon_mask = basis_sift(link.paths_a[matches.index_a],
+                                    link.paths_b[matches.index_b])
     key_a = matches.times_a[key_mask] - delay_a_ps
     key_b = matches.times_b[key_mask] - delay_b_ps
     key_spread = timing_spread_iqr_ps(matches.deltas_ps()[key_mask])
@@ -331,14 +351,7 @@ def analyze_link(times_a: np.ndarray, paths_a: np.ndarray,
     material.discards["basis_mismatch"] = int(np.count_nonzero(mon_mask))
     sifted_rate = len(material) / duration_s
 
-    mon_deltas = []
-    for path in (0, 1):
-        sub_a = times_a[paths_a == path]
-        sub_b = times_b[paths_b == path]
-        mon = match_coincidences(sub_a, sub_b, qkd.monitor_window_ps,
-                                 offset_ps=offset)
-        mon_deltas.append(mon.deltas_ps())
-    monitor = monitor_broadening(np.concatenate(mon_deltas),
+    monitor = monitor_broadening(monitor_deltas(link, qkd.monitor_window_ps),
                                  expected_ps=monitor_expected_ps)
 
     counts = {

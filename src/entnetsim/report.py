@@ -120,18 +120,17 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     result.streams = {}  # reconstructible from merged; frees the duplicates
     delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
 
-    link_reports, histograms = link_matrix(merged, plan, links,
-                                           qkd_cfg.window_ps, delays,
-                                           cfg.duration_s)
+    link_reports, histograms, windows = link_matrix(
+        merged, plan, links, qkd_cfg.window_ps, delays, cfg.duration_s,
+        monitor_window_ps=qkd_cfg.monitor_window_ps)
     key_reports = {}
     if cfg.duration_s > 0:
         for (ua, ub), rep in zip(links, link_reports):
             pair = plan.resource_by_id(rep.resource_id)
             expected = monitor_expected_iqr_ps(pair, sys_cfg)
             key_reports[(ua, ub)] = analyze_link(
-                merged[ua][0], merged[ua][1], merged[ub][0], merged[ub][1],
-                delays[ua], delays[ub], qkd_cfg, cfg.duration_s,
-                monitor_expected_ps=expected)
+                windows[(ua, ub)], delays[ua], delays[ub], qkd_cfg,
+                cfg.duration_s, monitor_expected_ps=expected)
 
     return ReportBundle(config=cfg, plan=plan, links=links,
                         link_reports=link_reports, key_reports=key_reports,

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from entnetsim import ItuChannel, build_plan
 from entnetsim.analysis import (CAR_CAP, compute_car, cross_correlate,
                                 link_matrix, match_coincidences,
                                 write_histogram_csv, write_links_csv)
+from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
+                             sift_frames)
 from entnetsim.photonics import ContractViolation
 from entnetsim.sim import SystemConfig, fiber_delay_ps, run_scenario
 
@@ -211,8 +214,8 @@ class TestLinkMatrix:
         streams = {u: res.user_stream(u) for u in users}
         delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
         links = [(0, 1), (0, 8)]
-        reports, hists = link_matrix(streams, reference_plan, links, 128, delays,
-                                     1.0)
+        reports, hists, _ = link_matrix(streams, reference_plan, links, 128,
+                                        delays, 1.0, monitor_window_ps=4096)
         assert [r.kind for r in reports] == ["intra", "inter"]
         assert reports[0].resource_id == 1
         assert reports[1].resource_id == 6
@@ -225,9 +228,113 @@ class TestLinkMatrix:
                            selected_users=[0, 1], collect_truth=False)
         streams = {u: res.user_stream(u) for u in (0, 1)}
         delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in (0, 1)}
-        reports, _ = link_matrix(streams, reference_plan, [(0, 1)], 128, delays, 0.2)
+        reports, _, _ = link_matrix(streams, reference_plan, [(0, 1)], 128,
+                                    delays, 0.2, monitor_window_ps=4096)
         out = tmp_path / "links.csv"
         write_links_csv(reports, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "user_a,user_b,kind,resource_id,coincidences,car,duration_s"
         assert lines[1].startswith("0,1,intra,1,")
+
+    def test_unsorted_user_stream_rejected(self, reference_plan):
+        streams = {0: (np.array([5, 1]), np.array([0, 0], dtype=np.uint8)),
+                   1: (np.array([1]), np.array([0], dtype=np.uint8))}
+        with pytest.raises(ContractViolation, match="user 0"):
+            link_matrix(streams, reference_plan, [(0, 1)], 128, {}, 1.0,
+                        monitor_window_ps=4096)
+
+
+TWO_USER_PLAN = build_plan(1, 2, ItuChannel(40))
+
+
+@st.composite
+def link_case(draw):
+    """Two labeled streams whose pairs sit at the edges of every window.
+
+    Tags come in bursts (gaps up to one coincidence window, so candidate
+    windows overlap); b holds partners of a-tags at the histogram edges,
+    at +-window//2 and +-monitor_window//2 and one past each, plus bursts
+    of its own.
+    """
+    window = draw(st.integers(2, 40))
+    n_bins = draw(st.sampled_from([9, 11, 13]))
+    hist_range = n_bins * window - draw(st.integers(0, window - 1))
+    span = n_bins * window
+    lo = -(span // 2)
+    hi = lo + span - 1
+    monitor_window = draw(st.one_of(st.integers(1, span),
+                                    st.integers(span + 1, 3 * span)))
+    offset = draw(st.integers(-3 * span, 3 * span))
+
+    def bursts():
+        times = []
+        for _ in range(draw(st.integers(0, 5))):
+            start = draw(st.integers(0, 20 * span))
+            gaps = draw(st.lists(st.integers(0, window), max_size=6))
+            times.extend(start + np.cumsum([0] + gaps))
+        return times
+
+    a = bursts()
+    edges = [0, lo, hi, lo - 1, hi + 1]
+    for half in (window // 2, monitor_window // 2):
+        edges += [half, -half, half + 1, -half - 1]
+    deltas = draw(st.lists(st.one_of(st.sampled_from(edges),
+                                     st.integers(lo - window, hi + window)),
+                           max_size=len(a)))
+    b = [a[i] + offset + d for i, d in enumerate(deltas)] + bursts()
+    a = np.sort(np.asarray(a, dtype=np.int64))
+    b = np.sort(np.asarray(b, dtype=np.int64))
+
+    def labels(n, one_path):
+        if one_path:  # the other path's substream is empty
+            return np.full(n, draw(st.integers(0, 1)), dtype=np.uint8)
+        return np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)), dtype=np.uint8)
+
+    one_path = draw(st.sampled_from(["none", "a", "b"]))
+    pa = labels(a.size, one_path == "a")
+    pb = labels(b.size, one_path == "b")
+    return a, pa, b, pb, offset, window, hist_range, monitor_window
+
+
+@pytest.mark.filterwarnings("ignore:only .* symbol pairs")
+@settings(max_examples=300, deadline=None)
+@given(link_case())
+def test_link_window_equals_full_streams(case):
+    """Histogram, narrow matches, monitor pairs and key counts of a link
+    computed on its candidate tags equal those of the full streams."""
+    a, pa, b, pb, offset, window, hist_range, monitor_window = case
+    qkd = QkdConfig(window_ps=window, monitor_window_ps=monitor_window)
+    reports, hists, windows = link_matrix(
+        {0: (a, pa), 1: (b, pb)}, TWO_USER_PLAN, [(0, 1)], window,
+        {0: 0, 1: offset}, 1.0, monitor_window_ps=monitor_window,
+        hist_range_ps=hist_range)
+    win = windows[(0, 1)]
+
+    hist = hists[(0, 1)]
+    ref_hist = cross_correlate(a, b, window, hist_range, offset_ps=offset,
+                               duration_ps=10**12)
+    np.testing.assert_array_equal(hist.counts, ref_hist.counts)
+    assert ((hist.singles_a, hist.singles_b, hist.duration_ps)
+            == (ref_hist.singles_a, ref_hist.singles_b, ref_hist.duration_ps))
+
+    ref = match_coincidences(a, b, window, offset_ps=offset)
+    assert reports[0].coincidences == len(ref)
+    np.testing.assert_array_equal(win.index_a[win.matches.index_a], ref.index_a)
+    np.testing.assert_array_equal(win.index_b[win.matches.index_b], ref.index_b)
+
+    ref_mon = np.concatenate([
+        match_coincidences(a[pa == p], b[pb == p], monitor_window,
+                           offset_ps=offset).deltas_ps() for p in (0, 1)])
+    np.testing.assert_array_equal(monitor_deltas(win, monitor_window), ref_mon)
+
+    key = pa[ref.index_a] != pb[ref.index_b]
+    material = sift_frames(ref.times_a[key], ref.times_b[key] - offset,
+                           qkd.frames)
+    rep = analyze_link(win, 0, offset, qkd, 1.0)
+    assert rep.counts == {"matched_pairs": len(ref),
+                          "key_pairs": int(np.count_nonzero(key)),
+                          "monitor_pairs": int(ref_mon.size),
+                          "sifted_pairs": len(material)}
+    assert rep.discards == {**material.discards,
+                            "basis_mismatch": int(np.count_nonzero(~key))}

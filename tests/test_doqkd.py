@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entnetsim import ItuChannel, build_plan
+from entnetsim.analysis import link_window
 from entnetsim.doqkd import (FrameConfig, QkdConfig, SiftedKeyMaterial,
                              analyze_link, basis_sift, bin_encode,
                              binary_entropy, estimate_qber,
@@ -103,7 +104,9 @@ class TestBasisSift:
                                corr=2.0)
         res = run_scenario(plan, sys_cfg, 1.0, seed=6, collect_truth=False)
         qkd = QkdConfig()
-        rep = analyze_link(*res.user_stream(0), *res.user_stream(1), 0, 0,
+        rep = analyze_link(link_window(res.user_stream(0),
+                                       res.user_stream(1), 0, qkd.window_ps,
+                                       qkd.monitor_window_ps // 2), 0, 0,
                            qkd, 1.0, monitor_expected_ps=1576.0)
         key = rep.counts["key_pairs"]
         mon = rep.counts["monitor_pairs"]
@@ -272,7 +275,9 @@ class TestDispersionCancellation:
         res = run_scenario(plan, sys_cfg, 1.0, seed=seed, collect_truth=False)
         qkd = QkdConfig(frames=FRAMES16, window_ps=512, monitor_window_ps=8192)
         pair = plan.resource_by_id(1)
-        rep = analyze_link(*res.user_stream(0), *res.user_stream(1), 0, 0,
+        rep = analyze_link(link_window(res.user_stream(0),
+                                       res.user_stream(1), 0, qkd.window_ps,
+                                       qkd.monitor_window_ps // 2), 0, 0,
                            qkd, 1.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
@@ -362,7 +367,9 @@ class TestAnalyzeLinkSmoke:
                            selected_users=[2, 3], collect_truth=False)
         qkd = QkdConfig()
         pair = reference_plan.resource_by_id(1)
-        rep = analyze_link(*res.user_stream(2), *res.user_stream(3), 0, 0,
+        rep = analyze_link(link_window(res.user_stream(2),
+                                       res.user_stream(3), 0, qkd.window_ps,
+                                       qkd.monitor_window_ps // 2), 0, 0,
                            qkd, 5.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
