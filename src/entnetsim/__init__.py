@@ -1,7 +1,6 @@
 """entnetsim: planner, simulator and QKD post-processing for a fully
 connected wavelength/space-multiplexed entanglement distribution network."""
 
-from ._kernels import BACKEND as kernel_backend
 from .plan import (ItuChannel, ChannelPair, NetworkPlan, build_plan,
                    correlated_channel, itu_channel_frequency,
                    naive_channel_count, resource_for_link,
@@ -18,6 +17,10 @@ from .doqkd import (FrameConfig, QkdConfig, analyze_link, basis_sift,
                     mutual_information, secure_key_rate, sift_frames)
 
 __version__ = "0.1.0"
+
+# The kernels have one implementation. This name is kept only because the
+# benchmark (perfbench/worker.py) reads it.
+kernel_backend = "python"
 
 __all__ = [
     "ItuChannel", "ChannelPair", "NetworkPlan", "build_plan",

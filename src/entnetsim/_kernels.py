@@ -1,8 +1,7 @@
-"""Pure NumPy implementations of the tag-stream kernels.
+"""The tag-stream kernels: dead-time pruning, earliest-first coincidence
+matching and correlation histogramming, in NumPy.
 
-Semantics are pinned here and mirrored exactly by the compiled versions in
-_ckernels.pyx; the test suite asserts element-for-element equality between
-the two backends and against brute-force oracles.
+The test suite pins their semantics against brute-force oracles.
 
 All timestamps are int64 picoseconds, streams sorted ascending.
 """
@@ -10,8 +9,6 @@ All timestamps are int64 picoseconds, streams sorted ascending.
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 
 def dead_time_prune(tags: np.ndarray, dead_ps: int) -> np.ndarray:

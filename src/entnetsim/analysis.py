@@ -1,9 +1,9 @@
 """Coincidence analysis between users: correlation histograms, one-to-one
 coincidence matching, CAR estimation and whole-network link matrices.
 
-The heavy sweeps run on the kernel backend (compiled when available); both
-sweep algorithms are linear two-pointer passes over the sorted streams,
-never all-pairs enumeration.
+The heavy sweeps run on the kernels in _kernels; both sweep algorithms
+are linear two-pointer passes over the sorted streams, never all-pairs
+enumeration.
 
 Per link, one searchsorted over the two full user streams finds the
 candidate tags: those with a partner in the other stream within the

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .doqkd import FrameConfig, QkdConfig
-from .photonics import DetectorConfig, DispersionConfig, SourceConfig
+from .photonics import (PS_PER_SECOND, DetectorConfig, DispersionConfig,
+                        SourceConfig)
 from .plan import ItuChannel, NetworkPlan, build_plan
 from .sim import LossBudget, SystemConfig
 
@@ -71,6 +73,10 @@ SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
 }
 
 LINK_SET_NAMES = ("default", "all", "fig3", "fig4", "figures")
+
+# Emission and arrival times are float64 picoseconds, which hold every
+# integer only up to 2**53 (about 9007 s).
+MAX_DURATION_PS = 2**53
 
 
 @dataclass(frozen=True)
@@ -253,8 +259,15 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
         raise ConfigError("qkd.beta: must be in (0, 1]")
 
     run = values["run"]
-    if run["duration_s"] < 0:
+    duration_s = run["duration_s"]
+    if not math.isfinite(duration_s):
+        raise ConfigError("run.duration_s: must be finite")
+    if duration_s < 0:
         raise ConfigError("run.duration_s: must be >= 0")
+    if round(duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
+        raise ConfigError(
+            f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
+            " float64 picosecond times are exact only up to 2**53 ps")
     links = run["links"]
     if links not in LINK_SET_NAMES and not _looks_like_link_list(links):
         raise ConfigError(

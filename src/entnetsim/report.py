@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import __version__
-from ._kernels import BACKEND
 from .analysis import (CorrelationHistogram, LinkReport, link_matrix,
                        write_histogram_csv, write_links_csv)
 from .config import ScenarioConfig, parse_link_list
@@ -245,7 +244,6 @@ def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
     return {
         "schema": "entnetsim-run-metadata/1",
         "package_version": __version__,
-        "kernel_backend": BACKEND,
         "seed": cfg.seed,
         "duration_s": cfg.duration_s,
         "links_requested": cfg.links,

@@ -201,6 +201,14 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "fig3a" in err and "8-9" in err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "10000"])
+    def test_inexact_duration_exit_2(self, tmp_path, capsys, duration):
+        out = tmp_path / "o"
+        code = run_cli("--out", str(out), "--duration", duration)
+        assert code == 2
+        assert "run.duration_s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
