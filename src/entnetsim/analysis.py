@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from ._columns import write_rows
 from .photonics import ContractViolation
 from .plan import NetworkPlan, resource_for_link
 
@@ -345,7 +346,8 @@ def write_links_csv(reports: list[LinkReport], path) -> None:
 
 def write_histogram_csv(hist: CorrelationHistogram, path, **metadata) -> None:
     """Histogram CSV: `# key=value` metadata header lines, then
-    delay_ps,counts rows."""
+    delay_ps,counts rows in csv.writer's dialect (CRLF line ends)."""
+    delays, counts = hist.delays_ps(), hist.counts
     with open(path, "w", newline="") as fh:
         for key in sorted(metadata):
             fh.write(f"# {key}={metadata[key]}\n")
@@ -354,7 +356,8 @@ def write_histogram_csv(hist: CorrelationHistogram, path, **metadata) -> None:
         fh.write(f"# singles_a={hist.singles_a}\n")
         fh.write(f"# singles_b={hist.singles_b}\n")
         fh.write(f"# duration_ps={hist.duration_ps}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["delay_ps", "counts"])
-        for d, c in zip(hist.delays_ps(), hist.counts):
-            writer.writerow([int(d), int(c)])
+        fh.write("delay_ps,counts\r\n")
+        write_rows(fh, min(delays.size, counts.size),
+                   lambda start, stop: [map(str, delays[start:stop].tolist()),
+                                        map(str, counts[start:stop].tolist())],
+                   "\r\n")

@@ -96,12 +96,19 @@ class ReportBundle:
     merged_streams: dict[int, tuple] = field(repr=False)
     singles_counts: dict[tuple[int, int], int] = field(repr=False)
     result: ScenarioResult = field(repr=False)
+    _by_link: dict[tuple[int, int], LinkReport] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # reversed: the first report of a repeated link wins, as in a scan
+        self._by_link = {(rep.user_a, rep.user_b): rep
+                         for rep in reversed(self.link_reports)}
 
     def link_report(self, ua: int, ub: int) -> LinkReport:
-        for rep in self.link_reports:
-            if (rep.user_a, rep.user_b) == (ua, ub):
-                return rep
-        raise KeyError(f"link {ua}-{ub} not in bundle")
+        try:
+            return self._by_link[(ua, ub)]
+        except KeyError:
+            raise KeyError(f"link {ua}-{ub} not in bundle") from None
 
 
 def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle:
@@ -280,9 +287,9 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
         emit(f"histograms/link_{ua}-{ub}.csv",
              lambda p, h=hist, a=ua, b=ub: write_histogram_csv(
                  h, p, user_a=a, user_b=b))
-    emit("keyrates.json", lambda p: _atomic_json(p, _keyrates_payload(bundle)))
+    emit("keyrates.json", lambda p: _write_json(p, _keyrates_payload(bundle)))
     emit("run-metadata.json",
-         lambda p: _atomic_json(p, _metadata_payload(bundle, overrides or {})))
+         lambda p: _write_json(p, _metadata_payload(bundle, overrides or {})))
     for figure in figures:
         rows = emit_figure_data(bundle, figure)
         emit(f"{figure}.csv", lambda p, r=rows: _write_rows(p, r))
@@ -307,7 +314,8 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     return written
 
 
-def _atomic_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload: dict) -> None:
+    """Sorted, indented JSON; emit() makes the write atomic."""
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

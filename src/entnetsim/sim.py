@@ -20,12 +20,12 @@ resource's events can be regenerated in isolation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._columns import FormatOnce, write_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, dispersion_time_shift,
                         detector_response_traced, NORMAL, ANOMALOUS,
@@ -189,15 +189,44 @@ TRUTH_CSV_HEADER = ["pair_id", "resource_id", "t_emit_ps", "signal_user",
 
 
 def write_truth_csv(truth: TruthLog, path) -> None:
+    """Truth log CSV, in the dialect csv.writer writes.
+
+    A header line of the TRUTH_CSV_HEADER names, then one line per pair
+    with those columns in order, e.g. `7,3,10505365740.382328,2,-1,1,0`:
+    integers in decimal, t_emit_ps as repr() of the float (`5.0`,
+    `1e+16`), a LOST user as -1 and the detected flags as 0/1. Every
+    line, the header too, ends in CRLF.
+
+    Rows are formatted column-wise and written CHUNK_ROWS (16384) at a
+    time, so besides the log itself the writer holds one chunk's cells and
+    text, about 4 MB, however long the log is.
+    """
+    su, iu = truth.signal_user, truth.idler_user
+    # signal_user, idler_user and the two flags take few distinct values:
+    # pack them into one code per row and format each code once
+    lo = min(int(su.min(initial=LOST)), int(iu.min(initial=LOST)))
+    span = max(int(su.max(initial=0)), int(iu.max(initial=0))) - lo + 1
+
+    def users_and_flags(code: int) -> str:
+        users, flags = divmod(code, 4)
+        s, i = divmod(users, span)
+        return f"{s + lo},{i + lo},{flags >> 1},{flags & 1}"
+
+    resources = FormatOnce(str)
+    tails = FormatOnce(users_and_flags)
+
+    def chunk(start: int, stop: int) -> list:
+        rows = slice(start, stop)
+        code = (((su[rows].astype(np.int64) - lo) * span + (iu[rows] - lo)) * 4
+                + truth.signal_detected[rows] * 2 + truth.idler_detected[rows])
+        return [map(str, truth.pair_id[rows].tolist()),
+                map(resources.__getitem__, truth.resource_id[rows].tolist()),
+                map(repr, truth.t_emit_ps[rows].tolist()),
+                map(tails.__getitem__, code.tolist())]
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_CSV_HEADER)
-        for k in range(len(truth)):
-            writer.writerow([int(truth.pair_id[k]), int(truth.resource_id[k]),
-                             repr(float(truth.t_emit_ps[k])),
-                             int(truth.signal_user[k]), int(truth.idler_user[k]),
-                             int(truth.signal_detected[k]),
-                             int(truth.idler_detected[k])])
+        fh.write(",".join(TRUTH_CSV_HEADER) + "\r\n")
+        write_rows(fh, len(truth), chunk, "\r\n")
 
 
 @dataclass
@@ -222,20 +251,6 @@ class ScenarioResult:
                                  np.ones(t1.size, dtype=np.uint8)])
         order = np.argsort(merged, kind="stable")
         return merged[order], labels[order]
-
-    def user_pair_rows(self, user: int) -> np.ndarray:
-        """Truth-log row per merged tag (-1 for dark counts), aligned with
-        user_stream; requires the run to have collected truth."""
-        if self.tag_pair_rows is None:
-            raise ValueError("run was executed without truth collection")
-        r0 = self.tag_pair_rows.get((user, 0), np.empty(0, dtype=np.int64))
-        r1 = self.tag_pair_rows.get((user, 1), np.empty(0, dtype=np.int64))
-        t0 = self.streams.get((user, 0), np.empty(0, dtype=np.int64))
-        t1 = self.streams.get((user, 1), np.empty(0, dtype=np.int64))
-        merged = np.concatenate([t0, t1])
-        rows = np.concatenate([r0, r1])
-        order = np.argsort(merged, kind="stable")
-        return rows[order]
 
 
 def _category_events(sys_cfg: SystemConfig, plan: NetworkPlan,
@@ -465,9 +480,17 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
 
 def write_tag_stream(path, user: int, path_index: int, duration_ps: int,
                      seed: int, tags: np.ndarray) -> None:
-    """Tag dump format: header line `user,path,duration_ps,seed`, then one
-    integer timestamp per line."""
+    """Tag dump: a header line `user,path,duration_ps,seed` (the path by
+    name, e.g. `3,normal,250000000000,42`), then one decimal integer
+    timestamp per line. Every line ends in LF.
+
+    Timestamps are formatted and written CHUNK_ROWS (16384) at a time, so
+    besides the stream itself the writer holds one chunk's text, about
+    2 MB, however long the stream is.
+    """
+    tags = np.asarray(tags, dtype=np.int64)
     with open(path, "w") as fh:
         fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n")
-        for t in tags:
-            fh.write(f"{int(t)}\n")
+        write_rows(fh, tags.size,
+                   lambda start, stop: [map(str, tags[start:stop].tolist())],
+                   "\n")

@@ -3,16 +3,21 @@
 Everything here is deliberately written without reference to the package's
 kernel implementations: brute-force enumeration for matching/histogramming,
 a literal sequential scan for dead-time pruning, and a pair-by-pair
-reference engine that routes every photon individually.
+reference engine that routes every photon individually. The ref_write_*
+functions are the bundle's per-row writers, kept as byte oracles for the
+column-wise writers in the package.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
 from entnetsim import photonics, sim
 from entnetsim.plan import NetworkPlan
-from entnetsim.sim import SystemConfig, route_pair, fiber_delay_ps, PATH_SIGNS
+from entnetsim.sim import (PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
+                           SystemConfig, fiber_delay_ps, route_pair)
 
 
 def brute_dead_time(tags: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -129,3 +134,56 @@ def reference_engine(plan: NetworkPlan, sys_cfg: SystemConfig,
         streams[key] = photonics.detector_response(arr, sys_cfg.detector,
                                                    duration_s, rng)
     return streams
+
+
+def user_pair_rows(result: sim.ScenarioResult, user: int) -> np.ndarray:
+    """Truth-log row per merged tag (-1 for dark counts), aligned with
+    result.user_stream(user); requires the run to have collected truth."""
+    if result.tag_pair_rows is None:
+        raise ValueError("run was executed without truth collection")
+    r0 = result.tag_pair_rows.get((user, 0), np.empty(0, dtype=np.int64))
+    r1 = result.tag_pair_rows.get((user, 1), np.empty(0, dtype=np.int64))
+    t0 = result.streams.get((user, 0), np.empty(0, dtype=np.int64))
+    t1 = result.streams.get((user, 1), np.empty(0, dtype=np.int64))
+    merged = np.concatenate([t0, t1])
+    rows = np.concatenate([r0, r1])
+    order = np.argsort(merged, kind="stable")
+    return rows[order]
+
+
+def ref_write_truth_csv(truth: sim.TruthLog, path) -> None:
+    """One csv.writer row per pair, one int()/repr(float()) per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRUTH_CSV_HEADER)
+        for k in range(len(truth)):
+            writer.writerow([int(truth.pair_id[k]), int(truth.resource_id[k]),
+                             repr(float(truth.t_emit_ps[k])),
+                             int(truth.signal_user[k]), int(truth.idler_user[k]),
+                             int(truth.signal_detected[k]),
+                             int(truth.idler_detected[k])])
+
+
+def ref_write_tag_stream(path, user: int, path_index: int, duration_ps: int,
+                         seed: int, tags: np.ndarray) -> None:
+    """One write per tag."""
+    with open(path, "w") as fh:
+        fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n")
+        for t in tags:
+            fh.write(f"{int(t)}\n")
+
+
+def ref_write_histogram_csv(hist, path, **metadata) -> None:
+    """Metadata lines, then one csv.writer row per bin."""
+    with open(path, "w", newline="") as fh:
+        for key in sorted(metadata):
+            fh.write(f"# {key}={metadata[key]}\n")
+        fh.write(f"# bin_width_ps={hist.bin_width_ps}\n")
+        fh.write(f"# offset_ps={hist.offset_ps}\n")
+        fh.write(f"# singles_a={hist.singles_a}\n")
+        fh.write(f"# singles_b={hist.singles_b}\n")
+        fh.write(f"# duration_ps={hist.duration_ps}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["delay_ps", "counts"])
+        for d, c in zip(hist.delays_ps(), hist.counts):
+            writer.writerow([int(d), int(c)])

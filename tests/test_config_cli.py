@@ -301,3 +301,15 @@ class TestFigureEmission:
         bundle = run_bundle(cfg)
         with pytest.raises(FigureDataError):
             emit_figure_data(bundle, "fig9z")
+
+
+class TestLinkReport:
+    def test_lookup_and_missing_link(self):
+        cfg = with_overrides(default_config(), duration_s=0.05,
+                             links="0-1,0-8")
+        bundle = run_bundle(cfg)
+        assert len(bundle.link_reports) == 2
+        for rep in bundle.link_reports:
+            assert bundle.link_report(rep.user_a, rep.user_b) is rep
+        with pytest.raises(KeyError, match="link 1-0 not in bundle"):
+            bundle.link_report(1, 0)

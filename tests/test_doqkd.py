@@ -18,6 +18,7 @@ from entnetsim.doqkd import (FrameConfig, QkdConfig, SiftedKeyMaterial,
 from entnetsim.rates import jitter_floor_iqr_ps, monitor_expected_iqr_ps
 from entnetsim.sim import run_scenario
 
+import helpers
 from test_sim import light_system
 
 FRAMES16 = FrameConfig(frame_length_ps=1024, bins_per_frame=8, guard_band_ps=16)
@@ -317,7 +318,7 @@ class TestDispersionCancellation:
         from entnetsim.analysis import match_coincidences
         ta, pa = res.user_stream(0)
         tb, pb = res.user_stream(1)
-        ra, rb = res.user_pair_rows(0), res.user_pair_rows(1)
+        ra, rb = helpers.user_pair_rows(res, 0), helpers.user_pair_rows(res, 1)
         m = match_coincidences(ta, tb, 512)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])
         genuine = (ra[m.index_a] >= 0) & (ra[m.index_a] == rb[m.index_b])
@@ -340,7 +341,7 @@ class TestContaminationDirection:
         from entnetsim.analysis import match_coincidences
         ta, pa = res.user_stream(0)
         tb, pb = res.user_stream(1)
-        ra, rb = res.user_pair_rows(0), res.user_pair_rows(1)
+        ra, rb = helpers.user_pair_rows(res, 0), helpers.user_pair_rows(res, 1)
         m = match_coincidences(ta, tb, 128)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])
         genuine = (ra[m.index_a] >= 0) & (ra[m.index_a] == rb[m.index_b])

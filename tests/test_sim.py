@@ -242,7 +242,7 @@ class TestRunScenario:
         sys_cfg = light_system(pair_rate=4e4, dark=1000.0)
         res = run_scenario(plan, sys_cfg, 0.1, seed=5)
         times, _ = res.user_stream(0)
-        rows = res.user_pair_rows(0)
+        rows = helpers.user_pair_rows(res, 0)
         assert rows.size == times.size
         photon = rows >= 0
         # every photon-tag row must be marked detected on some side
