@@ -5,13 +5,21 @@ The heavy sweeps run on the kernels in _kernels; both sweep algorithms
 are linear two-pointer passes over the sorted streams, never all-pairs
 enumeration.
 
-Per link, one searchsorted over the two full user streams finds the
+link_matrix first filters all user streams together (_pool_keep): it
+keeps the tags that have another tag, of any user, within the reach once
+each user's delay is removed. The reach is the widest delay any
+histogram bin, coincidence window or monitor window of a link can
+accept. A link's offset is the difference of its users' delays, so a tag
+with a partner within reach on some link is always kept: the filter is
+exact. It pools tags in time slabs of at most POOL_TAGS core tags plus
+the tags within reach of the slab edges, so its memory is set by
+POOL_TAGS, not by the stream lengths.
+
+Per link, one searchsorted over the two users' kept tags then finds the
 candidate tags: those with a partner in the other stream within the
-link's reach, the widest delay any histogram bin, coincidence window or
-monitor window of the link can accept. The histogram and matching kernels
-then run on the candidates only; a tag with no partner within reach
-falls in no bin and is never matched, so the results are exactly those
-of the full streams.
+link's reach. The histogram and matching kernels run on the candidates
+only; a tag with no partner within reach falls in no bin and is never
+matched, so the results are exactly those of the full streams.
 
 Sortedness is checked at the boundary: link_matrix checks each user
 stream once, and the public cross_correlate and match_coincidences check
@@ -31,6 +39,11 @@ from .photonics import ContractViolation
 from .plan import NetworkPlan, resource_for_link
 
 CAR_CAP = 1e9  # reported CAR when the accidental floor is exactly zero
+# Most core tags pooled into one slab of the candidate pre-filter
+# (_pool_keep), which holds about 17 bytes per pooled tag at its peak.
+# 1 << 18 raised the peak RSS of the 780-link, 0.2 s run (seed 7) by
+# 3.5 MB, 1 << 17 by 1.6 MB at the same speed.
+POOL_TAGS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -275,6 +288,69 @@ def link_window(stream_a: tuple[np.ndarray, np.ndarray],
                       matches=matches)
 
 
+def _pool_keep(times: dict[int, np.ndarray], delays_ps: dict[int, int],
+               reach_ps: int) -> dict[int, np.ndarray]:
+    """Positions of the tags of each stream that have another tag, of any
+    stream, within reach_ps once each stream's delay is removed.
+
+    times maps a key to a sorted int64 stream, delays_ps maps it to the
+    delay subtracted from its times (0 when absent). Tags are pooled in
+    time slabs [lo, hi) of at most POOL_TAGS core tags (at least one per
+    stream, and equal times are never split), together with the tags
+    within reach_ps of either edge, so the memory used is set by
+    POOL_TAGS and the tag density, not by the stream lengths. In each
+    slab the pooled shifted times are sorted and a value is flagged when
+    its gap to either sorted neighbour is at most reach_ps; a core tag is
+    kept when its shifted value is flagged. Testing the value is exact:
+    an equal value elsewhere in the pool is a gap of 0 and flags it too.
+    """
+    kept = {k: [] for k in times}
+    shift = {k: int(delays_ps.get(k, 0)) for k in times}
+    start = dict.fromkeys(times, 0)  # first tag of each stream not yet a core
+    keys = [k for k in times if times[k].size]
+    per_key = max(1, POOL_TAGS // max(1, len(keys)))
+    live = keys
+    while live:
+        lo = min(int(times[k][start[k]]) - shift[k] for k in live)
+        # each stream holds at most per_key core tags in [lo, hi)
+        bounds = [int(times[k][start[k] + per_key]) - shift[k] for k in live
+                  if start[k] + per_key < times[k].size]
+        hi = max(min(bounds), lo + 1) if bounds else None
+        pool, cores = [], []
+        for k in keys:  # a spent stream still lends tags to the margin
+            t, d = times[k], shift[k]
+            a = int(np.searchsorted(t, lo - reach_ps + d))
+            if hi is None:
+                c1 = b = t.size
+            else:
+                c1 = int(np.searchsorted(t, hi + d))
+                b = int(np.searchsorted(t, hi + reach_ps + d))
+            pool.append(t[a:b] - d)
+            cores.append((k, start[k], c1))
+            start[k] = c1
+        values = np.concatenate(pool)
+        del pool
+        values.sort()
+        near = np.diff(values) <= reach_ps
+        flag = np.zeros(values.size, dtype=bool)
+        flag[1:] = near
+        flag[:-1] |= near
+        flagged = values[flag]
+        del values, near, flag
+        if flagged.size:
+            last = flagged.size - 1
+            for k, c0, c1 in cores:
+                core = times[k][c0:c1] - shift[k]
+                at = np.searchsorted(flagged, core)
+                np.minimum(at, last, out=at)
+                hit = np.flatnonzero(flagged[at] == core)
+                if hit.size:
+                    kept[k].append(hit + c0)
+        live = [k for k in live if start[k] < times[k].size]
+    return {k: np.concatenate(v) if v else np.empty(0, dtype=np.int64)
+            for k, v in kept.items()}
+
+
 @dataclass(frozen=True)
 class LinkReport:
     user_a: int
@@ -307,8 +383,11 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
     span = _histogram_bins(window_ps, hist_range_ps) * window_ps
     lo = -(span // 2)  # histogram delays run from lo to lo + span - 1
     reach = max(-lo, lo + span - 1, window_ps // 2, monitor_window_ps // 2)
-    checked = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
-               for u in sorted({u for link in links for u in link})}
+    users = sorted({u for link in links for u in link})
+    times = {u: _require_sorted(streams[u][0], f"user {u}") for u in users}
+    keep = _pool_keep(times, offsets_ps, reach)
+    kept = {u: (times[u][keep[u]], np.asarray(streams[u][1])[keep[u]])
+            for u in users}
     duration_ps = int(round(duration_s * 1e12))
     reports = []
     histograms = {}
@@ -316,7 +395,10 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
     for (ua, ub) in links:
         rid, _pair, kind = resource_for_link(plan, ua, ub)
         offset = offsets_ps.get(ub, 0) - offsets_ps.get(ua, 0)
-        win = link_window(checked[ua], checked[ub], offset, window_ps, reach)
+        win = link_window(kept[ua], kept[ub], offset, window_ps, reach)
+        win = replace(win, index_a=keep[ua][win.index_a],
+                      index_b=keep[ub][win.index_b],
+                      singles_a=times[ua].size, singles_b=times[ub].size)
         hist = replace(cross_correlate(win.times_a, win.times_b, window_ps,
                                        hist_range_ps, offset_ps=offset,
                                        duration_ps=duration_ps),

@@ -88,6 +88,9 @@ def main(argv=None) -> int:
                                overrides=overrides, figures=figures,
                                dump_tags=args.dump_tags,
                                dump_truth=args.dump_truth)
+    except ConfigError as exc:
+        print(f"entnetsim: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except FigureDataError as exc:
         print(f"entnetsim: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,19 +17,23 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import __version__
 from .analysis import (CorrelationHistogram, LinkReport, link_matrix,
                        write_histogram_csv, write_links_csv)
-from .config import ScenarioConfig, parse_link_list
+from .config import ConfigError, ScenarioConfig, parse_link_list
 from .doqkd import KeyRateReport, analyze_link
 from .plan import NetworkPlan, subnet_label, write_plan_csv
-from .rates import monitor_expected_iqr_ps
-from .sim import (ScenarioResult, fiber_delay_ps, run_scenario,
+from .rates import expected_singles_rate, monitor_expected_iqr_ps
+from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
+# Peak memory per detected tag: the 60 s figures run (about 87M tags)
+# peaked at 2.23 GB, the 10 s run at 452 MB.
+BYTES_PER_TAG = 25
+JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 
 class FigureDataError(ValueError):
@@ -111,13 +115,38 @@ class ReportBundle:
             raise KeyError(f"link {ua}-{ub} not in bundle") from None
 
 
+def physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(plan: NetworkPlan, sys_cfg: SystemConfig, users,
+                 duration_s: float) -> None:
+    """Raise ConfigError naming run.duration_s when the run's expected
+    tags (rates.expected_singles_rate of the selected users over the
+    duration) would need more than the host's physical memory."""
+    tags = duration_s * sum(expected_singles_rate(plan, sys_cfg, u)
+                            for u in users)
+    need, have = tags * BYTES_PER_TAG, physical_memory_bytes()
+    if need > have:
+        raise ConfigError(
+            f"run.duration_s: {duration_s:g} s over {len(users)} users is"
+            f" about {tags:.3g} tags, needing about {need / 1e9:.3g} GB;"
+            f" this host has {have / 1e9:.3g} GB. Shorten the run or select"
+            " fewer links.")
+
+
 def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle:
-    """Execute the full pipeline for the configured link set."""
+    """Execute the full pipeline for the configured link set.
+
+    Raises ConfigError before any simulation when the run would not fit
+    in physical memory (check_memory).
+    """
     plan = cfg.network_plan()
     links = resolve_links(plan, cfg.links)
     users = sorted({u for link in links for u in link})
     sys_cfg = cfg.system()
     qkd_cfg = cfg.qkd()
+    check_memory(plan, sys_cfg, users, cfg.duration_s)
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)
@@ -315,9 +344,18 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Sorted, indented JSON; emit() makes the write atomic."""
+    """Sorted, indented JSON, the bytes of json.dump; emit() makes the
+    write atomic.
+
+    json.dump makes one write per encoder chunk (about 92k for the
+    780-link keyrates.json) and json.dumps holds all the chunks at once
+    (3.8 MB traced for that file), so the chunks are joined and written
+    JSON_CHUNKS at a time.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        for group in iter(lambda: list(islice(chunks, JSON_CHUNKS)), []):
+            fh.write("".join(group))
         fh.write("\n")
 
 

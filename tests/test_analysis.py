@@ -1,15 +1,17 @@
 """Coincidence analysis: histograms, matching, CAR, link matrix."""
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from entnetsim import ItuChannel, build_plan
+from entnetsim import ItuChannel, analysis, build_plan
 from entnetsim.analysis import (CAR_CAP, compute_car, cross_correlate,
-                                link_matrix, match_coincidences,
+                                link_matrix, link_window, match_coincidences,
                                 write_histogram_csv, write_links_csv)
 from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
                              sift_frames)
@@ -338,3 +340,121 @@ def test_link_window_equals_full_streams(case):
                           "sifted_pairs": len(material)}
     assert rep.discards == {**material.discards,
                             "basis_mismatch": int(np.count_nonzero(~key))}
+
+
+NETWORK_PLAN = build_plan(2, 3, ItuChannel(40))
+
+
+@st.composite
+def network_case(draw):
+    """Labeled streams of 3..6 users with distinct delays, bigger than many
+    of their tag times so shifted times go negative. Tags of different
+    users sit at shifted distances 0, the link reach and one past it;
+    some streams are empty or hold a single tag."""
+    window = draw(st.integers(2, 20))
+    monitor_window = draw(st.integers(1, 4 * window))
+    n_bins = draw(st.sampled_from([9, 11, 13]))
+    span = n_bins * window
+    reach = max(span // 2, span - span // 2 - 1, window // 2,
+                monitor_window // 2)
+    users = list(range(draw(st.integers(3, 6))))
+    delays = draw(st.lists(st.integers(0, 30 * reach), min_size=len(users),
+                           max_size=len(users), unique=True))
+    times = {u: [] for u in users}
+    for u in users:
+        size = draw(st.sampled_from(["empty", "single", "bursts"]))
+        if size == "single":
+            times[u].append(draw(st.integers(0, 40 * reach)))
+        elif size == "bursts":
+            for _ in range(draw(st.integers(1, 4))):
+                start = draw(st.integers(0, 40 * reach))
+                gaps = draw(st.lists(st.integers(0, 2 * reach), max_size=5))
+                times[u].extend(start + np.cumsum([0] + gaps))
+    # partners across users, in shifted time (t - delay)
+    for _ in range(draw(st.integers(0, 8))):
+        ua, ub = draw(st.lists(st.sampled_from(users), min_size=2,
+                               max_size=2, unique=True))
+        ta = draw(st.integers(0, 40 * reach))
+        gap = draw(st.sampled_from([0, reach, -reach, reach + 1,
+                                    -reach - 1]))
+        tb = ta - delays[ua] + delays[ub] + gap
+        if tb >= 0:
+            times[ua].append(ta)
+            times[ub].append(tb)
+    streams = {}
+    for u in users:
+        t = np.sort(np.asarray(times[u], dtype=np.int64))
+        paths = np.asarray(draw(st.lists(st.integers(0, 1), min_size=t.size,
+                                         max_size=t.size)), dtype=np.uint8)
+        streams[u] = (t, paths)
+    pairs = list(combinations(users, 2))
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                          max_size=len(pairs), unique=True))
+    return (streams, dict(zip(users, delays)), links, window, span,
+            monitor_window, reach)
+
+
+@pytest.mark.filterwarnings("ignore:only .* symbol pairs")
+@settings(max_examples=300, deadline=None)
+@given(network_case())
+def test_pooled_filter_equals_full_streams(case):
+    """link_matrix pre-filters all user streams in pooled time slabs; for
+    every slab size each link's report, histogram and LinkWindow equal
+    link_window and cross_correlate run on the two full streams."""
+    streams, delays, links, window, span, monitor_window, reach = case
+    duration_ps = 10**12
+    expected = {}
+    for ua, ub in links:
+        offset = delays[ub] - delays[ua]
+        win = link_window(streams[ua], streams[ub], offset, window, reach)
+        hist = cross_correlate(streams[ua][0], streams[ub][0], window, span,
+                               offset_ps=offset, duration_ps=duration_ps)
+        expected[(ua, ub)] = win, hist
+    for slab in (1, 2, 3, analysis.POOL_TAGS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "POOL_TAGS", slab)
+            reports, hists, windows = link_matrix(
+                streams, NETWORK_PLAN, links, window, delays, 1.0,
+                monitor_window_ps=monitor_window, hist_range_ps=span)
+        for rep, (ua, ub) in zip(reports, links):
+            ref_win, ref_hist = expected[(ua, ub)]
+            win, hist = windows[(ua, ub)], hists[(ua, ub)]
+            np.testing.assert_array_equal(hist.counts, ref_hist.counts)
+            assert ((hist.singles_a, hist.singles_b, hist.offset_ps)
+                    == (ref_hist.singles_a, ref_hist.singles_b,
+                        ref_hist.offset_ps))
+            assert rep.coincidences == len(ref_win.matches)
+            assert rep.car == compute_car(ref_hist, window).car
+            for name in ("offset_ps", "reach_ps", "singles_a", "singles_b"):
+                assert getattr(win, name) == getattr(ref_win, name)
+            for name in ("index_a", "index_b", "times_a", "times_b",
+                         "paths_a", "paths_b"):
+                np.testing.assert_array_equal(getattr(win, name),
+                                              getattr(ref_win, name))
+            for name in ("index_a", "index_b", "times_a", "times_b"):
+                np.testing.assert_array_equal(getattr(win.matches, name),
+                                              getattr(ref_win.matches, name))
+
+
+def test_pooled_filter_memory_bounded_by_slab(monkeypatch):
+    """The pre-filter's peak allocation is set by the slab size and what it
+    keeps, not by the stream lengths: 2M tags of 16 users at the pooled
+    rate of the 40-user network (3.7M tags/s) and a 2112 ps reach."""
+    slab = 1 << 14
+    monkeypatch.setattr(analysis, "POOL_TAGS", slab)
+    rng = np.random.default_rng(1)
+    n_users, per_user = 16, 1 << 17
+    duration_ps = int(n_users * per_user / 3.7e6 * 1e12)
+    times = {u: np.sort(rng.integers(0, duration_ps, per_user, dtype=np.int64))
+             for u in range(n_users)}
+    delays = {u: int(rng.integers(0, 10**7)) for u in range(n_users)}
+    tracemalloc.start()
+    try:
+        keep = analysis._pool_keep(times, delays, 2112)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_kept = sum(k.size for k in keep.values())
+    assert 0 < n_kept < 0.05 * n_users * per_user
+    # one int64 copy of the input alone would be 16 MB
+    assert peak < 40 * slab + 16 * n_kept

@@ -13,8 +13,9 @@ from entnetsim.cli import main
 from entnetsim.config import (ConfigError, ScenarioConfig, default_config,
                               parse_config, parse_config_text, provenance,
                               with_overrides, SCHEMA)
-from entnetsim.report import (FigureDataError, emit_figure_data, resolve_links,
-                              run_bundle, write_bundle)
+from entnetsim import report
+from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
+                              resolve_links, run_bundle, write_bundle)
 
 
 class TestParseConfig:
@@ -208,6 +209,32 @@ class TestCliErrors:
         assert code == 2
         assert "run.duration_s" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_too_big_for_memory_exit_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a run that does not fit")
+
+        monkeypatch.setattr(report, "physical_memory_bytes", lambda: 10**6)
+        monkeypatch.setattr(report, "run_scenario", no_simulation)
+        out = tmp_path / "o"
+        # 2 users at ~90k tags/s for 1 s: ~4.5 MB of tags against 1 MB
+        code = run_cli("--out", str(out), "--duration", "1", "--links", "0-1")
+        assert code == 2
+        assert "run.duration_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_estimate(self, reference_plan, monkeypatch):
+        """Only the estimate is computed here: no run is started."""
+        monkeypatch.setattr(report, "physical_memory_bytes", lambda: 7 * 2**30)
+        sys_cfg = default_config().system()
+        with pytest.raises(ConfigError, match="run.duration_s"):
+            check_memory(reference_plan, sys_cfg, [0, 1], 9007.19)
+        for links, duration in (("figures", 1.5), ("all", 0.2),
+                                ("figures", 0.25), ("default", 60.0)):
+            users = {u for link in resolve_links(reference_plan, links)
+                     for u in link}
+            check_memory(reference_plan, sys_cfg, sorted(users), duration)
 
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "file"

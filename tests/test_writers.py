@@ -1,11 +1,13 @@
 """Bundle writers: the column-wise writers must write exactly the bytes of
 the per-row reference writers in helpers (csv.writer rows and one write
-per tag)."""
+per tag), and the JSON writer those of json.dump."""
+
+import json
 
 import numpy as np
 import pytest
 
-from entnetsim import ItuChannel, build_plan
+from entnetsim import ItuChannel, build_plan, report
 from entnetsim._columns import CHUNK_ROWS
 from entnetsim.analysis import cross_correlate, write_histogram_csv
 from entnetsim.sim import (LOST, TruthLog, run_scenario, write_tag_stream,
@@ -138,3 +140,19 @@ class TestHistogramCsv:
                                    kind="inter", note="x=1")
         assert new == ref
         assert new.startswith(b"# kind=inter\n# note=x=1\n# user_a=4\n")
+
+
+@pytest.mark.parametrize("n_chunks", [1, 2, 7, report.JSON_CHUNKS])
+def test_json_chunked_writes_same_bytes(tmp_path, monkeypatch, n_chunks):
+    """report._write_json writes the bytes json.dump streams, in a few
+    writes of JSON_CHUNKS encoder chunks."""
+    payload = {"schema": "x/1", "b": [1, 2.5, {"z": None, "a": True}],
+               "a": {"nested": [], "empty": {}}, "text": "é\n"}
+    ref = tmp_path / "ref.json"
+    with open(ref, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    new = tmp_path / "new.json"
+    monkeypatch.setattr(report, "JSON_CHUNKS", n_chunks)
+    report._write_json(new, payload)
+    assert new.read_bytes() == ref.read_bytes()
