@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Scenario engine throughput on a fixed input.
+
+Times run_scenario alone (pair generation, arrival transform, detector)
+on the users of the 42 `figures` links of the default config, without a
+truth log, as report.run_bundle calls it: best of --repeat runs at the
+short duration and one run at the long one. Each duration runs in a
+fresh subprocess, so the peak RSS printed beside it (ru_maxrss) is that
+duration's alone. NumPy's transparent-hugepage advice is off in the
+children (NUMPY_MADVISE_HUGEPAGE=0) unless the caller sets it, as in
+perfbench, so that peak RSS does not move by whole 2 MB pages. Prints
+engine seconds, detected tags per second and peak MB.
+
+Usage: python3 benchmarks/bench_engine.py [--seconds S ...] [--seed N] [--repeat K]
+"""
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+
+def measure(duration_s: float, seed: int, repeat: int) -> dict:
+    """Best-of-repeat engine time for one duration, in this process."""
+    from entnetsim import config, report
+    from entnetsim.sim import run_scenario
+
+    cfg = config.with_overrides(config.default_config(), seed=seed,
+                                duration_s=duration_s, links="figures")
+    plan = cfg.network_plan()
+    users = sorted({u for link in report.resolve_links(plan, cfg.links)
+                    for u in link})
+    sys_cfg = cfg.system()
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = run_scenario(plan, sys_cfg, duration_s, seed,
+                              selected_users=users, collect_truth=False)
+        best = min(best, time.perf_counter() - t0)
+        tags = sum(result.singles_counts().values())
+        del result
+    return {"duration_s": duration_s, "users": len(users), "repeat": repeat,
+            "engine_s": best, "tags": tags,
+            "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seconds", type=float, nargs="+", default=[1.5, 10.0],
+                        help="simulated durations; the first is run --repeat"
+                             " times, the others once")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--child", type=float, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.child is not None:
+        print(json.dumps(measure(args.child, args.seed, args.repeat)))
+        return
+
+    header = (f"{'simulated':>9s} {'users':>5s} {'runs':>4s} {'engine':>9s}"
+              f" {'tags':>11s} {'tags/s':>10s} {'peak':>9s}")
+    print(header)
+    print("-" * len(header))
+    env = {"NUMPY_MADVISE_HUGEPAGE": "0", **os.environ}
+    for k, seconds in enumerate(args.seconds):
+        repeat = args.repeat if k == 0 else 1
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", str(seconds),
+             "--seed", str(args.seed), "--repeat", str(repeat)],
+            capture_output=True, text=True, check=True, env=env)
+        r = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"{r['duration_s']:8.3g}s {r['users']:5d} {r['repeat']:4d}"
+              f" {r['engine_s']:8.2f}s {r['tags']:11,d}"
+              f" {r['tags'] / r['engine_s']:10.3g} {r['peak_mb']:7.1f}MB")
+
+
+if __name__ == "__main__":
+    main()

@@ -150,9 +150,13 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)
-    merged = {u: result.user_stream(u) for u in users}
     singles = result.singles_counts()
-    result.streams = {}  # reconstructible from merged; frees the duplicates
+    merged = {}
+    for u in users:
+        merged[u] = result.user_stream(u)
+        # the merged stream holds the same tags: free the per-path copies
+        # now, so that the run never holds both for every user at once
+        del result.streams[(u, 0)], result.streams[(u, 1)]
     delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
 
     link_reports, histograms, windows = link_matrix(

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._columns import FormatOnce, write_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
-                        db_to_transmittance, dispersion_time_shift,
-                        detector_response_traced, NORMAL, ANOMALOUS,
+                        db_to_transmittance, detector_response_traced,
+                        wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
                         PS_PER_SECOND)
 from .plan import NetworkPlan, ChannelPair
 
@@ -237,7 +237,6 @@ class ScenarioResult:
     emitted_pairs: dict[int, int]
     truth: TruthLog | None
     tag_pair_rows: dict[tuple[int, int], np.ndarray] | None = None
-    arrivals: dict[int, dict[tuple[int, int], np.ndarray]] | None = None
 
     def singles_counts(self) -> dict[tuple[int, int], int]:
         return {key: int(tags.size) for key, tags in self.streams.items()}
@@ -300,62 +299,52 @@ def _category_events(sys_cfg: SystemConfig, plan: NetworkPlan,
 
 def _photon_arrival_times(block, role: str, user: int, pair: ChannelPair,
                           sys_cfg: SystemConfig) -> np.ndarray:
-    """Receiver arrival times for one side of an event block."""
+    """Receiver arrival times for one side of an event block.
+
+    arrival = (t + fiber delay) + sign * D * (dlambda/dnu * detuning), with
+    sign = PATH_SIGNS[path], the idler's detuning negated and the
+    correlation jitter added to the idler's emission time only. The path
+    sign is applied as one gather from (sign_0 * D, sign_1 * D), with no
+    per-path mask: a sign of +-1 times D is exactly +-D, so every element
+    gets the bits that dispersion_time_shift on its path's slice gives.
+    The idler's negation is moved onto the scalar dlambda/dnu, which is
+    also exact (x * -y == -x * y in IEEE arithmetic).
+    """
     times, detuning, path_s, path_i, corr = block
+    delay = float(fiber_delay_ps(sys_cfg.losses, user))
     if role == "signal":
-        channel, det, paths = pair.signal, detuning, path_s
-        t = times
+        channel, paths = pair.signal, path_s
+        dlam_per_ghz = wavelength_shift_nm_per_ghz(channel)
+        arrivals = times + delay
     else:
-        channel, det, paths = pair.idler, -detuning, path_i
-        t = times + corr
-    delay = fiber_delay_ps(sys_cfg.losses, user)
-    arrivals = t + float(delay)  # new array; in-place path shifts below are safe
-    for path in (0, 1):
-        mask = paths == path
-        if np.any(mask):
-            arrivals[mask] += dispersion_time_shift(
-                det[mask], channel, PATH_SIGNS[path], sys_cfg.dispersion)
+        channel, paths = pair.idler, path_i
+        dlam_per_ghz = -wavelength_shift_nm_per_ghz(channel)
+        arrivals = times + corr
+        arrivals += delay
+    mag = sys_cfg.dispersion.magnitude_ps_per_nm
+    sign_mag = np.array([PATH_SIGNS[0] * mag, PATH_SIGNS[1] * mag], dtype=float)
+    shift = np.multiply(detuning, dlam_per_ghz)
+    shift *= sign_mag[paths]
+    arrivals += shift
     return arrivals
 
 
-def resource_arrivals(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int,
-                      duration_s: float, seed: int) -> dict[tuple[int, int], np.ndarray]:
-    """Receiver arrival times of one resource alone, keyed by (user, path).
-
-    Matches the corresponding slice of a full run with the same seed
-    (run_scenario with keep_arrivals=True), by construction of the
-    per-outcome seed derivation.
-    """
-    pair = plan.resource_by_id(resource_id)
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
-    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
-    users = set(plan.subnet_users(sig_subnet)) | set(plan.subnet_users(idl_subnet))
-    out: dict[tuple[int, int], list[np.ndarray]] = {}
-    for u, v, _n, block in _category_events(sys_cfg, plan, pair, duration_ps,
-                                            seed, users):
-        if block is None:
-            continue
-        times, detuning, path_s, path_i, corr = block
-        for role, dest, paths in (("signal", u, path_s), ("idler", v, path_i)):
-            if dest == LOST:
-                continue
-            arr = _photon_arrival_times(block, role, dest, pair, sys_cfg)
-            for path in (0, 1):
-                mask = paths == path
-                out.setdefault((dest, path), []).append(arr[mask])
-    return {key: np.sort(np.concatenate(chunks))
-            for key, chunks in sorted(out.items())}
-
-
 def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
-                 seed: int, selected_users=None, collect_truth: bool = True,
-                 keep_arrivals: bool = False) -> ScenarioResult:
+                 seed: int, selected_users=None,
+                 collect_truth: bool = True) -> ScenarioResult:
     """Simulate the full chain and return tag streams plus ground truth.
 
     selected_users restricts which users' receivers are materialized (all
     by default). A user's tag stream is byte-identical whichever other
     users are selected alongside it. Deterministic in (plan, configs,
     duration, seed).
+
+    Each (user, path) stream's arrivals are sorted once before the
+    detector. A truth run sorts them with a stable argsort, because the
+    truth rows must follow the same permutation. Without truth only the
+    values are sorted: equal floats cannot be told apart, so the sorted
+    array, and with it every tag, is the same whichever permutation
+    produced it.
     """
     if duration_s < 0:
         raise ScenarioConfigError("run.duration_s: must be >= 0")
@@ -370,7 +359,6 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
 
     buffers: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {
         (u, p): [] for u in selected for p in (0, 1)}
-    arrivals_by_resource: dict[int, dict[tuple[int, int], list[np.ndarray]]] = {}
     emitted: dict[int, int] = {}
 
     t_emit_blocks: list[np.ndarray] = []
@@ -382,7 +370,6 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     for pair in sorted(plan.resources(), key=lambda p: p.resource_id):
         rid = pair.resource_id
         emitted[rid] = 0
-        res_arrivals: dict[tuple[int, int], list[np.ndarray]] = {}
         for u, v, n, block in _category_events(sys_cfg, plan, pair,
                                                duration_ps, seed, sel_set):
             emitted[rid] += n
@@ -404,18 +391,12 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
                     continue
                 arr = _photon_arrival_times(block, role, dest, pair, sys_cfg)
                 packed = rows * 2 + role_bit if rows is not None else None
-                for path in (0, 1):
-                    mask = paths == path
+                anomalous = paths == 1
+                for path, mask in ((0, ~anomalous), (1, anomalous)):
                     if not np.any(mask):
                         continue
                     buffers[(dest, path)].append(
                         (arr[mask], packed[mask] if packed is not None else None))
-                    if keep_arrivals:
-                        res_arrivals.setdefault((dest, path), []).append(arr[mask])
-        if keep_arrivals:
-            arrivals_by_resource[rid] = {
-                key: np.sort(np.concatenate(chunks))
-                for key, chunks in sorted(res_arrivals.items())}
 
     if collect_truth:
         truth = TruthLog(
@@ -441,11 +422,14 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         chunks = buffers.pop((user, path))
         if chunks:
             times = np.concatenate([c[0] for c in chunks])
-            packed = (np.concatenate([c[1] for c in chunks])
-                      if collect_truth else None)
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            packed = packed[order] if packed is not None else None
+            if collect_truth:
+                packed = np.concatenate([c[1] for c in chunks])
+                order = np.argsort(times, kind="stable")
+                times, packed = times[order], packed[order]
+                del order
+            else:
+                packed = None
+                times.sort()
         else:
             times = np.empty(0, dtype=float)
             packed = np.empty(0, dtype=np.int64) if collect_truth else None
@@ -474,7 +458,6 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         emitted_pairs=emitted,
         truth=truth,
         tag_pair_rows=tag_pair_rows,
-        arrivals=(arrivals_by_resource if keep_arrivals else None),
     )
 
 

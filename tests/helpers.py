@@ -3,7 +3,9 @@
 Everything here is deliberately written without reference to the package's
 kernel implementations: brute-force enumeration for matching/histogramming,
 a literal sequential scan for dead-time pruning, and a pair-by-pair
-reference engine that routes every photon individually. The ref_write_*
+reference engine that routes every photon individually. ref_photon_arrival_times
+and resource_arrivals rebuild the engine's arrivals the way it computed
+them before its arrival transform dropped the per-path masks. The ref_write_*
 functions are the bundle's per-row writers, kept as byte oracles for the
 column-wise writers in the package.
 """
@@ -16,8 +18,10 @@ import numpy as np
 
 from entnetsim import photonics, sim
 from entnetsim.plan import NetworkPlan
-from entnetsim.sim import (PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
-                           SystemConfig, fiber_delay_ps, route_pair)
+from entnetsim.photonics import PS_PER_SECOND, wavelength_shift_nm_per_ghz
+from entnetsim.sim import (LOST, PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
+                           SystemConfig, arrival_probability, derive_stream_seed,
+                           fiber_delay_ps, route_pair)
 
 
 def brute_dead_time(tags: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -134,6 +138,80 @@ def reference_engine(plan: NetworkPlan, sys_cfg: SystemConfig,
         streams[key] = photonics.detector_response(arr, sys_cfg.detector,
                                                    duration_s, rng)
     return streams
+
+
+def ref_dispersion_time_shift(detuning_ghz, channel, sign: int, disp):
+    """photonics.dispersion_time_shift on an array, as the engine used it."""
+    dlam = wavelength_shift_nm_per_ghz(channel) * np.asarray(detuning_ghz, dtype=float)
+    return sign * disp.magnitude_ps_per_nm * dlam
+
+
+def ref_photon_arrival_times(block, role: str, user: int, pair,
+                             sys_cfg: SystemConfig) -> np.ndarray:
+    """Per-path masked arrival transform: one dispersion shift per path slice."""
+    times, detuning, path_s, path_i, corr = block
+    if role == "signal":
+        channel, det, paths = pair.signal, detuning, path_s
+        t = times
+    else:
+        channel, det, paths = pair.idler, -detuning, path_i
+        t = times + corr
+    delay = fiber_delay_ps(sys_cfg.losses, user)
+    arrivals = t + float(delay)  # new array; in-place path shifts below are safe
+    for path in (0, 1):
+        mask = paths == path
+        if np.any(mask):
+            arrivals[mask] += ref_dispersion_time_shift(
+                det[mask], channel, PATH_SIGNS[path], sys_cfg.dispersion)
+    return arrivals
+
+
+def resource_arrivals(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int,
+                      duration_s: float, seed: int) -> dict[tuple[int, int], np.ndarray]:
+    """Receiver arrival times of one resource alone, keyed by (user, path).
+
+    Redraws every (signal user, idler user) outcome of the resource from
+    its own derive_stream_seed("pairs", ...) stream, in the engine's draw
+    order, and transforms the events with ref_photon_arrival_times. Each
+    array is sorted.
+    """
+    pair = plan.resource_by_id(resource_id)
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
+    sig_users = list(plan.subnet_users(sig_subnet))
+    idl_users = list(plan.subnet_users(idl_subnet))
+    p_sig = {u: arrival_probability(plan, sys_cfg, resource_id, "signal", u)
+             for u in sig_users}
+    p_idl = {u: arrival_probability(plan, sys_cfg, resource_id, "idler", u)
+             for u in idl_users}
+    p_sig[LOST] = 1.0 - sum(p_sig.values())
+    p_idl[LOST] = 1.0 - sum(p_idl.values())
+    src = sys_cfg.source
+    duration = duration_ps / PS_PER_SECOND
+    out: dict[tuple[int, int], list[np.ndarray]] = {}
+    for u in sig_users + [LOST]:
+        for v in idl_users + [LOST]:
+            rng = np.random.default_rng(
+                derive_stream_seed(seed, "pairs", resource_id, u, v))
+            n = int(rng.poisson(src.pair_rate_hz * p_sig[u] * p_idl[v] * duration))
+            if n == 0 or (u == LOST and v == LOST):
+                continue
+            times = np.sort(rng.uniform(0.0, duration_ps, size=n))
+            detuning = rng.uniform(-src.bandwidth_ghz / 2.0,
+                                   src.bandwidth_ghz / 2.0, size=n)
+            path_s = rng.integers(0, 2, size=n)
+            path_i = rng.integers(0, 2, size=n)
+            corr = (rng.normal(0.0, src.correlation_jitter_ps, size=n)
+                    if src.correlation_jitter_ps > 0 else np.zeros(n))
+            block = (times, detuning, path_s, path_i, corr)
+            for role, dest, paths in (("signal", u, path_s), ("idler", v, path_i)):
+                if dest == LOST:
+                    continue
+                arr = ref_photon_arrival_times(block, role, dest, pair, sys_cfg)
+                for path in (0, 1):
+                    out.setdefault((dest, path), []).append(arr[paths == path])
+    return {key: np.sort(np.concatenate(chunks))
+            for key, chunks in sorted(out.items())}
 
 
 def user_pair_rows(result: sim.ScenarioResult, user: int) -> np.ndarray:

@@ -2,19 +2,21 @@
 statistical agreement with the analytic rate calculator and with a
 pair-by-pair reference implementation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from entnetsim import ItuChannel, build_plan, match_coincidences
-from entnetsim.photonics import DetectorConfig, DispersionConfig, SourceConfig
+from entnetsim import ItuChannel, build_plan, match_coincidences, sim
+from entnetsim.photonics import (DetectorConfig, DispersionConfig, SourceConfig,
+                                 detector_response_traced)
 from entnetsim.rates import (expected_coincidence_rate, expected_singles_rate,
                              lossless_variant)
 from entnetsim.sim import (LOST, LossBudget, ScenarioConfigError, SystemConfig,
-                           derive_stream_seed, fiber_delay_ps,
-                           resource_arrivals, route_pair, run_scenario)
+                           derive_stream_seed, fiber_delay_ps, route_pair,
+                           run_scenario)
 
 import helpers
 
@@ -227,15 +229,32 @@ class TestRunScenario:
         assert np.all((idl == LOST) | (idl >= 2))  # subnet 1 users are 2, 3
 
     def test_resource_slice_regeneration(self):
+        # every resource regenerated alone from its own seeds: their
+        # arrivals, merged per (user, path) and put through that stream's
+        # detector, are the engine's tags exactly, with truth and without
         plan = build_plan(2, 2, ItuChannel(40))
         sys_cfg = light_system(pair_rate=4e4)
-        res = run_scenario(plan, sys_cfg, 0.1, seed=17, keep_arrivals=True)
+        alone = {}
         for pair in plan.resources():
             rid = pair.resource_id
-            alone = resource_arrivals(plan, sys_cfg, rid, 0.1, seed=17)
-            assert set(alone) == set(res.arrivals[rid])
-            for key in alone:
-                np.testing.assert_array_equal(alone[key], res.arrivals[rid][key])
+            alone[rid] = helpers.resource_arrivals(plan, sys_cfg, rid, 0.1, seed=17)
+            reached = {u for s in plan.resource_endpoints(rid)
+                       for u in plan.subnet_users(s)}
+            assert set(alone[rid]) == {(u, p) for u in reached for p in (0, 1)}
+        keys = set().union(*alone.values())
+        for collect_truth in (True, False):
+            res = run_scenario(plan, sys_cfg, 0.1, seed=17,
+                               collect_truth=collect_truth)
+            assert set(res.streams) == keys
+            for user, path in sorted(keys):
+                arrivals = np.sort(np.concatenate(
+                    [a[(user, path)] for a in alone.values() if (user, path) in a]))
+                rng = np.random.default_rng(
+                    derive_stream_seed(17, "detector", user, path))
+                tags, _ = detector_response_traced(arrivals, sys_cfg.detector,
+                                                   0.1, rng)
+                assert tags.size > 0
+                np.testing.assert_array_equal(tags, res.streams[(user, path)])
 
     def test_truth_rows_align_with_tags(self):
         plan = build_plan(1, 2, ItuChannel(40))
@@ -249,6 +268,91 @@ class TestRunScenario:
         detected = (res.truth.signal_detected[rows[photon]]
                     | res.truth.idler_detected[rows[photon]])
         assert bool(np.all(detected))
+
+
+class TestArrivalTransform:
+    """_photon_arrival_times against the per-path masked oracle, bit for bit."""
+
+    @staticmethod
+    def block(n, paths, corr_ps, rng):
+        times = np.sort(rng.uniform(0.0, 1e11, size=n))
+        detuning = rng.uniform(-50.0, 50.0, size=n)
+        if paths == "mixed":
+            path_s = rng.integers(0, 2, size=n)
+            path_i = rng.integers(0, 2, size=n)
+        else:
+            path_s = np.full(n, paths, dtype=np.int64)
+            path_i = np.full(n, paths, dtype=np.int64)
+        corr = rng.normal(0.0, corr_ps, size=n) if corr_ps > 0 else np.zeros(n)
+        return times, detuning, path_s, path_i, corr
+
+    @pytest.mark.parametrize("role", ["signal", "idler"])
+    @pytest.mark.parametrize("rid", [1, 15])  # innermost and outermost pair
+    def test_matches_masked_oracle(self, reference_plan, role, rid):
+        pair = reference_plan.resource_by_id(rid)
+        assert pair.signal.index > 40 > pair.idler.index
+        rng = np.random.default_rng(rid)
+        for mag in (0.0, 1980.0):
+            sys_cfg = light_system(disp_mag=mag, fiber={3: 1.7})
+            for corr_ps in (0.0, 2.0):
+                for n in (0, 1, 2000):
+                    for paths in ("mixed", 0, 1):
+                        block = self.block(n, paths, corr_ps, rng)
+                        for user in (0, 3):  # no fiber, 1.7 km of fiber
+                            got = sim._photon_arrival_times(
+                                block, role, user, pair, sys_cfg)
+                            want = helpers.ref_photon_arrival_times(
+                                block, role, user, pair, sys_cfg)
+                            assert got.dtype == want.dtype == np.float64
+                            np.testing.assert_array_equal(
+                                got.view(np.int64), want.view(np.int64),
+                                err_msg=f"{mag=} {corr_ps=} {n=} {paths=} {user=}")
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestEngineBytes:
+    """sha256 of every (user, path) stream of a small default-physics run.
+
+    The constants pin the engine's exact output: a rewrite that is meant
+    to be bit-identical must leave them alone, and a change that moves a
+    tag on purpose must update them here.
+    """
+
+    STREAMS = "55944c356e3bfdc9e9266b52c54bbd8fd5f3b1b51fe227452d7e461f4334ff4a"
+    TRUTH = "a116e7a7b7448d5c7c15fcfd469d3c09602c41fcb09653f943226b9169945885"
+    SUBSET = "238791ef76ea960caadac5a5d7df619b8dde9f4dbedb830f96b92197d2543a56"
+
+    @staticmethod
+    def run(**kwargs):
+        plan = build_plan(2, 3, ItuChannel(40))
+        return run_scenario(plan, SystemConfig(), 0.05, seed=2024, **kwargs)
+
+    @staticmethod
+    def streams_digest(res) -> str:
+        return _sha256(res.streams[key] for key in sorted(res.streams))
+
+    def test_truth_run(self):
+        res = self.run()
+        assert len(res.streams) == 12
+        assert self.streams_digest(res) == self.STREAMS
+        assert _sha256([res.truth.signal_detected, res.truth.idler_detected,
+                        res.truth.t_emit_ps]) == self.TRUTH
+
+    def test_run_without_truth(self):
+        res = self.run(collect_truth=False)
+        assert res.truth is None
+        assert self.streams_digest(res) == self.STREAMS
+
+    def test_selected_users(self):
+        res = self.run(collect_truth=False, selected_users=[4, 1])
+        assert sorted(res.streams) == [(1, 0), (1, 1), (4, 0), (4, 1)]
+        assert self.streams_digest(res) == self.SUBSET
 
 
 class TestEngineAgreesWithReference:
