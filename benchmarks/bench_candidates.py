@@ -4,10 +4,11 @@
 Generates 40 user streams shaped like the full network at calibrated
 rates (about 92k tags/s per user, three fiber delays, 3.5% of each user's
 tags echoing another user's tag within detector jitter) and times, for
-all 780 links, the pooled pre-filter that link_matrix runs once, the
-per-link link_window on the tags it keeps, and for reference the
-per-link link_window on the full streams. Prints the best time and the
-input tags per second.
+all 780 links, the one pooled candidate sweep that link_matrix runs, the
+sweep plus the 780 LinkWindows (candidate arrays and narrow-window
+matches) that link_matrix builds from it, and for reference 780 calls of
+link_window, each a search over the two full streams of one link. Prints
+the best time and the input tags per second.
 
 Usage: python3 benchmarks/bench_candidates.py [--seconds S] [--repeat K]
 """
@@ -69,28 +70,32 @@ def main():
     times, paths, delays = make_streams(args.seconds)
     links = list(combinations(range(USERS), 2))
     n_tags = sum(t.size for t in times.values())
-    keep = analysis._pool_keep(times, delays, REACH_PS)
-    n_kept = sum(k.size for k in keep.values())
+    cands = analysis._pool_candidates(times, delays, REACH_PS, links)
+    n_cand = sum(c.size for c in cands.values())
     print(f"streams: {USERS} users, {n_tags:,} tags, {len(links)} links;"
-          f" pooled filter keeps {n_kept:,} ({n_kept / n_tags:.1%})")
+          f" {n_cand:,} candidate positions ({n_cand / n_tags:.1%})")
 
     full = {u: (times[u], paths[u]) for u in times}
-    kept = {u: (times[u][keep[u]], paths[u][keep[u]]) for u in times}
 
-    def per_link(streams):
+    def sweep():
+        return analysis._pool_candidates(times, delays, REACH_PS, links)
+
+    def sweep_and_windows():
+        c = sweep()
         for ua, ub in links:
-            analysis.link_window(streams[ua], streams[ub],
+            analysis._link_window(full[ua], full[ub], c[(ua, ub)],
+                                  c[(ub, ua)], delays[ub] - delays[ua],
+                                  WINDOW_PS, REACH_PS)
+
+    def per_link():
+        for ua, ub in links:
+            analysis.link_window(full[ua], full[ub],
                                  delays[ub] - delays[ua], WINDOW_PS, REACH_PS)
 
-    def pooled():
-        k = analysis._pool_keep(times, delays, REACH_PS)
-        per_link({u: (times[u][k[u]], paths[u][k[u]]) for u in times})
-
     cases = [
-        ("pooled filter", lambda: analysis._pool_keep(times, delays, REACH_PS)),
-        ("link_window x780 on kept tags", lambda: per_link(kept)),
-        ("pooled filter + link_window x780", pooled),
-        ("link_window x780 on full streams", lambda: per_link(full)),
+        ("one sweep, 780 links", sweep),
+        ("one sweep + 780 LinkWindows", sweep_and_windows),
+        ("link_window x780 on full streams", per_link),
     ]
 
     header = f"{'stage':36s} {'time':>10s} {'tags/s':>10s}"

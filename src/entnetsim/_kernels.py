@@ -65,17 +65,20 @@ def greedy_match(a: np.ndarray, b: np.ndarray, offset: int, half_window: int
     hi_idx = np.searchsorted(b, a + (offset + half_window), side="right")
     candidates = np.flatnonzero(hi_idx > lo_idx)
 
+    # the walk runs on Python ints: indexing NumPy arrays per element
+    # costs more than the walk itself
     ia = []
     ib = []
     next_free = 0
-    for i in candidates:
-        j = max(next_free, lo_idx[i])
-        if j < hi_idx[i]:
+    for i, lo, hi in zip(candidates.tolist(), lo_idx[candidates].tolist(),
+                         hi_idx[candidates].tolist()):
+        j = max(next_free, lo)
+        if j < hi:
             ia.append(i)
             ib.append(j)
             next_free = j + 1
-        elif lo_idx[i] > next_free:
-            next_free = lo_idx[i]
+        elif lo > next_free:
+            next_free = lo
     return (np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64))
 
 
@@ -110,6 +113,5 @@ def correlation_histogram(a: np.ndarray, b: np.ndarray, offset: int,
                            n_per_a) + np.arange(total)
     delays = b[flat_b_idx] - rep_a - offset
     idx = (delays - lo) // bin_width
-    np.add.at(counts, idx, 1)
-    return counts
+    return np.bincount(idx, minlength=n_bins)
 

@@ -5,21 +5,23 @@ The heavy sweeps run on the kernels in _kernels; both sweep algorithms
 are linear two-pointer passes over the sorted streams, never all-pairs
 enumeration.
 
-link_matrix first filters all user streams together (_pool_keep): it
-keeps the tags that have another tag, of any user, within the reach once
-each user's delay is removed. The reach is the widest delay any
-histogram bin, coincidence window or monitor window of a link can
-accept. A link's offset is the difference of its users' delays, so a tag
-with a partner within reach on some link is always kept: the filter is
-exact. It pools tags in time slabs of at most POOL_TAGS core tags plus
-the tags within reach of the slab edges, so its memory is set by
-POOL_TAGS, not by the stream lengths.
+link_matrix finds the candidate tags of every link in one sweep over all
+user streams (_pool_candidates). A candidate of link (a, b) is a tag of
+one user with a tag of the other within the reach: the widest delay any
+histogram bin, coincidence window or monitor window of the link can
+accept. The sweep removes each user's delay, s = t - delay. Since the
+link's offset is delay_b - delay_a, |t_b - t_a - offset| <= reach holds
+exactly when |s_b - s_a| <= reach, so one pass over the shifted times of
+all users finds the pairs within reach of every link at once, and the
+search is exact. The sweep pools tags in time slabs of at most POOL_TAGS
+core tags plus the tags within reach of the slab edges, so its memory is
+set by POOL_TAGS and by the candidates found, not by the stream lengths.
+A link's candidates are about 70 tags per stream on the 780-link network,
+so the per-link work costs only its candidates.
 
-Per link, one searchsorted over the two users' kept tags then finds the
-candidate tags: those with a partner in the other stream within the
-link's reach. The histogram and matching kernels run on the candidates
-only; a tag with no partner within reach falls in no bin and is never
-matched, so the results are exactly those of the full streams.
+Per link, the histogram and matching kernels run on the candidates only;
+a tag with no partner within reach falls in no bin and is never matched,
+so the results are exactly those of the full streams.
 
 Sortedness is checked at the boundary: link_matrix checks each user
 stream once, and the public cross_correlate and match_coincidences check
@@ -29,7 +31,7 @@ their own inputs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +41,12 @@ from .photonics import ContractViolation
 from .plan import NetworkPlan, resource_for_link
 
 CAR_CAP = 1e9  # reported CAR when the accidental floor is exactly zero
-# Most core tags pooled into one slab of the candidate pre-filter
-# (_pool_keep), which holds about 17 bytes per pooled tag at its peak.
-# 1 << 18 raised the peak RSS of the 780-link, 0.2 s run (seed 7) by
+# Most core tags pooled into one slab of the candidate sweep
+# (_pool_candidates), which holds about 17 bytes per pooled tag at its
+# peak. 1 << 18 raised the peak RSS of the 780-link, 0.2 s run (seed 7) by
 # 3.5 MB, 1 << 17 by 1.6 MB at the same speed.
 POOL_TAGS = 1 << 17
+GAP_CHUNK = 1 << 14  # pooled tags per chunk of the slab's gap test
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class CorrelationHistogram:
 
 def _require_sorted(stream: np.ndarray, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(stream, dtype=np.int64)
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    if arr.size > 1 and (arr[1:] < arr[:-1]).any():
         raise ContractViolation(f"{name} stream must be sorted ascending")
     return arr
 
@@ -197,45 +200,6 @@ def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
                        accidental_per_window=acc_per_window, capped=False)
 
 
-def _within(gap: np.ndarray, reach_ps: int) -> np.ndarray:
-    """gap in [0, reach_ps]. A negative gap comes from an index clipped at
-    the end of a stream and names no neighbour on that side."""
-    return (gap >= 0) & (gap <= reach_ps)
-
-
-def _candidates(a: np.ndarray, b: np.ndarray, offset_ps: int, reach_ps: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the tags of a and of b that have a partner in the other
-    stream at |t_b - t_a - offset| <= reach_ps, from one searchsorted.
-
-    Temporaries are few and reused: this runs on two full user streams
-    per link.
-    """
-    if a.size == 0 or b.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    shifted = a + offset_ps
-    # b[pos - 1] < shifted[i] <= b[pos]: the nearest b-tag on each side
-    pos = np.searchsorted(b, shifted)
-    # k[j] = #{i: pos[i] <= j} = #{i: shifted[i] <= b[j]}, so
-    # shifted[k - 1] <= b[j] < shifted[k]: the nearest a-tag on each side
-    k = np.cumsum(np.bincount(pos, minlength=b.size + 1)[:b.size])
-    gap = np.take(b, pos, mode="clip")
-    gap -= shifted
-    near_a = _within(gap, reach_ps)
-    pos -= 1
-    np.subtract(shifted, np.take(b, pos, mode="clip"), out=gap)
-    near_a |= _within(gap, reach_ps)
-    del pos, gap
-    gap = np.take(shifted, k, mode="clip")
-    gap -= b
-    near_b = _within(gap, reach_ps)
-    k -= 1
-    np.subtract(b, np.take(shifted, k, mode="clip"), out=gap)
-    near_b |= _within(gap, reach_ps)
-    return np.flatnonzero(near_a), np.flatnonzero(near_b)
-
-
 @dataclass(frozen=True)
 class LinkWindow:
     """The tags of one link that can pair, and their narrow-window match.
@@ -262,21 +226,14 @@ class LinkWindow:
     matches: CoincidenceSet
 
 
-def link_window(stream_a: tuple[np.ndarray, np.ndarray],
-                stream_b: tuple[np.ndarray, np.ndarray], offset_ps: int,
-                window_ps: int, reach_ps: int) -> LinkWindow:
-    """Candidate tags of one link and their match_coincidences at window_ps.
-
-    stream_a and stream_b are (times, path_labels) with times sorted
-    ascending int64; they are not checked here (link_matrix checks each
-    user stream once).
-    """
-    if reach_ps < window_ps // 2:
-        raise ValueError("reach_ps must cover the coincidence half-window")
+def _link_window(stream_a: tuple[np.ndarray, np.ndarray],
+                 stream_b: tuple[np.ndarray, np.ndarray],
+                 index_a: np.ndarray, index_b: np.ndarray, offset_ps: int,
+                 window_ps: int, reach_ps: int) -> LinkWindow:
+    """LinkWindow of two full (times, path_labels) streams from the
+    positions of their candidate tags."""
     times_a, paths_a = stream_a
     times_b, paths_b = stream_b
-    index_a, index_b = _candidates(times_a, times_b, int(offset_ps),
-                                   int(reach_ps))
     cand_a, cand_b = times_a[index_a], times_b[index_b]
     matches = match_coincidences(cand_a, cand_b, window_ps, offset_ps=offset_ps)
     return LinkWindow(offset_ps=int(offset_ps), reach_ps=int(reach_ps),
@@ -288,27 +245,62 @@ def link_window(stream_a: tuple[np.ndarray, np.ndarray],
                       matches=matches)
 
 
-def _pool_keep(times: dict[int, np.ndarray], delays_ps: dict[int, int],
-               reach_ps: int) -> dict[int, np.ndarray]:
-    """Positions of the tags of each stream that have another tag, of any
-    stream, within reach_ps once each stream's delay is removed.
+def link_window(stream_a: tuple[np.ndarray, np.ndarray],
+                stream_b: tuple[np.ndarray, np.ndarray], offset_ps: int,
+                window_ps: int, reach_ps: int) -> LinkWindow:
+    """Candidate tags of one link and their match_coincidences at window_ps.
 
-    times maps a key to a sorted int64 stream, delays_ps maps it to the
-    delay subtracted from its times (0 when absent). Tags are pooled in
-    time slabs [lo, hi) of at most POOL_TAGS core tags (at least one per
-    stream, and equal times are never split), together with the tags
-    within reach_ps of either edge, so the memory used is set by
-    POOL_TAGS and the tag density, not by the stream lengths. In each
-    slab the pooled shifted times are sorted and a value is flagged when
-    its gap to either sorted neighbour is at most reach_ps; a core tag is
-    kept when its shifted value is flagged. Testing the value is exact:
-    an equal value elsewhere in the pool is a gap of 0 and flags it too.
+    stream_a and stream_b are (times, path_labels) with times sorted
+    ascending int64; they are not checked here (link_matrix checks each
+    user stream once).
     """
-    kept = {k: [] for k in times}
-    shift = {k: int(delays_ps.get(k, 0)) for k in times}
-    start = dict.fromkeys(times, 0)  # first tag of each stream not yet a core
-    keys = [k for k in times if times[k].size]
+    if reach_ps < window_ps // 2:
+        raise ValueError("reach_ps must cover the coincidence half-window")
+    cands = _pool_candidates({0: stream_a[0], 1: stream_b[0]},
+                             {1: offset_ps}, reach_ps, [(0, 1)])
+    return _link_window(stream_a, stream_b, cands[(0, 1)], cands[(1, 0)],
+                        offset_ps, window_ps, reach_ps)
+
+
+def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
+                     reach_ps: int, pairs) -> dict[tuple[int, int], np.ndarray]:
+    """Candidate positions of every requested user pair, from one sweep.
+
+    times maps a user to a sorted int64 stream, delays_ps maps it to the
+    delay removed from its times (0 when absent), and pairs lists user
+    pairs (u, v) in either order, repeats allowed. Returns, for both (u, v)
+    and (v, u), the sorted positions of the tags of u that have a tag of v
+    with |s_v - s_u| <= reach_ps, where s = t - delay: for the link offset
+    delay[v] - delay[u] that is |t_v - t_u - offset| <= reach_ps.
+
+    Tags are pooled in time slabs [lo, hi) of at most POOL_TAGS core tags
+    (at least one per stream, and equal times are never split), together
+    with the tags within reach_ps of either edge, so the memory used is
+    set by POOL_TAGS, the tag density and the candidates found, not by the
+    stream lengths. Each pooled tag is packed as s * n_users + user, so
+    one sort orders the pool by shifted time and keeps each user's tags in
+    stream order. A tag is flagged when its shifted time is within
+    reach_ps of a sorted neighbour's: every tag with another tag within
+    reach is flagged, and the flagged tags are 3-7% of the pool.
+    _slab_marks then finds the pairs of flagged tags within reach.
+    """
+    users = list(times)
+    col = {u: i for i, u in enumerate(users)}
+    n_users = len(users)
+    wanted = np.zeros((n_users, n_users), dtype=bool)
+    for u, v in pairs:
+        wanted[col[u], col[v]] = wanted[col[v], col[u]] = True
+    shift = {u: int(delays_ps.get(u, 0)) for u in users}
+    keys = [u for u in users if times[u].size]
+    stride = 1 + max((times[k].size for k in keys), default=0)
+    span = max((abs(int(times[k][i]) - shift[k]) for k in keys for i in (0, -1)),
+               default=0)
+    if max(n_users * stride, span + 1) * n_users >= 1 << 63:
+        raise ValueError("stream times or sizes too large to pack in int64")
+    start = dict.fromkeys(users, 0)  # first tag of each stream not yet a core
+    core = np.zeros((2, n_users), dtype=np.int64)  # [c0, c1) of each user
     per_key = max(1, POOL_TAGS // max(1, len(keys)))
+    marks = []
     live = keys
     while live:
         lo = min(int(times[k][start[k]]) - shift[k] for k in live)
@@ -316,7 +308,7 @@ def _pool_keep(times: dict[int, np.ndarray], delays_ps: dict[int, int],
         bounds = [int(times[k][start[k] + per_key]) - shift[k] for k in live
                   if start[k] + per_key < times[k].size]
         hi = max(min(bounds), lo + 1) if bounds else None
-        pool, cores = [], []
+        pool = []
         for k in keys:  # a spent stream still lends tags to the margin
             t, d = times[k], shift[k]
             a = int(np.searchsorted(t, lo - reach_ps + d))
@@ -325,30 +317,91 @@ def _pool_keep(times: dict[int, np.ndarray], delays_ps: dict[int, int],
             else:
                 c1 = int(np.searchsorted(t, hi + d))
                 b = int(np.searchsorted(t, hi + reach_ps + d))
-            pool.append(t[a:b] - d)
-            cores.append((k, start[k], c1))
+            packed = t[a:b] - d
+            packed *= n_users
+            packed += col[k]
+            pool.append(packed)
+            core[:, col[k]] = start[k], c1
             start[k] = c1
-        values = np.concatenate(pool)
+        packed = np.concatenate(pool)
         del pool
-        values.sort()
-        near = np.diff(values) <= reach_ps
-        flag = np.zeros(values.size, dtype=bool)
+        packed.sort()
+        # gaps of the shifted times, a chunk at a time: no full-size copy
+        near = np.empty(max(0, packed.size - 1), dtype=bool)
+        for i in range(0, near.size, GAP_CHUNK):
+            gap = np.diff(packed[i:i + GAP_CHUNK + 1] // n_users)
+            np.less_equal(gap, reach_ps, out=near[i:i + GAP_CHUNK])
+        flag = np.zeros(packed.size, dtype=bool)
         flag[1:] = near
         flag[:-1] |= near
-        flagged = values[flag]
-        del values, near, flag
+        flagged = packed[flag]
+        del packed, near, flag
         if flagged.size:
-            last = flagged.size - 1
-            for k, c0, c1 in cores:
-                core = times[k][c0:c1] - shift[k]
-                at = np.searchsorted(flagged, core)
-                np.minimum(at, last, out=at)
-                hit = np.flatnonzero(flagged[at] == core)
-                if hit.size:
-                    kept[k].append(hit + c0)
+            marks.append(_slab_marks(flagged, times, shift, keys, col, core,
+                                     wanted, stride, reach_ps))
         live = [k for k in live if start[k] < times[k].size]
-    return {k: np.concatenate(v) if v else np.empty(0, dtype=np.int64)
-            for k, v in kept.items()}
+    packed = np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
+    del marks
+    packed.sort()
+    group = np.searchsorted(packed,
+                            np.arange(n_users * n_users + 1) * stride)
+    positions = packed % stride
+    del packed
+    out = {}
+    for u, v in pairs:
+        for x, y in ((u, v), (v, u)):
+            g = col[x] * n_users + col[y]
+            out[(x, y)] = positions[group[g]:group[g + 1]]
+    return out
+
+
+def _slab_marks(flagged, times, shift, keys, col, core, wanted, stride,
+                reach_ps) -> np.ndarray:
+    """Unique marks of the core tags of one slab of _pool_candidates.
+
+    flagged holds the slab's flagged tags packed as s * n_users + user,
+    sorted; core[:, user] the user's core positions [c0, c1). A tag's
+    position is found by one searchsorted of its time in its user's
+    stream, plus its rank among equal times of that user, which are
+    adjacent in flagged. The tags are then walked at growing sorted
+    distance j: when the pair (i, i + j) lies within reach and its users
+    form a requested pair, each core tag of the pair is marked for the
+    other's user. Once no pair at distance j is within reach, none at a
+    larger distance is either, so the walk finds every pair. A mark packs
+    (user, partner, position) as (user * n_users + partner) * stride +
+    position.
+    """
+    n_users = wanted.shape[0]
+    s = flagged // n_users
+    user = flagged - s * n_users
+    pos = np.empty(flagged.size, dtype=np.int64)
+    for k in keys:
+        mine = np.flatnonzero(user == col[k])
+        if mine.size:
+            pos[mine] = np.searchsorted(times[k], s[mine] + shift[k])
+    index = np.arange(flagged.size)
+    tied = np.zeros(flagged.size, dtype=bool)
+    tied[1:] = flagged[1:] == flagged[:-1]
+    pos += index - np.maximum.accumulate(np.where(tied, 0, index))
+    is_core = (pos >= core[0, user]) & (pos < core[1, user])
+    found = []
+    i = np.flatnonzero(np.diff(s) <= reach_ps)
+    j = 1
+    while i.size:
+        k = i + j
+        pick = wanted[user[i], user[k]]
+        for x, y in ((i, k), (k, i)):
+            m = pick & is_core[x]
+            found.append((user[x[m]] * n_users + user[y[m]]) * stride
+                         + pos[x[m]])
+        j += 1
+        i = i[i < s.size - j]
+        i = i[s[i + j] - s[i] <= reach_ps]
+    marks = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    marks.sort()
+    fresh = np.ones(marks.size, dtype=bool)
+    fresh[1:] = marks[1:] != marks[:-1]
+    return marks[fresh]
 
 
 @dataclass(frozen=True)
@@ -384,10 +437,10 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
     lo = -(span // 2)  # histogram delays run from lo to lo + span - 1
     reach = max(-lo, lo + span - 1, window_ps // 2, monitor_window_ps // 2)
     users = sorted({u for link in links for u in link})
-    times = {u: _require_sorted(streams[u][0], f"user {u}") for u in users}
-    keep = _pool_keep(times, offsets_ps, reach)
-    kept = {u: (times[u][keep[u]], np.asarray(streams[u][1])[keep[u]])
+    full = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
             for u in users}
+    cands = _pool_candidates({u: full[u][0] for u in users}, offsets_ps, reach,
+                             links)
     duration_ps = int(round(duration_s * 1e12))
     reports = []
     histograms = {}
@@ -395,14 +448,14 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
     for (ua, ub) in links:
         rid, _pair, kind = resource_for_link(plan, ua, ub)
         offset = offsets_ps.get(ub, 0) - offsets_ps.get(ua, 0)
-        win = link_window(kept[ua], kept[ub], offset, window_ps, reach)
-        win = replace(win, index_a=keep[ua][win.index_a],
-                      index_b=keep[ub][win.index_b],
-                      singles_a=times[ua].size, singles_b=times[ub].size)
-        hist = replace(cross_correlate(win.times_a, win.times_b, window_ps,
-                                       hist_range_ps, offset_ps=offset,
-                                       duration_ps=duration_ps),
-                       singles_a=win.singles_a, singles_b=win.singles_b)
+        win = _link_window(full[ua], full[ub], cands[(ua, ub)],
+                           cands[(ub, ua)], offset, window_ps, reach)
+        counts = cross_correlate(win.times_a, win.times_b, window_ps,
+                                 hist_range_ps, offset_ps=offset).counts
+        hist = CorrelationHistogram(
+            bin_width_ps=int(window_ps), offset_ps=int(offset), counts=counts,
+            singles_a=win.singles_a, singles_b=win.singles_b,
+            duration_ps=duration_ps)
         car = compute_car(hist, window_ps)
         reports.append(LinkReport(user_a=ua, user_b=ub, kind=kind,
                                   resource_id=rid,

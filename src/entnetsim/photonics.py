@@ -167,7 +167,7 @@ def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
     arrivals_ps = np.asarray(arrivals_ps, dtype=float)
     if arrivals_ps.ndim != 1:
         raise ContractViolation("arrivals must be a 1-d array")
-    if arrivals_ps.size > 1 and np.any(np.diff(arrivals_ps) < 0):
+    if arrivals_ps.size > 1 and (arrivals_ps[1:] < arrivals_ps[:-1]).any():
         raise ContractViolation("arrivals must be sorted ascending")
     duration_ps = int(round(duration_s * PS_PER_SECOND))
 

@@ -30,9 +30,9 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
-# Peak memory per detected tag: the 60 s figures run (about 87M tags)
-# peaked at 2.23 GB, the 10 s run at 452 MB.
-BYTES_PER_TAG = 25
+# Peak memory per expected tag, rounded up: the 60 s figures CLI run
+# (87.45M expected tags) peaked at 1777220 kB ru_maxrss, 20.8 bytes a tag.
+BYTES_PER_TAG = 21
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 

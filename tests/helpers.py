@@ -1,13 +1,14 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written without reference to the package's
-kernel implementations: brute-force enumeration for matching/histogramming,
-a literal sequential scan for dead-time pruning, and a pair-by-pair
-reference engine that routes every photon individually. ref_photon_arrival_times
-and resource_arrivals rebuild the engine's arrivals the way it computed
-them before its arrival transform dropped the per-path masks. The ref_write_*
-functions are the bundle's per-row writers, kept as byte oracles for the
-column-wise writers in the package.
+kernel implementations: brute-force enumeration for matching, histogramming
+and the candidate search, a literal sequential scan for dead-time pruning,
+and a pair-by-pair reference engine that routes every photon individually.
+ref_mutual_information is the joint histogram's old np.add.at form.
+ref_photon_arrival_times and resource_arrivals rebuild the engine's
+arrivals the way it computed them before its arrival transform dropped the
+per-path masks. The ref_write_* functions are the bundle's per-row
+writers, kept as byte oracles for the column-wise writers in the package.
 """
 
 from __future__ import annotations
@@ -102,6 +103,29 @@ def brute_histogram_vec(a, b, offset: int, bin_width: int, n_bins: int,
         if d.size:
             counts += np.bincount((d - lo) // bin_width, minlength=n_bins)
     return counts
+
+
+def brute_candidates(a, b, offset: int, reach: int):
+    """Positions of the tags of a and of b with a partner in the other
+    stream at |t_b - t_a - offset| <= reach, by direct enumeration."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    near = np.abs(b[None, :] - a[:, None] - offset) <= reach
+    return np.flatnonzero(near.any(axis=1)), np.flatnonzero(near.any(axis=0))
+
+
+def ref_mutual_information(material) -> float:
+    """doqkd.mutual_information with the joint histogram built by
+    np.add.at, as the package built it before it used np.bincount."""
+    n = len(material)
+    d = material.bins_per_frame
+    joint = np.zeros((d, d), dtype=np.int64)
+    np.add.at(joint, (material.symbol_a, material.symbol_b), 1)
+    p = joint / n
+    pa = p.sum(axis=1, keepdims=True)
+    pb = p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log2(p[mask] / (pa @ pb)[mask])))
 
 
 def reference_engine(plan: NetworkPlan, sys_cfg: SystemConfig,

@@ -390,6 +390,10 @@ def network_case(draw):
     pairs = list(combinations(users, 2))
     links = draw(st.lists(st.sampled_from(pairs), min_size=1,
                           max_size=len(pairs), unique=True))
+    # links listed high user first (5-2), and links listed twice
+    links = [(ub, ua) if draw(st.booleans()) else (ua, ub)
+             for ua, ub in links]
+    links += draw(st.lists(st.sampled_from(links), max_size=2))
     return (streams, dict(zip(users, delays)), links, window, span,
             monitor_window, reach)
 
@@ -436,10 +440,30 @@ def test_pooled_filter_equals_full_streams(case):
                                               getattr(ref_win.matches, name))
 
 
+@settings(max_examples=300, deadline=None)
+@given(network_case())
+def test_candidate_sweep_matches_brute_force(case):
+    """For every slab size the one sweep gives each side of each link,
+    reversed and repeated links too, exactly the tags with a partner
+    within reach in the other stream."""
+    streams, delays, links, _window, _span, _monitor, reach = case
+    times = {u: t for u, (t, _paths) in streams.items()}
+    for slab in (1, 2, 3, analysis.POOL_TAGS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "POOL_TAGS", slab)
+            cands = analysis._pool_candidates(times, delays, reach, links)
+        for ua, ub in links:
+            ref_a, ref_b = helpers.brute_candidates(
+                times[ua], times[ub], delays[ub] - delays[ua], reach)
+            np.testing.assert_array_equal(cands[(ua, ub)], ref_a)
+            np.testing.assert_array_equal(cands[(ub, ua)], ref_b)
+
+
 def test_pooled_filter_memory_bounded_by_slab(monkeypatch):
-    """The pre-filter's peak allocation is set by the slab size and what it
-    keeps, not by the stream lengths: 2M tags of 16 users at the pooled
-    rate of the 40-user network (3.7M tags/s) and a 2112 ps reach."""
+    """The candidate sweep's peak allocation is set by the slab size and
+    what it keeps, not by the stream lengths: 2M tags of 16 users at the
+    pooled rate of the 40-user network (3.7M tags/s), all 120 links and a
+    2112 ps reach."""
     slab = 1 << 14
     monkeypatch.setattr(analysis, "POOL_TAGS", slab)
     rng = np.random.default_rng(1)
@@ -448,13 +472,17 @@ def test_pooled_filter_memory_bounded_by_slab(monkeypatch):
     times = {u: np.sort(rng.integers(0, duration_ps, per_user, dtype=np.int64))
              for u in range(n_users)}
     delays = {u: int(rng.integers(0, 10**7)) for u in range(n_users)}
+    links = list(combinations(range(n_users), 2))
     tracemalloc.start()
     try:
-        keep = analysis._pool_keep(times, delays, 2112)
+        cands = analysis._pool_candidates(times, delays, 2112, links)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n_kept = sum(k.size for k in keep.values())
+    # the tags kept: those that are a candidate of at least one link
+    n_kept = sum(np.unique(np.concatenate(
+        [cands[(u, v)] for v in range(n_users) if v != u])).size
+        for u in range(n_users))
     assert 0 < n_kept < 0.05 * n_users * per_user
     # one int64 copy of the input alone would be 16 MB
     assert peak < 40 * slab + 16 * n_kept

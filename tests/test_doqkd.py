@@ -193,6 +193,18 @@ class TestMutualInformation:
         with pytest.warns(UserWarning):
             mutual_information(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 4, 8, 16]).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.tuples(st.integers(0, d - 1),
+                                        st.integers(0, d - 1)),
+                             min_size=1, max_size=400))))
+    def test_matches_add_at_oracle(self, case):
+        d, pairs = case
+        sa, sb = zip(*pairs)
+        m = material_from(sa, sb, d=d)
+        assert (mutual_information(m).hex()
+                == helpers.ref_mutual_information(m).hex())
+
 
 class TestSecureKeyRate:
     def mk_monitor(self):
@@ -259,6 +271,42 @@ class TestMonitorBroadening:
         deltas = rng.uniform(-1576 * 1.6, 1576 * 1.6, size=5_000)
         spread = monitor_broadening(deltas, expected_ps=1576.0)
         assert spread.anomalous
+
+
+def _magnitudes(rng, n, kind):
+    """n finite floats: integers, mixed exponents up to 2**52, or ties."""
+    if kind == "int":
+        return rng.integers(-4096, 4096, n).astype(float)
+    if kind == "ties":
+        return rng.choice(rng.normal(0, 100, 3), n)
+    scale = 2.0 ** rng.integers(-8, 53, n)
+    return np.clip(rng.standard_normal(n) * scale, -2.0**52, 2.0**52)
+
+
+@st.composite
+def delay_samples(draw):
+    """Samples of 2-5 values drawn value by value, or up to 10**4 values
+    from a seeded generator."""
+    finite = st.one_of(st.integers(-2**52, 2**52).map(float),
+                       st.floats(-2.0**52, 2.0**52, allow_nan=False),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**52]))
+    if draw(st.booleans()):
+        return np.asarray(draw(st.lists(finite, min_size=2, max_size=5)))
+    n = draw(st.one_of(st.integers(2, 64), st.integers(2, 10**4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _magnitudes(rng, n, draw(st.sampled_from(["int", "ties", "wide"])))
+
+
+class TestTimingSpreadIqr:
+    @settings(max_examples=1000, deadline=None)
+    @given(delay_samples())
+    def test_bit_identical_to_percentile(self, deltas):
+        q75, q25 = np.percentile(deltas, [75.0, 25.0])
+        assert (timing_spread_iqr_ps(deltas).hex()
+                == float(q75 - q25).hex())
+
+    def test_short_sample_is_nan(self):
+        assert math.isnan(timing_spread_iqr_ps(np.array([3.0])))
 
 
 class TestDispersionCancellation:
