@@ -2,10 +2,14 @@
 """Bundle-writer throughput on a fixed input.
 
 Builds a synthetic truth log, tag stream and set of link histograms shaped
-like those of a calibrated run, and times the three bulk writers of the
-report bundle on them (`sim.write_truth_csv`, `sim.write_tag_stream`,
-`analysis.write_histogram_csv`), writing into a temporary directory. Prints
-the best time of the repeats and the bytes written per second.
+like those of a calibrated run, and times the bulk writers of the report
+bundle on them (`sim.write_truth_csv`, `sim.write_tag_stream`,
+`analysis.write_histograms_csv`). For comparison it also writes the same
+histograms as one file per link, the layout of earlier bundles (through
+the per-link oracle in tests/helpers.py), and creates as many empty files.
+Every repeat writes into a new directory, so each file is created as in a
+new bundle. Prints the best time of the repeats, the bytes written per
+second and the cost of creating one file.
 
 Usage: python3 benchmarks/bench_writers.py [--rows N] [--tags N]
                                            [--histograms N] [--repeat K]
@@ -13,13 +17,18 @@ Usage: python3 benchmarks/bench_writers.py [--rows N] [--tags N]
 
 import argparse
 import os
+import sys
 import tempfile
 import time
+from itertools import count
 
 import numpy as np
 
-from entnetsim.analysis import CorrelationHistogram, write_histogram_csv
+from entnetsim.analysis import CorrelationHistogram, write_histograms_csv
 from entnetsim.sim import LOST, TruthLog, write_tag_stream, write_truth_csv
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from helpers import ref_write_histogram_csv  # noqa: E402
 
 DURATION_PS = 250_000_000_000
 
@@ -38,21 +47,24 @@ def make_truth(n_rows: int, rng) -> TruthLog:
     )
 
 
-def make_histograms(n_hist: int, rng) -> list[CorrelationHistogram]:
-    return [CorrelationHistogram(
+def make_histograms(n_hist: int, rng) -> dict[tuple[int, int], CorrelationHistogram]:
+    return {(k // 40, k % 40 + 40): CorrelationHistogram(
         bin_width_ps=128, offset_ps=5_000_000,
         counts=rng.poisson(3.0, size=33).astype(np.int64),
         singles_a=21_603, singles_b=20_558, duration_ps=DURATION_PS)
-        for _ in range(n_hist)]
+        for k in range(n_hist)}
 
 
-def best_time(fn, repeat: int) -> float:
-    best = float("inf")
+def best_time(fn, repeat: int, new_dir) -> tuple[float, list[str]]:
+    """Best time of `repeat` calls fn(directory), each in a new directory,
+    and the paths the last call wrote."""
+    best, paths = float("inf"), []
     for _ in range(repeat):
+        out = new_dir()
         t0 = time.perf_counter()
-        fn()
+        paths = fn(out)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, paths
 
 
 def main():
@@ -67,35 +79,63 @@ def main():
     truth = make_truth(args.rows, rng)
     tags = np.sort(rng.integers(0, DURATION_PS, size=args.tags, dtype=np.int64))
     hists = make_histograms(args.histograms, rng)
+    links = list(hists)
 
-    with tempfile.TemporaryDirectory() as out:
-        truth_path = os.path.join(out, "truth.csv")
-        tags_path = os.path.join(out, "tags.txt")
-        hist_paths = [os.path.join(out, f"link_{k}.csv")
-                      for k in range(len(hists))]
+    def truth_csv(out):
+        path = os.path.join(out, "truth.csv")
+        write_truth_csv(truth, path)
+        return [path]
 
-        def write_hists():
-            for k, (hist, path) in enumerate(zip(hists, hist_paths)):
-                write_histogram_csv(hist, path, user_a=k // 40, user_b=k % 40)
+    def tag_stream(out):
+        path = os.path.join(out, "tags.txt")
+        write_tag_stream(path, 0, 0, DURATION_PS, 42, tags)
+        return [path]
 
-        # (name, call, files the call writes)
-        cases = [
-            (f"write_truth_csv ({args.rows:,} rows)",
-             lambda: write_truth_csv(truth, truth_path), [truth_path]),
-            (f"write_tag_stream ({args.tags:,} tags)",
-             lambda: write_tag_stream(tags_path, 0, 0, DURATION_PS, 42, tags),
-             [tags_path]),
-            (f"write_histogram_csv ({len(hists)} files)",
-             write_hists, hist_paths),
-        ]
+    def histogram_table(out):
+        path = os.path.join(out, "histograms.csv")
+        write_histograms_csv(hists, links, path)
+        return [path]
 
-        header = f"{'writer':38s} {'time':>10s} {'MB':>7s} {'MB/s':>7s}"
+    def histogram_files(out):
+        paths = []
+        for (ua, ub), hist in hists.items():
+            paths.append(os.path.join(out, f"link_{ua}-{ub}.csv"))
+            ref_write_histogram_csv(hist, paths[-1], user_a=ua, user_b=ub)
+        return paths
+
+    def empty_files(out):
+        paths = [os.path.join(out, f"f{k}") for k in range(len(hists))]
+        for path in paths:
+            open(path, "w").close()
+        return paths
+
+    # (name, call, files the call creates)
+    cases = [
+        (f"write_truth_csv ({args.rows:,} rows)", truth_csv, 1),
+        (f"write_tag_stream ({args.tags:,} tags)", tag_stream, 1),
+        (f"write_histograms_csv ({len(hists)} links)", histogram_table, 1),
+        (f"per-link histogram files ({len(hists)})", histogram_files, len(hists)),
+        (f"empty files ({len(hists)})", empty_files, len(hists)),
+    ]
+
+    with tempfile.TemporaryDirectory() as root:
+        dirs = count()
+
+        def new_dir():
+            path = os.path.join(root, f"run{next(dirs)}")
+            os.mkdir(path)
+            return path
+
+        header = (f"{'writer':38s} {'time':>10s} {'MB':>7s} {'MB/s':>7s}"
+                  f" {'ms/file':>8s}")
         print(header)
         print("-" * len(header))
-        for name, call, paths in cases:
-            t = best_time(call, args.repeat)
+        for name, call, n_files in cases:
+            t, paths = best_time(call, args.repeat, new_dir)
             mb = sum(os.path.getsize(p) for p in paths) / 1e6
-            print(f"{name:38s} {t * 1e3:8.1f}ms {mb:7.2f} {mb / t:7.1f}")
+            rate = f"{mb / t:7.1f}" if mb else f"{'-':>7s}"
+            per_file = f"{t * 1e3 / n_files:8.3f}" if n_files > 1 else ""
+            print(f"{name:38s} {t * 1e3:8.1f}ms {mb:7.2f} {rate} {per_file}")
 
 
 if __name__ == "__main__":

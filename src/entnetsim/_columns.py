@@ -1,6 +1,6 @@
 """Column-wise text output for the bulk bundle writers.
 
-The truth log, the tag dumps and the histogram CSVs are written by
+The truth log, the tag dumps and the histogram table are written by
 formatting whole columns of a chunk of rows at once (`tolist()` and one
 `map` per column), never one cell at a time, and by making one write per
 chunk. A chunk holds at most CHUNK_ROWS rows, so the text held in memory

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -479,20 +480,39 @@ def write_links_csv(reports: list[LinkReport], path) -> None:
                              r.coincidences, repr(r.car), repr(r.duration_s)])
 
 
-def write_histogram_csv(hist: CorrelationHistogram, path, **metadata) -> None:
-    """Histogram CSV: `# key=value` metadata header lines, then
-    delay_ps,counts rows in csv.writer's dialect (CRLF line ends)."""
-    delays, counts = hist.delays_ps(), hist.counts
+HISTOGRAMS_CSV_HEADER = ["user_a", "user_b", "offset_ps", "singles_a",
+                         "singles_b", "delay_ps", "counts"]
+
+
+def write_histograms_csv(histograms: dict[tuple[int, int], CorrelationHistogram],
+                         links, path) -> None:
+    """Every link's histogram in one long-format table.
+
+    Two `# key=value` lines hold the run-wide bin_width_ps and
+    duration_ps, which every histogram must share. Then come
+    HISTOGRAMS_CSV_HEADER and one row per bin (CRLF line ends, as
+    csv.writer), one block per distinct link in `links` order; a link
+    listed twice gets one block, at its first place.
+    """
+    blocks = list(dict.fromkeys(links))
+    first = histograms[blocks[0]]
+    run_wide = (first.bin_width_ps, first.duration_ps)
     with open(path, "w", newline="") as fh:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-        fh.write(f"# bin_width_ps={hist.bin_width_ps}\n")
-        fh.write(f"# offset_ps={hist.offset_ps}\n")
-        fh.write(f"# singles_a={hist.singles_a}\n")
-        fh.write(f"# singles_b={hist.singles_b}\n")
-        fh.write(f"# duration_ps={hist.duration_ps}\n")
-        fh.write("delay_ps,counts\r\n")
-        write_rows(fh, min(delays.size, counts.size),
-                   lambda start, stop: [map(str, delays[start:stop].tolist()),
-                                        map(str, counts[start:stop].tolist())],
-                   "\r\n")
+        fh.write(f"# bin_width_ps={first.bin_width_ps}\n"
+                 f"# duration_ps={first.duration_ps}\n"
+                 + ",".join(HISTOGRAMS_CSV_HEADER) + "\r\n")
+        for (ua, ub) in blocks:
+            hist = histograms[(ua, ub)]
+            if (hist.bin_width_ps, hist.duration_ps) != run_wide:
+                raise ValueError(
+                    f"link {ua}-{ub}: bin_width_ps {hist.bin_width_ps} and"
+                    f" duration_ps {hist.duration_ps} differ from the run's"
+                    f" {run_wide[0]} and {run_wide[1]}")
+            key = f"{ua},{ub},{hist.offset_ps},{hist.singles_a},{hist.singles_b}"
+            delays, counts = hist.delays_ps(), hist.counts
+            write_rows(fh, counts.size,
+                       lambda start, stop: [
+                           repeat(key, stop - start),
+                           map(str, delays[start:stop].tolist()),
+                           map(str, counts[start:stop].tolist())],
+                       "\r\n")

@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 configuration/validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
+import warnings
 
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, with_overrides)
@@ -20,13 +22,21 @@ from .report import FIGURES, FigureDataError, run_bundle, write_bundle
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+# doqkd.mutual_information warns once per link with too few symbol pairs
+LOW_SYMBOL_WARNING = r"only \d+ symbol pairs"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entnetsim",
         description="Simulate the entanglement distribution network and"
-                    " write coincidence and key-rate reports.")
+                    " write coincidence and key-rate reports.",
+        epilog="The bundle in --out: plan.csv, links.csv, histograms.csv"
+               " (every link's delay histogram, one row per bin with the"
+               " columns user_a,user_b,offset_ps,singles_a,singles_b,"
+               "delay_ps,counts, after '# bin_width_ps=' and"
+               " '# duration_ps=' lines), keyrates.json, run-metadata.json"
+               " and timing.json.")
     parser.add_argument("--config", metavar="PATH",
                         help="scenario config file (defaults apply when omitted)")
     parser.add_argument("--out", metavar="DIR", required=True,
@@ -80,6 +90,15 @@ def main(argv=None) -> int:
         print(f"entnetsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", message=LOW_SYMBOL_WARNING,
+                                category=UserWarning)
+        code = _run(args, cfg, overrides, figures)
+    _show_warnings(caught)
+    return code
+
+
+def _run(args, cfg: ScenarioConfig, overrides: dict, figures: list) -> int:
     try:
         t0 = time.perf_counter()
         bundle = run_bundle(cfg, collect_truth=args.dump_truth)
@@ -105,6 +124,22 @@ def main(argv=None) -> int:
           f" ({len(bundle.links)} links, seed {cfg.seed},"
           f" duration {cfg.duration_s} s, wall {wall:.1f} s)")
     return EXIT_OK
+
+
+def _show_warnings(caught) -> None:
+    """Print the recorded warnings to stderr, except that the low symbol
+    count warnings become one line with the number of links they hit."""
+    low_symbol = 0
+    for w in caught:
+        if re.match(LOW_SYMBOL_WARNING, str(w.message)):
+            low_symbol += 1
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if low_symbol:
+        print(f"entnetsim: warning: {low_symbol} links have fewer sifted symbol"
+              " pairs than their joint symbol histogram has cells; their"
+              " mutual information is a biased plug-in estimate",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from itertools import combinations, islice
 
 from . import __version__
 from .analysis import (CorrelationHistogram, LinkReport, link_matrix,
-                       write_histogram_csv, write_links_csv)
+                       write_histograms_csv, write_links_csv)
 from .config import ConfigError, ScenarioConfig, parse_link_list
 from .doqkd import KeyRateReport, analyze_link
 from .plan import NetworkPlan, subnet_label, write_plan_csv
@@ -308,18 +308,13 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     written = []
 
     def emit(relpath: str, writer_fn):
-        path = os.path.join(out_dir, relpath)
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        _atomic_via(path, writer_fn)
+        _atomic_via(os.path.join(out_dir, relpath), writer_fn)
         written.append(relpath)
 
     emit("plan.csv", lambda p: write_plan_csv(bundle.plan, p))
     emit("links.csv", lambda p: write_links_csv(bundle.link_reports, p))
-    for (ua, ub) in bundle.links:
-        hist = bundle.histograms[(ua, ub)]
-        emit(f"histograms/link_{ua}-{ub}.csv",
-             lambda p, h=hist, a=ua, b=ub: write_histogram_csv(
-                 h, p, user_a=a, user_b=b))
+    emit("histograms.csv", lambda p: write_histograms_csv(
+        bundle.histograms, bundle.links, p))
     emit("keyrates.json", lambda p: _write_json(p, _keyrates_payload(bundle)))
     emit("run-metadata.json",
          lambda p: _write_json(p, _metadata_payload(bundle, overrides or {})))
@@ -327,6 +322,7 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
         rows = emit_figure_data(bundle, figure)
         emit(f"{figure}.csv", lambda p, r=rows: _write_rows(p, r))
     if dump_tags:
+        os.makedirs(os.path.join(out_dir, "tags"), exist_ok=True)
         for user in sorted(bundle.merged_streams):
             times, labels = bundle.merged_streams[user]
             for path_idx in (0, 1):

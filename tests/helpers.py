@@ -8,7 +8,10 @@ ref_mutual_information is the joint histogram's old np.add.at form.
 ref_photon_arrival_times and resource_arrivals rebuild the engine's
 arrivals the way it computed them before its arrival transform dropped the
 per-path masks. The ref_write_* functions are the bundle's per-row
-writers, kept as byte oracles for the column-wise writers in the package.
+writers, kept as byte oracles for the column-wise writers in the package;
+ref_write_histogram_csv is the per-link histogram file that bundles held
+before histograms.csv, kept to show that the table loses nothing of it.
+read_histograms_csv parses histograms.csv back into histograms.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import numpy as np
 
 from entnetsim import photonics, sim
+from entnetsim.analysis import HISTOGRAMS_CSV_HEADER, CorrelationHistogram
 from entnetsim.plan import NetworkPlan
 from entnetsim.photonics import PS_PER_SECOND, wavelength_shift_nm_per_ghz
 from entnetsim.sim import (LOST, PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
@@ -276,7 +280,8 @@ def ref_write_tag_stream(path, user: int, path_index: int, duration_ps: int,
 
 
 def ref_write_histogram_csv(hist, path, **metadata) -> None:
-    """Metadata lines, then one csv.writer row per bin."""
+    """The per-link histogram file: metadata lines, then one csv.writer
+    row per bin."""
     with open(path, "w", newline="") as fh:
         for key in sorted(metadata):
             fh.write(f"# {key}={metadata[key]}\n")
@@ -289,3 +294,48 @@ def ref_write_histogram_csv(hist, path, **metadata) -> None:
         writer.writerow(["delay_ps", "counts"])
         for d, c in zip(hist.delays_ps(), hist.counts):
             writer.writerow([int(d), int(c)])
+
+
+def ref_write_histograms_csv(histograms, links, path) -> None:
+    """The run-wide lines of the first link, then one csv.writer row per
+    bin of each distinct link, in first-occurrence order."""
+    blocks = list(dict.fromkeys(links))
+    first = histograms[blocks[0]]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# bin_width_ps={first.bin_width_ps}\n")
+        fh.write(f"# duration_ps={first.duration_ps}\n")
+        writer = csv.writer(fh)
+        writer.writerow(HISTOGRAMS_CSV_HEADER)
+        for (ua, ub) in blocks:
+            hist = histograms[(ua, ub)]
+            for d, c in zip(hist.delays_ps(), hist.counts):
+                writer.writerow([ua, ub, hist.offset_ps, hist.singles_a,
+                                 hist.singles_b, int(d), int(c)])
+
+
+def read_histograms_csv(path) -> dict[tuple[int, int], CorrelationHistogram]:
+    """Rebuild each link's histogram from histograms.csv, in file order.
+    Checks that every block's delays are its bin centers."""
+    with open(path, newline="") as fh:
+        meta = dict(next(fh).rstrip("\n")[2:].split("=") for _ in range(2))
+        rows = list(csv.reader(fh))
+    assert rows[0] == HISTOGRAMS_CSV_HEADER
+    bin_width, duration = int(meta["bin_width_ps"]), int(meta["duration_ps"])
+    blocks: dict[tuple[int, int], list] = {}
+    for row in rows[1:]:
+        ua, ub, offset, sa, sb, delay, count = map(int, row)
+        if (ua, ub) not in blocks:
+            blocks[(ua, ub)] = []
+            last = (ua, ub)
+        assert (ua, ub) == last, f"link {ua}-{ub} split into two blocks"
+        blocks[(ua, ub)].append((offset, sa, sb, delay, count))
+    histograms = {}
+    for link, block in blocks.items():
+        (offset, sa, sb), = {row[:3] for row in block}
+        hist = CorrelationHistogram(
+            bin_width_ps=bin_width, offset_ps=offset,
+            counts=np.array([row[4] for row in block], dtype=np.int64),
+            singles_a=sa, singles_b=sb, duration_ps=duration)
+        assert [row[3] for row in block] == hist.delays_ps().tolist()
+        histograms[link] = hist
+    return histograms

@@ -12,7 +12,7 @@ from scipy import stats
 from entnetsim import ItuChannel, analysis, build_plan
 from entnetsim.analysis import (CAR_CAP, compute_car, cross_correlate,
                                 link_matrix, link_window, match_coincidences,
-                                write_histogram_csv, write_links_csv)
+                                write_histograms_csv, write_links_csv)
 from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
                              sift_frames)
 from entnetsim.photonics import ContractViolation
@@ -75,12 +75,15 @@ class TestCrossCorrelate:
     def test_histogram_csv(self, tmp_path):
         hist = cross_correlate(np.array([0, 100]), np.array([50]), 64, 640)
         out = tmp_path / "h.csv"
-        write_histogram_csv(hist, out, user_a=0, user_b=1)
+        write_histograms_csv({(0, 1): hist}, [(0, 1)], out)
         lines = out.read_text().splitlines()
         meta = [l for l in lines if l.startswith("#")]
-        assert "# user_a=0" in meta and "# bin_width_ps=64" in meta
-        header_idx = lines.index("delay_ps,counts")
-        assert len(lines) - header_idx - 1 == hist.n_bins
+        assert meta == ["# bin_width_ps=64", "# duration_ps=0"]
+        header_idx = lines.index(
+            "user_a,user_b,offset_ps,singles_a,singles_b,delay_ps,counts")
+        rows = lines[header_idx + 1:]
+        assert len(rows) == hist.n_bins
+        assert all(r.startswith("0,1,0,2,1,") for r in rows)
 
 
 class TestMatchCoincidences:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from entnetsim.config import (ConfigError, ScenarioConfig, default_config,
 from entnetsim import report
 from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
                               resolve_links, run_bundle, write_bundle)
+
+import helpers
 
 
 class TestParseConfig:
@@ -124,11 +127,43 @@ def small_bundle_dir(tmp_path_factory):
 class TestCliRun:
     def test_bundle_contents(self, small_bundle_dir):
         names = {p.name for p in small_bundle_dir.iterdir()}
-        assert {"plan.csv", "links.csv", "keyrates.json", "run-metadata.json",
-                "timing.json", "histograms",
-                "fig3a.csv", "fig3b.csv", "fig4a.csv", "fig4b.csv"} <= names
-        hists = list((small_bundle_dir / "histograms").glob("link_*.csv"))
+        assert names == {"plan.csv", "links.csv", "histograms.csv",
+                         "keyrates.json", "run-metadata.json", "timing.json",
+                         "fig3a.csv", "fig3b.csv", "fig4a.csv", "fig4b.csv"}
+        hists = helpers.read_histograms_csv(small_bundle_dir / "histograms.csv")
         assert len(hists) == 42
+
+    def test_file_count_does_not_grow_with_links(self, tmp_path):
+        """All 780 links and the 42 figure links give the same six files."""
+        names = {}
+        for links in ("all", "figures"):
+            out = tmp_path / links
+            assert run_cli("--out", str(out), "--duration", "0.01",
+                           "--links", links) == 0
+            names[links] = sorted(str(p.relative_to(out))
+                                  for p in out.rglob("*"))
+        assert names["all"] == names["figures"] == [
+            "histograms.csv", "keyrates.json", "links.csv", "plan.csv",
+            "run-metadata.json", "timing.json"]
+
+    def test_low_symbol_warnings_summarised(self, tmp_path, capsys):
+        """One stderr line counts the links whose mutual information is a
+        low-sample estimate, in place of one warning per link."""
+        cfg = with_overrides(default_config(), seed=5, duration_s=0.05,
+                             links="figures")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_bundle(cfg)
+        n_low = sum(1 for w in caught if "symbol pairs" in str(w.message))
+        assert n_low > 1
+        assert run_cli("--out", str(tmp_path / "o"), "--duration", "0.05",
+                       "--seed", "5", "--links", "figures") == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 and out.startswith("entnetsim: wrote 6 files")
+        assert err.splitlines() == [
+            f"entnetsim: warning: {n_low} links have fewer sifted symbol pairs"
+            " than their joint symbol histogram has cells; their mutual"
+            " information is a biased plug-in estimate"]
 
     def test_links_csv_rows(self, small_bundle_dir):
         with open(small_bundle_dir / "links.csv", newline="") as fh:
@@ -304,6 +339,7 @@ class TestReproducibility:
         write_bundle(bundle, str(out2), wall_time_s=0.0,
                      overrides=meta["cli_overrides"])
         compare_files(out1 / "links.csv", out2 / "links.csv")
+        compare_files(out1 / "histograms.csv", out2 / "histograms.csv")
         compare_files(out1 / "keyrates.json", out2 / "keyrates.json")
 
 

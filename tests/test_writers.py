@@ -1,15 +1,19 @@
 """Bundle writers: the column-wise writers must write exactly the bytes of
 the per-row reference writers in helpers (csv.writer rows and one write
-per tag), and the JSON writer those of json.dump."""
+per tag), and the JSON writer those of json.dump. histograms.csv must
+hold every field of each link's histogram, so that the per-link files of
+earlier bundles can be rebuilt from it byte for byte."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from entnetsim import ItuChannel, build_plan, report
+from entnetsim import ItuChannel, build_plan, config, report
 from entnetsim._columns import CHUNK_ROWS
-from entnetsim.analysis import cross_correlate, write_histogram_csv
+from entnetsim.analysis import (CorrelationHistogram, cross_correlate,
+                                write_histograms_csv)
 from entnetsim.sim import (LOST, TruthLog, run_scenario, write_tag_stream,
                            write_truth_csv)
 
@@ -52,10 +56,11 @@ def tag_bytes(tmp_path, tags, user=3, path_index=1):
     return new.read_bytes(), ref.read_bytes()
 
 
-def histogram_bytes(tmp_path, hist, **metadata):
+def histogram_bytes(tmp_path, histograms, links=None):
+    links = list(histograms) if links is None else links
     new, ref = tmp_path / "hist_new.csv", tmp_path / "hist_ref.csv"
-    write_histogram_csv(hist, new, **metadata)
-    helpers.ref_write_histogram_csv(hist, ref, **metadata)
+    write_histograms_csv(histograms, links, new)
+    helpers.ref_write_histograms_csv(histograms, links, ref)
     return new.read_bytes(), ref.read_bytes()
 
 
@@ -122,24 +127,84 @@ class TestTagStream:
 
 
 class TestHistogramCsv:
-    def hist(self, a, b):
+    def hist(self, a, b, offset_ps=5_000):
         return cross_correlate(np.asarray(a, dtype=np.int64),
                                np.asarray(b, dtype=np.int64), 128, 33 * 128,
-                               offset_ps=5_000, duration_ps=10 ** 9)
+                               offset_ps=offset_ps, duration_ps=10 ** 9)
 
     def test_all_zero_counts(self, tmp_path):
         hist = self.hist([0, 10 ** 6], [5 * 10 ** 8])
         assert hist.total() == 0
-        new, ref = histogram_bytes(tmp_path, hist, user_a=0, user_b=1)
+        new, ref = histogram_bytes(tmp_path, {(0, 1): hist})
         assert new == ref
+        assert new.count(b"\r\n") == 1 + hist.n_bins
 
     def test_extra_metadata_keys(self, tmp_path):
-        hist = self.hist([100, 2_000, 9_000], [5_150, 7_100, 14_000])
-        assert hist.total() > 0
-        new, ref = histogram_bytes(tmp_path, hist, user_a=4, user_b=17,
-                                   kind="inter", note="x=1")
+        """The per-link keys of the old files (users, offset, singles) are
+        columns; only the run-wide keys are metadata lines."""
+        hists = {(4, 17): self.hist([100, 2_000, 9_000], [5_150, 7_100, 14_000]),
+                 (17, 4): self.hist([5_150, 7_100], [100, 2_000], -5_000)}
+        assert all(h.total() > 0 for h in hists.values())
+        new, ref = histogram_bytes(tmp_path, hists)
         assert new == ref
-        assert new.startswith(b"# kind=inter\n# note=x=1\n# user_a=4\n")
+        assert new.startswith(
+            b"# bin_width_ps=128\n# duration_ps=1000000000\n"
+            b"user_a,user_b,offset_ps,singles_a,singles_b,delay_ps,counts\r\n"
+            b"4,17,5000,3,3,-2048,0\r\n")
+        assert b"\r\n17,4,-5000,2,2,-2048," in new
+
+    @pytest.mark.parametrize("n_bins", [CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, tmp_path, n_bins):
+        rng = np.random.default_rng(n_bins)
+        hists = {link: CorrelationHistogram(
+            bin_width_ps=64, offset_ps=-7, singles_a=5, singles_b=9,
+            counts=rng.poisson(2.0, size=n_bins).astype(np.int64),
+            duration_ps=10 ** 9) for link in [(0, 1), (2, 3)]}
+        new, ref = histogram_bytes(tmp_path, hists)
+        assert new == ref
+        assert new.count(b"\r\n") == 1 + 2 * n_bins
+
+    def test_repeated_link_written_once(self, tmp_path):
+        hists = {(0, 1): self.hist([0], [5_100]), (2, 3): self.hist([0], [0])}
+        new, ref = histogram_bytes(tmp_path, hists, [(0, 1), (2, 3), (0, 1)])
+        assert new == ref
+        assert new.count(b"\r\n0,1,") == 33 and new.count(b"\r\n2,3,") == 33
+
+    def test_run_wide_values_must_agree(self, tmp_path):
+        a, b = self.hist([0], [0]), self.hist([0], [0])
+        for field, value in (("bin_width_ps", 64), ("duration_ps", 5)):
+            other = dataclasses.replace(b, **{field: value})
+            with pytest.raises(ValueError, match="link 2-3"):
+                write_histograms_csv({(0, 1): a, (2, 3): other}, [(0, 1), (2, 3)],
+                                     tmp_path / "h.csv")
+
+
+def test_histograms_csv_round_trip(tmp_path, monkeypatch):
+    """Each link's histogram comes back from histograms.csv field for field,
+    and gives the bytes of its old per-link file; a reversed link and a
+    repeated one included."""
+    links = [(0, 1), (5, 2), (0, 8), (0, 1), (9, 16)]
+    monkeypatch.setattr(report, "resolve_links", lambda plan, selector: links)
+    cfg = config.with_overrides(config.default_config(), seed=5,
+                                duration_s=0.05)
+    bundle = report.run_bundle(cfg)
+    report.write_bundle(bundle, str(tmp_path / "bundle"), wall_time_s=0.0)
+    rebuilt = helpers.read_histograms_csv(tmp_path / "bundle" / "histograms.csv")
+    assert list(rebuilt) == [(0, 1), (5, 2), (0, 8), (9, 16)]
+    assert any(h.total() > 0 for h in rebuilt.values())
+    for link, hist in rebuilt.items():
+        want = bundle.histograms[link]
+        for field in dataclasses.fields(CorrelationHistogram):
+            got, expected = getattr(hist, field.name), getattr(want, field.name)
+            if field.name == "counts":
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+            else:
+                assert type(got) is type(expected) and got == expected, field.name
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        helpers.ref_write_histogram_csv(want, old, user_a=link[0], user_b=link[1])
+        helpers.ref_write_histogram_csv(hist, new, user_a=link[0], user_b=link[1])
+        assert new.read_bytes() == old.read_bytes()
 
 
 @pytest.mark.parametrize("n_chunks", [1, 2, 7, report.JSON_CHUNKS])
