@@ -56,8 +56,8 @@ def tag_bytes(tmp_path, tags, user=3, path_index=1):
     return new.read_bytes(), ref.read_bytes()
 
 
-def histogram_bytes(tmp_path, histograms, links=None):
-    links = list(histograms) if links is None else links
+def histogram_bytes(tmp_path, histograms):
+    links = list(histograms)
     new, ref = tmp_path / "hist_new.csv", tmp_path / "hist_ref.csv"
     write_histograms_csv(histograms, links, new)
     helpers.ref_write_histograms_csv(histograms, links, ref)
@@ -163,12 +163,6 @@ class TestHistogramCsv:
         new, ref = histogram_bytes(tmp_path, hists)
         assert new == ref
         assert new.count(b"\r\n") == 1 + 2 * n_bins
-
-    def test_repeated_link_written_once(self, tmp_path):
-        hists = {(0, 1): self.hist([0], [5_100]), (2, 3): self.hist([0], [0])}
-        new, ref = histogram_bytes(tmp_path, hists, [(0, 1), (2, 3), (0, 1)])
-        assert new == ref
-        assert new.count(b"\r\n0,1,") == 33 and new.count(b"\r\n2,3,") == 33
 
     def test_run_wide_values_must_agree(self, tmp_path):
         a, b = self.hist([0], [0]), self.hist([0], [0])
