@@ -1,10 +1,11 @@
 """Column-wise text output for the bulk bundle writers.
 
-The truth log, the tag dumps and the histogram table are written by
-formatting whole columns of a chunk of rows at once (`tolist()` and one
-`map` per column), never one cell at a time, and by making one write per
-chunk. A chunk holds at most CHUNK_ROWS rows, so the text held in memory
-at any time is bounded however long the table is.
+The truth log and the histogram table are written by formatting whole
+columns of a chunk of rows at once (`tolist()` and one `map` per column),
+never one cell at a time, and by making one write per chunk. A chunk
+holds at most CHUNK_ROWS rows, so the text held in memory at any time is
+bounded however long the table is. The tag dumps, one integer column,
+use the same chunk size but format each chunk with one `%`.
 """
 
 from __future__ import annotations

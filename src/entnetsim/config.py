@@ -284,6 +284,8 @@ def _looks_like_link_list(text: str) -> bool:
 
 
 def parse_link_list(text: str) -> list[tuple[int, int]]:
+    """`A-B,C-D,...` as (min, max) user pairs in order of first mention; a
+    pair given again, in either order, is dropped."""
     links = []
     for item in text.split(","):
         a, sep, b = item.strip().partition("-")
@@ -295,7 +297,7 @@ def parse_link_list(text: str) -> list[tuple[int, int]]:
         links.append((min(ua, ub), max(ua, ub)))
     if not links:
         raise ValueError("empty link list")
-    return links
+    return list(dict.fromkeys(links))
 
 
 def default_config() -> ScenarioConfig:

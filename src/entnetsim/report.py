@@ -33,6 +33,10 @@ FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 # Peak memory per expected tag, rounded up: the 60 s figures CLI run
 # (87.45M expected tags) peaked at 1777220 kB ru_maxrss, 20.8 bytes a tag.
 BYTES_PER_TAG = 21
+# The same with the --dump-truth log: the 8 s figures CLI run (11.66M
+# expected tags) peaked at 1335852 kB, 117.3 bytes a tag; from 4 s to 8 s
+# the peak grew by 115 bytes per added tag.
+BYTES_PER_TRUTH_TAG = 118
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 
@@ -120,13 +124,15 @@ def physical_memory_bytes() -> int:
 
 
 def check_memory(plan: NetworkPlan, sys_cfg: SystemConfig, users,
-                 duration_s: float) -> None:
+                 duration_s: float, collect_truth: bool = False) -> None:
     """Raise ConfigError naming run.duration_s when the run's expected
     tags (rates.expected_singles_rate of the selected users over the
-    duration) would need more than the host's physical memory."""
+    duration) would need more than the host's physical memory. A run that
+    collects the ground-truth log needs BYTES_PER_TRUTH_TAG a tag."""
     tags = duration_s * sum(expected_singles_rate(plan, sys_cfg, u)
                             for u in users)
-    need, have = tags * BYTES_PER_TAG, physical_memory_bytes()
+    per_tag = BYTES_PER_TRUTH_TAG if collect_truth else BYTES_PER_TAG
+    need, have = tags * per_tag, physical_memory_bytes()
     if need > have:
         raise ConfigError(
             f"run.duration_s: {duration_s:g} s over {len(users)} users is"
@@ -146,7 +152,7 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     users = sorted({u for link in links for u in link})
     sys_cfg = cfg.system()
     qkd_cfg = cfg.qkd()
-    check_memory(plan, sys_cfg, users, cfg.duration_s)
+    check_memory(plan, sys_cfg, users, cfg.duration_s, collect_truth)
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)

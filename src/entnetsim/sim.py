@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._columns import FormatOnce, write_rows
+from ._columns import CHUNK_ROWS, FormatOnce, write_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -192,10 +192,11 @@ def write_truth_csv(truth: TruthLog, path) -> None:
     """Truth log CSV, in the dialect csv.writer writes.
 
     A header line of the TRUTH_CSV_HEADER names, then one line per pair
-    with those columns in order, e.g. `7,3,10505365740.382328,2,-1,1,0`:
-    integers in decimal, t_emit_ps as repr() of the float (`5.0`,
-    `1e+16`), a LOST user as -1 and the detected flags as 0/1. Every
-    line, the header too, ends in CRLF.
+    with those columns in order, e.g. `7,3,10505365740,2,-1,1,0`: integers
+    in decimal, t_emit_ps as whole picoseconds rounded half to even (the
+    rounding the detector applies to tags; `2.5` is written `2`), a LOST
+    user as -1 and the detected flags as 0/1. Every line, the header too,
+    ends in CRLF. The log itself keeps the float64 times.
 
     Rows are formatted column-wise and written CHUNK_ROWS (16384) at a
     time, so besides the log itself the writer holds one chunk's cells and
@@ -221,7 +222,9 @@ def write_truth_csv(truth: TruthLog, path) -> None:
                 + truth.signal_detected[rows] * 2 + truth.idler_detected[rows])
         return [map(str, truth.pair_id[rows].tolist()),
                 map(resources.__getitem__, truth.resource_id[rows].tolist()),
-                map(repr, truth.t_emit_ps[rows].tolist()),
+                # rounded a chunk at a time: no full-size copy of the log
+                map(str, np.rint(truth.t_emit_ps[rows]).astype(np.int64)
+                    .tolist()),
                 map(tails.__getitem__, code.tolist())]
 
     with open(path, "w", newline="") as fh:
@@ -467,13 +470,13 @@ def write_tag_stream(path, user: int, path_index: int, duration_ps: int,
     name, e.g. `3,normal,250000000000,42`), then one decimal integer
     timestamp per line. Every line ends in LF.
 
-    Timestamps are formatted and written CHUNK_ROWS (16384) at a time, so
-    besides the stream itself the writer holds one chunk's text, about
-    2 MB, however long the stream is.
+    Timestamps are formatted by one `%` per chunk of CHUNK_ROWS (16384)
+    and written a chunk at a time, so besides the stream itself the writer
+    holds one chunk's ints and text, about 1 MB, however long the stream is.
     """
     tags = np.asarray(tags, dtype=np.int64)
     with open(path, "w") as fh:
         fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n")
-        write_rows(fh, tags.size,
-                   lambda start, stop: [map(str, tags[start:stop].tolist())],
-                   "\n")
+        for start in range(0, tags.size, CHUNK_ROWS):
+            chunk = tags[start:start + CHUNK_ROWS].tolist()
+            fh.write("%d\n" * len(chunk) % tuple(chunk))

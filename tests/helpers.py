@@ -258,13 +258,14 @@ def user_pair_rows(result: sim.ScenarioResult, user: int) -> np.ndarray:
 
 
 def ref_write_truth_csv(truth: sim.TruthLog, path) -> None:
-    """One csv.writer row per pair, one int()/repr(float()) per cell."""
+    """One csv.writer row per pair, one int() per cell; t_emit_ps through
+    Python's round(), which rounds half to even."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_CSV_HEADER)
         for k in range(len(truth)):
             writer.writerow([int(truth.pair_id[k]), int(truth.resource_id[k]),
-                             repr(float(truth.t_emit_ps[k])),
+                             round(float(truth.t_emit_ps[k])),
                              int(truth.signal_user[k]), int(truth.idler_user[k]),
                              int(truth.signal_detected[k]),
                              int(truth.idler_detected[k])])

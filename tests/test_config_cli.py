@@ -15,6 +15,7 @@ from entnetsim.config import (ConfigError, ScenarioConfig, default_config,
                               parse_config, parse_config_text, provenance,
                               with_overrides, SCHEMA)
 from entnetsim import report
+from entnetsim.rates import expected_singles_rate
 from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
                               resolve_links, run_bundle, write_bundle)
 
@@ -146,6 +147,22 @@ class TestCliRun:
             "histograms.csv", "keyrates.json", "links.csv", "plan.csv",
             "run-metadata.json", "timing.json"]
 
+    def test_repeated_link_listed_once(self, tmp_path):
+        """0-1 and 1-0 are one link: one row, one entry, at its first place."""
+        out = tmp_path / "o"
+        assert run_cli("--out", str(out), "--duration", "0.05",
+                       "--links", "0-1,1-0,0-8") == 0
+        with open(out / "links.csv", newline="") as fh:
+            rows = [(r["user_a"], r["user_b"]) for r in csv.DictReader(fh)]
+        assert rows == [("0", "1"), ("0", "8")]
+        payload = json.loads((out / "keyrates.json").read_text())
+        assert [(e["user_a"], e["user_b"]) for e in payload["links"]] == [
+            (0, 1), (0, 8)]
+        meta = json.loads((out / "run-metadata.json").read_text())
+        assert meta["n_links"] == 2
+        assert list(helpers.read_histograms_csv(out / "histograms.csv")) == [
+            (0, 1), (0, 8)]
+
     def test_low_symbol_warnings_summarised(self, tmp_path, capsys):
         """One stderr line counts the links whose mutual information is a
         low-sample estimate, in place of one warning per link."""
@@ -256,6 +273,33 @@ class TestCliErrors:
         # 2 users at ~90k tags/s for 1 s: ~4.5 MB of tags against 1 MB
         code = run_cli("--out", str(out), "--duration", "1", "--links", "0-1")
         assert code == 2
+        assert "run.duration_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truth_run_too_big_for_memory_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A run whose tags fit but whose truth log does not is refused,
+        and only when it collects the truth log."""
+        started = []
+
+        def simulation(*args, collect_truth, **kwargs):
+            started.append(collect_truth)
+            raise RuntimeError("stopped after the memory guard")
+
+        cfg = default_config()
+        plan, sys_cfg = cfg.network_plan(), cfg.system()
+        tags = sum(expected_singles_rate(plan, sys_cfg, u) for u in (0, 1))
+        have = tags * (report.BYTES_PER_TAG + report.BYTES_PER_TRUTH_TAG) / 2
+        monkeypatch.setattr(report, "physical_memory_bytes", lambda: have)
+        monkeypatch.setattr(report, "run_scenario", simulation)
+        args = ("--duration", "1", "--links", "0-1")
+        run_cli("--out", str(tmp_path / "plain"), *args)
+        assert started == [False]
+        capsys.readouterr()
+        out = tmp_path / "truth"
+        code = run_cli("--out", str(out), *args, "--dump-truth")
+        assert code == 2
+        assert started == [False]
         assert "run.duration_s" in capsys.readouterr().err
         assert not out.exists()
 

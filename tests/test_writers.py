@@ -48,6 +48,11 @@ def truth_bytes(tmp_path, truth):
     return new.read_bytes(), ref.read_bytes()
 
 
+def truth_cells(text):
+    """The t_emit_ps cell of every row of a truth.csv."""
+    return [line.split(b",")[2] for line in text.split(b"\r\n")[1:-1]]
+
+
 def tag_bytes(tmp_path, tags, user=3, path_index=1):
     new, ref = tmp_path / "tags_new.txt", tmp_path / "tags_ref.txt"
     write_tag_stream(new, user, path_index, 250_000_000_000, 42, tags)
@@ -88,13 +93,13 @@ class TestTruthCsv:
         for flags in (b"0,0", b"0,1", b"1,0", b"1,1"):
             assert b",2,9," + flags + b"\r\n" in new
 
-    def test_float_reprs(self, tmp_path):
-        t_emit = [0.0, 5.0, 1e16, 1.5e-7, 2.0 ** 53]
+    def test_integer_cells(self, tmp_path):
+        """t_emit_ps is written in whole ps, ties rounded to even."""
+        t_emit = [0.0, 0.5, 1.5, 2.5, 5.0, 2.0 ** 51 + 0.5, 1e16]
         new, ref = truth_bytes(tmp_path, truth_log(len(t_emit), t_emit=t_emit))
         assert new == ref
-        cells = [line.split(b",")[2] for line in new.split(b"\r\n")[1:-1]]
-        assert cells == [b"0.0", b"5.0", b"1e+16", b"1.5e-07",
-                         b"9007199254740992.0"]
+        assert truth_cells(new) == [b"0", b"0", b"2", b"2", b"5",
+                                    b"2251799813685248", b"10000000000000000"]
 
     @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_chunk_boundaries(self, tmp_path, n):
@@ -109,6 +114,8 @@ class TestTruthCsv:
         assert len(res.truth) > 1000
         new, ref = truth_bytes(tmp_path, res.truth)
         assert new == ref
+        cells = np.array([int(c) for c in truth_cells(new)], dtype=np.int64)
+        assert np.all(np.abs(cells - res.truth.t_emit_ps) <= 0.5)
 
 
 class TestTagStream:
