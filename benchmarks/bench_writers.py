@@ -79,7 +79,6 @@ def main():
     truth = make_truth(args.rows, rng)
     tags = np.sort(rng.integers(0, DURATION_PS, size=args.tags, dtype=np.int64))
     hists = make_histograms(args.histograms, rng)
-    links = list(hists)
 
     def truth_csv(out):
         path = os.path.join(out, "truth.csv")
@@ -93,7 +92,7 @@ def main():
 
     def histogram_table(out):
         path = os.path.join(out, "histograms.csv")
-        write_histograms_csv(hists, links, path)
+        write_histograms_csv(hists, path)
         return [path]
 
     def histogram_files(out):

@@ -6,10 +6,8 @@ from .plan import (ItuChannel, ChannelPair, NetworkPlan, build_plan,
                    naive_channel_count, resource_for_link,
                    verify_full_connectivity)
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
-                        db_to_transmittance, detector_response,
-                        dispersion_time_shift, sample_pair_stream)
-from .sim import (LossBudget, SystemConfig, derive_stream_seed, route_pair,
-                  run_scenario)
+                        db_to_transmittance)
+from .sim import LossBudget, SystemConfig, derive_stream_seed, run_scenario
 from .analysis import (compute_car, cross_correlate, link_matrix,
                        link_window, match_coincidences)
 from .doqkd import (FrameConfig, QkdConfig, analyze_link, basis_sift,
@@ -27,10 +25,8 @@ __all__ = [
     "correlated_channel", "itu_channel_frequency", "naive_channel_count",
     "resource_for_link", "verify_full_connectivity",
     "DetectorConfig", "DispersionConfig", "SourceConfig",
-    "db_to_transmittance", "detector_response", "dispersion_time_shift",
-    "sample_pair_stream",
-    "LossBudget", "SystemConfig", "derive_stream_seed", "route_pair",
-    "run_scenario",
+    "db_to_transmittance",
+    "LossBudget", "SystemConfig", "derive_stream_seed", "run_scenario",
     "compute_car", "cross_correlate", "link_matrix", "link_window",
     "match_coincidences",
     "FrameConfig", "QkdConfig", "analyze_link", "basis_sift", "bin_encode",

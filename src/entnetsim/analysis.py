@@ -485,24 +485,21 @@ HISTOGRAMS_CSV_HEADER = ["user_a", "user_b", "offset_ps", "singles_a",
 
 
 def write_histograms_csv(histograms: dict[tuple[int, int], CorrelationHistogram],
-                         links, path) -> None:
+                         path) -> None:
     """Every link's histogram in one long-format table.
 
     Two `# key=value` lines hold the run-wide bin_width_ps and
     duration_ps, which every histogram must share. Then come
     HISTOGRAMS_CSV_HEADER and one row per bin (CRLF line ends, as
-    csv.writer), one block per distinct link in `links` order; a link
-    listed twice gets one block, at its first place.
+    csv.writer), one block per link in the dict's order.
     """
-    blocks = list(dict.fromkeys(links))
-    first = histograms[blocks[0]]
+    first = next(iter(histograms.values()))
     run_wide = (first.bin_width_ps, first.duration_ps)
     with open(path, "w", newline="") as fh:
         fh.write(f"# bin_width_ps={first.bin_width_ps}\n"
                  f"# duration_ps={first.duration_ps}\n"
                  + ",".join(HISTOGRAMS_CSV_HEADER) + "\r\n")
-        for (ua, ub) in blocks:
-            hist = histograms[(ua, ub)]
+        for (ua, ub), hist in histograms.items():
             if (hist.bin_width_ps, hist.duration_ps) != run_wide:
                 raise ValueError(
                     f"link {ua}-{ub}: bin_width_ps {hist.bin_width_ps} and"

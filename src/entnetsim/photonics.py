@@ -1,9 +1,8 @@
 """Phenomenological component models: pair source, losses, dispersion, detectors.
 
-All sampling operations are pure functions of (config, rng state); streams
-are NumPy arrays with times in picoseconds. Frequency detunings are stored
-once per pair (signal offset from its channel center, in GHz); the idler
-offset is the exact negative by energy conservation, never stored.
+The source, detector and dispersion configurations, the dB and
+wavelength conversions, and the detector response, a pure function of
+(config, rng state). Streams are NumPy arrays with times in picoseconds.
 """
 
 from __future__ import annotations
@@ -83,23 +82,6 @@ class DispersionConfig:
             raise ValueError("insertion_loss_db must be >= 0")
 
 
-@dataclass(frozen=True)
-class PairStream:
-    """Emitted photon pairs of one entanglement resource over one acquisition.
-
-    times_ps are sorted emission times; detuning_ghz is the signal-frequency
-    offset from its channel center (idler offset is the negative).
-    """
-
-    resource_id: int
-    duration_ps: int
-    times_ps: np.ndarray
-    detuning_ghz: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times_ps.size
-
-
 def db_to_transmittance(loss_db: float) -> float:
     """Power transmittance of a loss expressed in dB."""
     if loss_db < 0:
@@ -113,53 +95,16 @@ def wavelength_shift_nm_per_ghz(channel: ItuChannel) -> float:
     return -(lam_nm * lam_nm) / (SPEED_OF_LIGHT_NM_THZ * 1000.0)
 
 
-def dispersion_time_shift(detuning_ghz, channel: ItuChannel, sign: int,
-                          disp: DispersionConfig):
-    """Arrival-time shift (ps) of a photon detuned from its channel center.
-
-    shift = sign * D * d(lambda), with d(lambda) = -(lambda^2/c) * detuning
-    evaluated at the channel center (about -0.008 nm/GHz near 1545 nm).
-    Accepts scalars or arrays.
-    """
-    if sign not in (NORMAL, ANOMALOUS):
-        raise ValueError("sign must be +1 (normal) or -1 (anomalous)")
-    dlam = wavelength_shift_nm_per_ghz(channel) * np.asarray(detuning_ghz, dtype=float)
-    shift = sign * disp.magnitude_ps_per_nm * dlam
-    if np.isscalar(detuning_ghz):
-        return float(shift)
-    return shift
-
-
-def sample_pair_stream(cfg: SourceConfig, resource_id: int, duration_s: float,
-                       rng: np.random.Generator) -> PairStream:
-    """Homogeneous Poisson pair emission with uniform in-band detuning."""
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
-    n = int(rng.poisson(cfg.pair_rate_hz * duration_s)) if duration_s > 0 else 0
-    times = np.sort(rng.uniform(0.0, duration_ps, size=n))
-    detuning = rng.uniform(-cfg.bandwidth_ghz / 2.0, cfg.bandwidth_ghz / 2.0, size=n)
-    return PairStream(resource_id=resource_id, duration_ps=duration_ps,
-                      times_ps=times, detuning_ghz=detuning)
-
-
-def detector_response(arrivals_ps: np.ndarray, cfg: DetectorConfig,
-                      duration_s: float, rng: np.random.Generator) -> np.ndarray:
-    """Detected int64 timestamps for a sorted stream of photon arrivals.
+def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
+                             duration_s: float, rng: np.random.Generator
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Detected int64 timestamps for a sorted stream of photon arrivals,
+    with per-tag provenance.
 
     Applies, in order: efficiency thinning, Gaussian timing jitter,
     rounding to integer picoseconds, dark-count injection (independent
     Poisson process), clipping to [0, duration), dead-time pruning, and
     removal of exact duplicate timestamps (ps-resolution merge).
-    """
-    tags, _ = detector_response_traced(arrivals_ps, cfg, duration_s, rng)
-    return tags
-
-
-def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
-                             duration_s: float, rng: np.random.Generator
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """detector_response plus per-tag provenance.
 
     Returns (tags, origin) where origin[k] is the index into arrivals_ps
     that produced tags[k], or -1 for a dark count.

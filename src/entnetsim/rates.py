@@ -8,11 +8,10 @@ against these numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .photonics import wavelength_shift_nm_per_ghz
 from .plan import ChannelPair, NetworkPlan, resource_for_link
-from .sim import LossBudget, SystemConfig, arrival_probability
+from .sim import SystemConfig, arrival_probability
 
 
 def expected_singles_rate(plan: NetworkPlan, sys_cfg: SystemConfig,
@@ -112,31 +111,3 @@ def expected_accidental_rate(plan: NetworkPlan, sys_cfg: SystemConfig,
     ra = expected_singles_rate(plan, sys_cfg, user_a)
     rb = expected_singles_rate(plan, sys_cfg, user_b)
     return ra * rb * (window_ps * 1e-12)
-
-
-def expected_car(plan: NetworkPlan, sys_cfg: SystemConfig, user_a: int,
-                 user_b: int, window_ps: float) -> float:
-    acc = expected_accidental_rate(plan, sys_cfg, user_a, user_b, window_ps)
-    if acc == 0:
-        return math.inf
-    return expected_coincidence_rate(plan, sys_cfg, user_a, user_b,
-                                     window_ps) / acc
-
-
-def lossless_variant(sys_cfg: SystemConfig) -> SystemConfig:
-    """The same scenario with every loss and every hardware imperfection
-    removed; useful for conservation checks.
-
-    The source's intrinsic pair correlation width is kept: it is pair
-    physics, not hardware noise, and without it the two photons of a pair
-    landing on one detector would merge into a single picosecond tag.
-    """
-    return SystemConfig(
-        source=sys_cfg.source,
-        detector=replace(sys_cfg.detector, efficiency=1.0, dark_rate_hz=0.0,
-                         jitter_ps=0.0, dead_time_ps=0),
-        dispersion=replace(sys_cfg.dispersion, insertion_loss_db=0.0),
-        losses=LossBudget(awg_db=0.0, wdm_db=0.0, splitter_db=0.0,
-                          fiber_db_per_km=0.0, inter_extra_wdm_db=0.0,
-                          fiber_km={}),
-    )

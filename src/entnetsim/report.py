@@ -108,9 +108,8 @@ class ReportBundle:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # reversed: the first report of a repeated link wins, as in a scan
         self._by_link = {(rep.user_a, rep.user_b): rep
-                         for rep in reversed(self.link_reports)}
+                         for rep in self.link_reports}
 
     def link_report(self, ua: int, ub: int) -> LinkReport:
         try:
@@ -319,8 +318,8 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
 
     emit("plan.csv", lambda p: write_plan_csv(bundle.plan, p))
     emit("links.csv", lambda p: write_links_csv(bundle.link_reports, p))
-    emit("histograms.csv", lambda p: write_histograms_csv(
-        bundle.histograms, bundle.links, p))
+    emit("histograms.csv",
+         lambda p: write_histograms_csv(bundle.histograms, p))
     emit("keyrates.json", lambda p: _write_json(p, _keyrates_payload(bundle)))
     emit("run-metadata.json",
          lambda p: _write_json(p, _metadata_payload(bundle, overrides or {})))

@@ -131,38 +131,6 @@ def derive_stream_seed(master_seed: int, kind: str, *indices: int
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
-@dataclass(frozen=True)
-class RoutedPair:
-    """Fate of one emitted pair: destination user (or LOST) and path per photon."""
-
-    signal_user: int
-    idler_user: int
-    signal_path: int
-    idler_path: int
-
-
-def route_pair(resource_id: int, plan: NetworkPlan, sys_cfg: SystemConfig,
-               rng: np.random.Generator) -> RoutedPair:
-    """Sample the routing fate of a single emitted pair.
-
-    The scenario engine generates routing outcomes in bulk instead of
-    calling this per pair, but draws from the identical per-photon
-    distribution; tests cross-validate the two.
-    """
-    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
-    out = []
-    for role, subnet in (("signal", sig_subnet), ("idler", idl_subnet)):
-        users = plan.subnet_users(subnet)
-        port = int(rng.integers(0, plan.subnet_size))
-        user = users[port]
-        survives = rng.random() < db_to_transmittance(
-            route_loss_db(plan, sys_cfg, resource_id, role, user))
-        out.append(user if survives else LOST)
-    return RoutedPair(signal_user=out[0], idler_user=out[1],
-                      signal_path=int(rng.integers(0, 2)),
-                      idler_path=int(rng.integers(0, 2)))
-
-
 @dataclass
 class TruthLog:
     """Ground-truth record of pairs with at least one receiver-side photon.
@@ -309,7 +277,8 @@ def _photon_arrival_times(block, role: str, user: int, pair: ChannelPair,
     correlation jitter added to the idler's emission time only. The path
     sign is applied as one gather from (sign_0 * D, sign_1 * D), with no
     per-path mask: a sign of +-1 times D is exactly +-D, so every element
-    gets the bits that dispersion_time_shift on its path's slice gives.
+    gets the bits that shifting its path's slice by sign * D * dlambda
+    gives (the per-path oracle, tests/helpers.ref_dispersion_time_shift).
     The idler's negation is moved onto the scalar dlambda/dnu, which is
     also exact (x * -y == -x * y in IEEE arithmetic).
     """

@@ -3,11 +3,15 @@
 Everything here is deliberately written without reference to the package's
 kernel implementations: brute-force enumeration for matching, histogramming
 and the candidate search, a literal sequential scan for dead-time pruning,
-and a pair-by-pair reference engine that routes every photon individually.
-ref_mutual_information is the joint histogram's old np.add.at form.
+and a pair-by-pair reference engine, reference_engine, which draws each
+resource's emission itself (a Poisson count, sorted uniform times, uniform
+in-band detunings) and routes every photon individually through
+route_pair. lossless_variant is a scenario with every loss and hardware
+imperfection removed, for conservation checks. ref_mutual_information is
+the joint histogram's old np.add.at form. ref_dispersion_time_shift,
 ref_photon_arrival_times and resource_arrivals rebuild the engine's
-arrivals the way it computed them before its arrival transform dropped the
-per-path masks. The ref_write_* functions are the bundle's per-row
+arrivals the way it computed them before its arrival transform dropped
+the per-path masks. The ref_write_* functions are the bundle's per-row
 writers, kept as byte oracles for the column-wise writers in the package;
 ref_write_histogram_csv is the per-link histogram file that bundles held
 before histograms.csv, kept to show that the table loses nothing of it.
@@ -17,16 +21,19 @@ read_histograms_csv parses histograms.csv back into histograms.
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
-from entnetsim import photonics, sim
+from entnetsim import sim
 from entnetsim.analysis import HISTOGRAMS_CSV_HEADER, CorrelationHistogram
 from entnetsim.plan import NetworkPlan
-from entnetsim.photonics import PS_PER_SECOND, wavelength_shift_nm_per_ghz
+from entnetsim.photonics import (PS_PER_SECOND, db_to_transmittance,
+                                 detector_response_traced,
+                                 wavelength_shift_nm_per_ghz)
 from entnetsim.sim import (LOST, PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
-                           SystemConfig, arrival_probability, derive_stream_seed,
-                           fiber_delay_ps, route_pair)
+                           LossBudget, SystemConfig, arrival_probability,
+                           derive_stream_seed, fiber_delay_ps, route_loss_db)
 
 
 def brute_dead_time(tags: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -132,44 +139,88 @@ def ref_mutual_information(material) -> float:
     return float(np.sum(p[mask] * np.log2(p[mask] / (pa @ pb)[mask])))
 
 
+def lossless_variant(sys_cfg: SystemConfig) -> SystemConfig:
+    """The same scenario with every loss and every hardware imperfection
+    removed; useful for conservation checks.
+
+    The source's intrinsic pair correlation width is kept: it is pair
+    physics, not hardware noise, and without it the two photons of a pair
+    landing on one detector would merge into a single picosecond tag.
+    """
+    return SystemConfig(
+        source=sys_cfg.source,
+        detector=replace(sys_cfg.detector, efficiency=1.0, dark_rate_hz=0.0,
+                         jitter_ps=0.0, dead_time_ps=0),
+        dispersion=replace(sys_cfg.dispersion, insertion_loss_db=0.0),
+        losses=LossBudget(awg_db=0.0, wdm_db=0.0, splitter_db=0.0,
+                          fiber_db_per_km=0.0, inter_extra_wdm_db=0.0,
+                          fiber_km={}),
+    )
+
+
+def route_pair(resource_id: int, plan: NetworkPlan, sys_cfg: SystemConfig,
+               rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """Routing fate of a single emitted pair, photon by photon:
+    (signal_user, idler_user, signal_path, idler_path), a user LOST when
+    its photon does not survive the route."""
+    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
+    users = []
+    for role, subnet in (("signal", sig_subnet), ("idler", idl_subnet)):
+        user = plan.subnet_users(subnet)[int(rng.integers(0, plan.subnet_size))]
+        survives = rng.random() < db_to_transmittance(
+            route_loss_db(plan, sys_cfg, resource_id, role, user))
+        users.append(user if survives else LOST)
+    return users[0], users[1], int(rng.integers(0, 2)), int(rng.integers(0, 2))
+
+
 def reference_engine(plan: NetworkPlan, sys_cfg: SystemConfig,
                      duration_s: float, seed: int):
     """Pair-by-pair scenario simulation: emit, route, disperse, detect.
 
-    Routes every emitted pair individually through route_pair, used to
-    cross-validate the production engine's outcome-partitioned generation
-    at small scale. Returns {(user, path): tags}.
+    Each resource emits a homogeneous Poisson pair stream with uniform
+    in-band detuning, and every pair is routed individually through
+    route_pair, to cross-validate the production engine's
+    outcome-partitioned generation at small scale. Returns
+    {(user, path): tags}.
     """
     rng = np.random.default_rng(seed)
+    src = sys_cfg.source
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
     arrivals: dict[tuple[int, int], list[float]] = {}
     for pair in plan.resources():
-        stream = photonics.sample_pair_stream(sys_cfg.source, pair.resource_id,
-                                              duration_s, rng)
-        for t, det in zip(stream.times_ps, stream.detuning_ghz):
-            fate = route_pair(pair.resource_id, plan, sys_cfg, rng)
-            corr = (rng.normal(0.0, sys_cfg.source.correlation_jitter_ps)
-                    if sys_cfg.source.correlation_jitter_ps > 0 else 0.0)
-            for role, user, path in (("signal", fate.signal_user, fate.signal_path),
-                                     ("idler", fate.idler_user, fate.idler_path)):
-                if user == sim.LOST:
+        n = (int(rng.poisson(src.pair_rate_hz * duration_s))
+             if duration_s > 0 else 0)
+        times = np.sort(rng.uniform(0.0, duration_ps, size=n))
+        half_band = src.bandwidth_ghz / 2.0
+        detunings = rng.uniform(-half_band, half_band, size=n)
+        for t, det in zip(times, detunings):
+            signal_user, idler_user, signal_path, idler_path = route_pair(
+                pair.resource_id, plan, sys_cfg, rng)
+            corr = (rng.normal(0.0, src.correlation_jitter_ps)
+                    if src.correlation_jitter_ps > 0 else 0.0)
+            for role, user, path in (("signal", signal_user, signal_path),
+                                     ("idler", idler_user, idler_path)):
+                if user == LOST:
                     continue
                 channel = pair.signal if role == "signal" else pair.idler
                 detuning = det if role == "signal" else -det
                 when = t + (corr if role == "idler" else 0.0)
                 when += fiber_delay_ps(sys_cfg.losses, user)
-                when += photonics.dispersion_time_shift(
+                when += ref_dispersion_time_shift(
                     detuning, channel, PATH_SIGNS[path], sys_cfg.dispersion)
                 arrivals.setdefault((user, path), []).append(when)
     streams = {}
     for key in sorted(arrivals):
         arr = np.sort(np.asarray(arrivals[key]))
-        streams[key] = photonics.detector_response(arr, sys_cfg.detector,
-                                                   duration_s, rng)
+        streams[key] = detector_response_traced(arr, sys_cfg.detector,
+                                                duration_s, rng)[0]
     return streams
 
 
 def ref_dispersion_time_shift(detuning_ghz, channel, sign: int, disp):
-    """photonics.dispersion_time_shift on an array, as the engine used it."""
+    """Arrival-time shift (ps) of photons detuned from their channel center:
+    sign * D * d(lambda), with d(lambda) = -(lambda^2/c) * detuning at the
+    channel center (about -0.008 nm/GHz near 1545 nm)."""
     dlam = wavelength_shift_nm_per_ghz(channel) * np.asarray(detuning_ghz, dtype=float)
     return sign * disp.magnitude_ps_per_nm * dlam
 

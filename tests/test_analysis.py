@@ -75,7 +75,7 @@ class TestCrossCorrelate:
     def test_histogram_csv(self, tmp_path):
         hist = cross_correlate(np.array([0, 100]), np.array([50]), 64, 640)
         out = tmp_path / "h.csv"
-        write_histograms_csv({(0, 1): hist}, [(0, 1)], out)
+        write_histograms_csv({(0, 1): hist}, out)
         lines = out.read_text().splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert meta == ["# bin_width_ps=64", "# duration_ps=0"]

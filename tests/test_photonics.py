@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entnetsim import build_plan, sim
 from entnetsim.photonics import (ContractViolation, DetectorConfig,
                                  DispersionConfig, SourceConfig,
-                                 db_to_transmittance, detector_response,
-                                 detector_response_traced,
-                                 dispersion_time_shift, sample_pair_stream,
+                                 db_to_transmittance, detector_response_traced,
                                  wavelength_shift_nm_per_ghz)
 from entnetsim.plan import ItuChannel
 
@@ -42,15 +41,21 @@ class TestDbConversion:
 
 
 class TestDispersionShift:
+    """The shift the engine's arrival transform applies, through the
+    per-path oracle that TestArrivalTransform ties to it bit for bit."""
+
     def test_zero_detuning(self):
         cfg = DispersionConfig()
-        assert dispersion_time_shift(0.0, ItuChannel(40), +1, cfg) == 0.0
+        shift = helpers.ref_dispersion_time_shift(np.zeros(1), ItuChannel(40),
+                                                  +1, cfg)
+        np.testing.assert_array_equal(shift, [0.0])
 
     def test_half_band_shift_near_1545(self):
         # 1980 ps/nm at +50 GHz detuning: the grid conversion is about
         # 0.8 nm per 100 GHz near 1545 nm, so close to -792 ps nominally
         cfg = DispersionConfig(magnitude_ps_per_nm=1980.0)
-        shift = dispersion_time_shift(50.0, ItuChannel(40), +1, cfg)
+        shift = helpers.ref_dispersion_time_shift(50.0, ItuChannel(40), +1,
+                                                  cfg)
         exact = 1980.0 * wavelength_shift_nm_per_ghz(ItuChannel(40)) * 50.0
         assert shift == pytest.approx(exact, rel=1e-12)
         assert shift == pytest.approx(-792.0, rel=0.01)
@@ -63,43 +68,42 @@ class TestDispersionShift:
         cfg = DispersionConfig()
         rng = np.random.default_rng(1)
         det = rng.uniform(-50, 50, size=100)
-        plus = dispersion_time_shift(det, ItuChannel(35), +1, cfg)
-        minus = dispersion_time_shift(det, ItuChannel(35), -1, cfg)
+        plus = helpers.ref_dispersion_time_shift(det, ItuChannel(35), +1, cfg)
+        minus = helpers.ref_dispersion_time_shift(det, ItuChannel(35), -1, cfg)
         np.testing.assert_array_equal(plus, -minus)
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            dispersion_time_shift(1.0, ItuChannel(40), 0, DispersionConfig())
 
 
 class TestPairStream:
+    """The engine's pair emission, as sim._category_events draws it for
+    one resource. Determinism and zero and negative durations are checked
+    on run_scenario in test_sim.TestRunScenario."""
+
+    @staticmethod
+    def events(source, duration_ps, seed, materialize):
+        plan = build_plan(1, 2, ItuChannel(40))
+        sys_cfg = sim.SystemConfig(source=source)
+        return list(sim._category_events(sys_cfg, plan, plan.resources()[0],
+                                         duration_ps, seed, materialize))
+
     def test_poisson_count_within_5_sigma(self):
+        # counted only: the outcome counts of a resource sum to its
+        # Poisson emission count, and no event is drawn
         cfg = SourceConfig(pair_rate_hz=1e6)
-        stream = sample_pair_stream(cfg, 1, 1.0, np.random.default_rng(11))
+        events = self.events(cfg, 10 ** 12, 11, materialize=set())
+        assert all(block is None for _, _, _, block in events)
         mean, sigma = 1e6, math.sqrt(1e6)
-        assert abs(len(stream) - mean) < 5 * sigma
-
-    def test_zero_duration_empty(self):
-        cfg = SourceConfig()
-        stream = sample_pair_stream(cfg, 1, 0.0, np.random.default_rng(0))
-        assert len(stream) == 0
-
-    def test_deterministic_given_seed(self):
-        cfg = SourceConfig(pair_rate_hz=1e4)
-        s1 = sample_pair_stream(cfg, 1, 0.1, np.random.default_rng(42))
-        s2 = sample_pair_stream(cfg, 1, 0.1, np.random.default_rng(42))
-        np.testing.assert_array_equal(s1.times_ps, s2.times_ps)
-        np.testing.assert_array_equal(s1.detuning_ghz, s2.detuning_ghz)
+        assert abs(sum(n for _, _, n, _ in events) - mean) < 5 * sigma
 
     def test_times_sorted_detuning_in_band(self):
         cfg = SourceConfig(pair_rate_hz=1e5, bandwidth_ghz=100)
-        stream = sample_pair_stream(cfg, 1, 0.05, np.random.default_rng(9))
-        assert np.all(np.diff(stream.times_ps) >= 0)
-        assert np.all(np.abs(stream.detuning_ghz) <= 50.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            sample_pair_stream(SourceConfig(), 1, -1.0, np.random.default_rng(0))
+        duration_ps = 5 * 10 ** 10
+        events = self.events(cfg, duration_ps, 9, materialize={0, 1})
+        blocks = [block for _, _, _, block in events if block is not None]
+        assert blocks
+        for times, detuning, _, _, _ in blocks:
+            assert np.all(np.diff(times) >= 0)
+            assert times[0] >= 0 and times[-1] < duration_ps
+            assert np.all(np.abs(detuning) <= 50.0)
 
 
 class TestDetectorResponse:
@@ -107,21 +111,23 @@ class TestDetectorResponse:
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=0.0,
                              dead_time_ps=0)
         arrivals = np.array([10.0, 500.0, 900.0])
-        tags = detector_response(arrivals, cfg, 1e-9, np.random.default_rng(0))
+        tags, _ = detector_response_traced(arrivals, cfg, 1e-9,
+                                           np.random.default_rng(0))
         np.testing.assert_array_equal(tags, np.array([10, 500, 900]))
 
     def test_dead_time_drops_second_arrival(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=0.0,
                              dead_time_ps=50_000)
         arrivals = np.array([0.0, 10_000.0])  # 10 ns apart, 50 ns dead time
-        tags = detector_response(arrivals, cfg, 1e-6, np.random.default_rng(0))
+        tags, _ = detector_response_traced(arrivals, cfg, 1e-6,
+                                           np.random.default_rng(0))
         np.testing.assert_array_equal(tags, np.array([0]))
 
     def test_dark_counts_poisson(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=100.0, jitter_ps=0.0,
                              dead_time_ps=0)
-        tags = detector_response(np.empty(0), cfg, 10.0,
-                                 np.random.default_rng(5))
+        tags, _ = detector_response_traced(np.empty(0), cfg, 10.0,
+                                           np.random.default_rng(5))
         mean, sigma = 1000.0, math.sqrt(1000.0)
         assert abs(tags.size - mean) < 5 * sigma
         assert np.all((tags >= 0) & (tags < 10e12))
@@ -131,8 +137,9 @@ class TestDetectorResponse:
                              dead_time_ps=0)
         n = 200_000
         arrivals = np.arange(n, dtype=float) * 1e6
-        tags = detector_response(arrivals, cfg, n * 1e6 / 1e12 + 1.0,
-                                 np.random.default_rng(17))
+        tags, _ = detector_response_traced(arrivals, cfg,
+                                           n * 1e6 / 1e12 + 1.0,
+                                           np.random.default_rng(17))
         sigma = math.sqrt(n * 0.7 * 0.3)
         assert abs(tags.size - 0.7 * n) < 5 * sigma
 
@@ -141,7 +148,8 @@ class TestDetectorResponse:
                              dead_time_ps=130)
         rng = np.random.default_rng(23)
         arrivals = np.sort(rng.uniform(0, 1e6, size=10_000))
-        tags = detector_response(arrivals, cfg, 1e-6, np.random.default_rng(0))
+        tags, _ = detector_response_traced(arrivals, cfg, 1e-6,
+                                           np.random.default_rng(0))
         rounded = np.rint(arrivals).astype(np.int64)
         rounded = np.unique(rounded)  # response dedupes equal-ps tags
         expected = rounded[helpers.brute_dead_time(rounded, 130)]
@@ -150,15 +158,15 @@ class TestDetectorResponse:
     def test_unsorted_input_rejected(self):
         cfg = DetectorConfig()
         with pytest.raises(ContractViolation):
-            detector_response(np.array([5.0, 1.0]), cfg, 1.0,
-                              np.random.default_rng(0))
+            detector_response_traced(np.array([5.0, 1.0]), cfg, 1.0,
+                                     np.random.default_rng(0))
 
     def test_jitter_perturbs_timestamps(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=30.0,
                              dead_time_ps=0)
         arrivals = np.arange(1000, dtype=float) * 1e6 + 5e5
-        tags = detector_response(arrivals, cfg, 1.1e-3,
-                                 np.random.default_rng(3))
+        tags, _ = detector_response_traced(arrivals, cfg, 1.1e-3,
+                                           np.random.default_rng(3))
         residuals = tags - np.rint(arrivals).astype(np.int64)
         assert 20.0 < residuals.std() < 40.0
 
@@ -176,7 +184,8 @@ class TestDetectorResponse:
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=0.0,
                              dead_time_ps=0)
         arrivals = np.array([-5.0, 10.0, 2e6])
-        tags = detector_response(arrivals, cfg, 1e-9, np.random.default_rng(0))
+        tags, _ = detector_response_traced(arrivals, cfg, 1e-9,
+                                           np.random.default_rng(0))
         np.testing.assert_array_equal(tags, np.array([10]))
 
 

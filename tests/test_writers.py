@@ -62,10 +62,9 @@ def tag_bytes(tmp_path, tags, user=3, path_index=1):
 
 
 def histogram_bytes(tmp_path, histograms):
-    links = list(histograms)
     new, ref = tmp_path / "hist_new.csv", tmp_path / "hist_ref.csv"
-    write_histograms_csv(histograms, links, new)
-    helpers.ref_write_histograms_csv(histograms, links, ref)
+    write_histograms_csv(histograms, new)
+    helpers.ref_write_histograms_csv(histograms, list(histograms), ref)
     return new.read_bytes(), ref.read_bytes()
 
 
@@ -176,7 +175,7 @@ class TestHistogramCsv:
         for field, value in (("bin_width_ps", 64), ("duration_ps", 5)):
             other = dataclasses.replace(b, **{field: value})
             with pytest.raises(ValueError, match="link 2-3"):
-                write_histograms_csv({(0, 1): a, (2, 3): other}, [(0, 1), (2, 3)],
+                write_histograms_csv({(0, 1): a, (2, 3): other},
                                      tmp_path / "h.csv")
 
 
