@@ -11,6 +11,12 @@ Every repeat writes into a new directory, so each file is created as in a
 new bundle. Prints the best time of the repeats, the bytes written per
 second and the cost of creating one file.
 
+Before timing anything it writes the truth log, the tag stream and the
+histogram table once more through their byte oracles in tests/helpers.py
+(`ref_write_truth_csv`, `ref_write_tag_stream`,
+`ref_write_histograms_csv`) and exits with status 1, printing nothing
+timed, if a writer's bytes differ from its oracle's.
+
 Usage: python3 benchmarks/bench_writers.py [--rows N] [--tags N]
                                            [--histograms N] [--repeat K]
 """
@@ -28,7 +34,8 @@ from entnetsim.analysis import CorrelationHistogram, write_histograms_csv
 from entnetsim.sim import LOST, TruthLog, write_tag_stream, write_truth_csv
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import ref_write_histogram_csv  # noqa: E402
+from helpers import (ref_write_histogram_csv, ref_write_histograms_csv,  # noqa: E402
+                     ref_write_tag_stream, ref_write_truth_csv)
 
 DURATION_PS = 250_000_000_000
 
@@ -107,6 +114,25 @@ def main():
         for path in paths:
             open(path, "w").close()
         return paths
+
+    # (writer, its byte oracle)
+    checks = [
+        (truth_csv, lambda path: ref_write_truth_csv(truth, path)),
+        (tag_stream, lambda path: ref_write_tag_stream(
+            path, 0, 0, DURATION_PS, 42, tags)),
+        (histogram_table, lambda path: ref_write_histograms_csv(
+            hists, list(hists), path)),
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        for writer, oracle in checks:
+            path, = writer(root)
+            ref = path + ".ref"
+            oracle(ref)
+            with open(path, "rb") as new_fh, open(ref, "rb") as ref_fh:
+                if new_fh.read() != ref_fh.read():
+                    sys.exit(f"{writer.__name__}: bytes differ from the"
+                             f" oracle's ({os.path.basename(path)});"
+                             " nothing timed")
 
     # (name, call, files the call creates)
     cases = [

@@ -7,8 +7,8 @@ formats. All files are written atomically (write-then-rename).
 
 Reproducibility contract: with identical resolved configuration (which
 includes the seed), every file in the bundle is byte-identical across
-runs, except timing.json, which holds only the wall-clock measurement and
-is documented as non-reproducible.
+runs, except timing.json, which holds only wall-clock measurements (the
+run's and each file's write time) and is documented as non-reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -308,12 +309,19 @@ def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
 def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
                  overrides: dict | None = None, figures=(),
                  dump_tags: bool = False, dump_truth: bool = False) -> list[str]:
-    """Write the artifact bundle; returns the relative paths written."""
+    """Write the artifact bundle; returns the relative paths written.
+
+    timing.json holds wall_time_s and, under write_s, the seconds each
+    other file took to write, keyed by its relative path.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    write_s = {}
 
     def emit(relpath: str, writer_fn):
+        t0 = time.perf_counter()
         _atomic_via(os.path.join(out_dir, relpath), writer_fn)
+        write_s[relpath] = time.perf_counter() - t0
         written.append(relpath)
 
     emit("plan.csv", lambda p: write_plan_csv(bundle.plan, p))
@@ -341,9 +349,10 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
             raise ValueError("truth log was not collected for this run")
         emit("truth.csv", lambda p: write_truth_csv(bundle.result.truth, p))
 
-    # wall time lives outside the reproducible bundle on purpose
+    # wall times live outside the reproducible bundle on purpose
     _atomic_text(os.path.join(out_dir, "timing.json"),
-                 json.dumps({"wall_time_s": wall_time_s}, indent=2) + "\n")
+                 json.dumps({"wall_time_s": wall_time_s, "write_s": write_s},
+                            indent=2) + "\n")
     written.append("timing.json")
     return written
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._columns import CHUNK_ROWS, FormatOnce, write_rows
+from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -36,6 +36,11 @@ FIBER_DELAY_PS_PER_KM = 5_000_000  # 5 us of group delay per km
 PATH_NAMES = ("normal", "anomalous")
 PATH_SIGNS = (NORMAL, ANOMALOUS)
 LOST = -1
+# Most (signal user, idler user, flags) codes write_truth_csv encodes into
+# one table: 1 MB of text units at this bound, 81 kB for the 40-user
+# reference network. With user ids beyond 126 the four columns are
+# encoded one by one.
+MAX_TAIL_CODES = 1 << 16
 
 
 class ScenarioConfigError(ValueError):
@@ -166,38 +171,38 @@ def write_truth_csv(truth: TruthLog, path) -> None:
     user as -1 and the detected flags as 0/1. Every line, the header too,
     ends in CRLF. The log itself keeps the float64 times.
 
-    Rows are formatted column-wise and written CHUNK_ROWS (16384) at a
-    time, so besides the log itself the writer holds one chunk's cells and
-    text, about 4 MB, however long the log is.
+    Rows are encoded by _columns.encode_rows and written CHUNK_ROWS
+    (16384) at a time, so besides the log itself the writer holds one
+    chunk's columns, units and text, 2.7 MB at the peak (tracemalloc),
+    however long the log is.
     """
     su, iu = truth.signal_user, truth.idler_user
     # signal_user, idler_user and the two flags take few distinct values:
-    # pack them into one code per row and format each code once
+    # pack them into one code per row and encode each code's text once
     lo = min(int(su.min(initial=LOST)), int(iu.min(initial=LOST)))
     span = max(int(su.max(initial=0)), int(iu.max(initial=0))) - lo + 1
+    tails = None
+    if span * span * 4 <= MAX_TAIL_CODES:
+        users, flags = np.divmod(np.arange(span * span * 4), 4)
+        tails = TextTable([users // span + lo, users % span + lo,
+                           flags >> 1, flags & 1])
 
-    def users_and_flags(code: int) -> str:
-        users, flags = divmod(code, 4)
-        s, i = divmod(users, span)
-        return f"{s + lo},{i + lo},{flags >> 1},{flags & 1}"
-
-    resources = FormatOnce(str)
-    tails = FormatOnce(users_and_flags)
-
-    def chunk(start: int, stop: int) -> list:
-        rows = slice(start, stop)
-        code = (((su[rows].astype(np.int64) - lo) * span + (iu[rows] - lo)) * 4
-                + truth.signal_detected[rows] * 2 + truth.idler_detected[rows])
-        return [map(str, truth.pair_id[rows].tolist()),
-                map(resources.__getitem__, truth.resource_id[rows].tolist()),
-                # rounded a chunk at a time: no full-size copy of the log
-                map(str, np.rint(truth.t_emit_ps[rows]).astype(np.int64)
-                    .tolist()),
-                map(tails.__getitem__, code.tolist())]
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRUTH_CSV_HEADER) + "\r\n")
-        write_rows(fh, len(truth), chunk, "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRUTH_CSV_HEADER).encode() + b"\r\n")
+        for start in range(0, len(truth), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            sd, idd = truth.signal_detected[rows], truth.idler_detected[rows]
+            if tails is None:
+                tail = [su[rows], iu[rows], sd, idd]
+            else:
+                code = (((su[rows].astype(np.int64) - lo) * span
+                         + (iu[rows] - lo)) * 4 + sd * 2 + idd)
+                tail = [(code, tails)]
+            fh.write(encode_rows(
+                [truth.pair_id[rows], truth.resource_id[rows],
+                 # rounded a chunk at a time: no full-size copy of the log
+                 np.rint(truth.t_emit_ps[rows]).astype(np.int64)] + tail,
+                b"\r\n"))
 
 
 @dataclass
@@ -232,7 +237,10 @@ def _category_events(sys_cfg: SystemConfig, plan: NetworkPlan,
     for outcomes that were only counted; otherwise block holds the drawn
     (times, detuning, path_s, path_i, corr_jitter) arrays. The RNG draw
     sequence within an outcome is fixed, so which outcomes are
-    materialized never changes another outcome's events.
+    materialized never changes another outcome's events. path_i and
+    corr_jitter, the last draws, are made only when the idler user is
+    materialized and are None otherwise; path_s is drawn either way,
+    because path_i follows it in the sequence.
     """
     rid = pair.resource_id
     sig_subnet, idl_subnet = plan.resource_endpoints(rid)
@@ -262,9 +270,11 @@ def _category_events(sys_cfg: SystemConfig, plan: NetworkPlan,
             times = np.sort(rng.uniform(0.0, duration_ps, size=n))
             detuning = rng.uniform(-bw / 2.0, bw / 2.0, size=n)
             path_s = rng.integers(0, 2, size=n)
-            path_i = rng.integers(0, 2, size=n)
-            corr = (rng.normal(0.0, corr_sigma, size=n) if corr_sigma > 0
-                    else np.zeros(n))
+            path_i = corr = None
+            if v in materialize:
+                path_i = rng.integers(0, 2, size=n)
+                corr = (rng.normal(0.0, corr_sigma, size=n) if corr_sigma > 0
+                        else np.zeros(n))
             yield u, v, n, (times, detuning, path_s, path_i, corr)
 
 
@@ -439,13 +449,14 @@ def write_tag_stream(path, user: int, path_index: int, duration_ps: int,
     name, e.g. `3,normal,250000000000,42`), then one decimal integer
     timestamp per line. Every line ends in LF.
 
-    Timestamps are formatted by one `%` per chunk of CHUNK_ROWS (16384)
-    and written a chunk at a time, so besides the stream itself the writer
-    holds one chunk's ints and text, about 1 MB, however long the stream is.
+    Timestamps are encoded by _columns.encode_rows and written CHUNK_ROWS
+    (16384) at a time, so besides the stream itself the writer holds one
+    chunk's units and text, 0.8 MB at the peak (tracemalloc), however long
+    the stream is.
     """
     tags = np.asarray(tags, dtype=np.int64)
-    with open(path, "w") as fh:
-        fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n"
+                 .encode())
         for start in range(0, tags.size, CHUNK_ROWS):
-            chunk = tags[start:start + CHUNK_ROWS].tolist()
-            fh.write("%d\n" * len(chunk) % tuple(chunk))
+            fh.write(encode_rows([tags[start:start + CHUNK_ROWS]], b"\n"))

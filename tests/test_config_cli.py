@@ -233,6 +233,19 @@ class TestCliRun:
         timing = json.loads((small_bundle_dir / "timing.json").read_text())
         assert timing["wall_time_s"] > 0
 
+    def test_write_times_cover_every_file(self, tmp_path):
+        """timing.json holds the write seconds of every other file written,
+        dumps included, keyed by its path in the bundle."""
+        out = tmp_path / "o"
+        assert run_cli("--out", str(out), "--duration", "0.05", "--seed", "3",
+                       "--links", "figures", "--emit", "fig4b",
+                       "--dump-tags", "--dump-truth") == 0
+        files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert {"truth.csv", "tags/user8_normal.txt", "fig4b.csv"} <= files
+        write_s = json.loads((out / "timing.json").read_text())["write_s"]
+        assert set(write_s) == files - {"timing.json"}
+        assert all(isinstance(s, float) and s >= 0 for s in write_s.values())
+
 
 class TestCliErrors:
     def test_bad_config_exit_2(self, tmp_path, capsys):

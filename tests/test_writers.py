@@ -1,17 +1,20 @@
 """Bundle writers: the column-wise writers must write exactly the bytes of
 the per-row reference writers in helpers (csv.writer rows and one write
-per tag), and the JSON writer those of json.dump. histograms.csv must
-hold every field of each link's histogram, so that the per-link files of
-earlier bundles can be rebuilt from it byte for byte."""
+per tag), and the JSON writer those of json.dump. The encoder they share,
+_columns.encode_rows, must spell every int64 row as str and join do.
+histograms.csv must hold every field of each link's histogram, so that
+the per-link files of earlier bundles can be rebuilt from it byte for
+byte."""
 
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entnetsim import ItuChannel, build_plan, config, report
-from entnetsim._columns import CHUNK_ROWS
+from entnetsim._columns import CHUNK_ROWS, TextTable, encode_rows
 from entnetsim.analysis import (CorrelationHistogram, cross_correlate,
                                 write_histograms_csv)
 from entnetsim.sim import (LOST, TruthLog, run_scenario, write_tag_stream,
@@ -68,6 +71,50 @@ def histogram_bytes(tmp_path, histograms):
     return new.read_bytes(), ref.read_bytes()
 
 
+# 0, -1, 10**k - 1 and 10**k of either sign, 19-digit values and any other
+# int64 but -2**63
+EDGE_VALUES = st.sampled_from(
+    [0, -1] + [sign * (10 ** k + d) for k in range(1, 19) for d in (-1, 0)
+               for sign in (1, -1)])
+NINETEEN_DIGITS = st.builds(lambda sign, v: sign * v, st.sampled_from([1, -1]),
+                            st.integers(10 ** 18, 2 ** 63 - 1))
+INT64 = st.integers(-2 ** 63 + 1, 2 ** 63 - 1)
+
+
+@st.composite
+def encoder_case(draw):
+    """Columns of a few drawn values, spread over the rows, or drawn
+    uniformly between two of them; some passed through a TextTable."""
+    n_rows = draw(st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+                  | st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns, expected = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        pool = np.array(draw(st.lists(EDGE_VALUES | NINETEEN_DIGITS | INT64,
+                                      min_size=1, max_size=8)),
+                        dtype=np.int64)
+        how = draw(st.sampled_from(["pool", "uniform", "table"]))
+        if how == "uniform":
+            col = rng.integers(pool.min(), pool.max(), size=n_rows,
+                               endpoint=True, dtype=np.int64)
+        else:
+            codes = rng.integers(0, pool.size, size=n_rows)
+            col = pool[codes]
+        columns.append((codes, TextTable([pool])) if how == "table" else col)
+        expected.append(col.tolist())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return columns, expected, newline
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoder_case())
+def test_encoder_matches_str_join(case):
+    columns, expected, newline = case
+    want = "".join(",".join(map(str, row)) + newline
+                   for row in zip(*expected)).encode()
+    assert encode_rows(columns, newline.encode()) == want
+
+
 class TestTruthCsv:
     def test_empty_log_is_header_only(self, tmp_path):
         new, ref = truth_bytes(tmp_path, truth_log(0))
@@ -99,6 +146,15 @@ class TestTruthCsv:
         assert new == ref
         assert truth_cells(new) == [b"0", b"0", b"2", b"2", b"5",
                                     b"2251799813685248", b"10000000000000000"]
+
+    def test_many_users(self, tmp_path):
+        """Users beyond the packed table's reach are written column by
+        column, to the same bytes."""
+        rng = np.random.default_rng(3)
+        users = rng.integers(LOST, 500, size=(2, 3000)).astype(np.int32)
+        truth = truth_log(3000, signal_user=users[0], idler_user=users[1])
+        new, ref = truth_bytes(tmp_path, truth)
+        assert new == ref
 
     @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_chunk_boundaries(self, tmp_path, n):
