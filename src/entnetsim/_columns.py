@@ -91,7 +91,9 @@ def _int_units(x: np.ndarray) -> list:
     """The units of one int64 column."""
     lo, hi = int(x.min()), int(x.max())
     if (hi - lo + 1) * LOOKUP_RATIO <= x.size:
-        return TextTable([np.arange(lo, hi + 1)]).take(x - lo)
+        # hi + 1 can be 2**63, past int64: count up from lo instead
+        return TextTable([lo + np.arange(hi - lo + 1, dtype=np.int64)]
+                         ).take(x - lo)
     if lo >= 0:
         return _digit_units(x.view(np.uint64), lo, hi)
     mag = np.abs(x).view(np.uint64)  # -2**63 becomes 2**63

@@ -115,6 +115,15 @@ def test_encoder_matches_str_join(case):
     assert encode_rows(columns, newline.encode()) == want
 
 
+@pytest.mark.parametrize("value", [2 ** 63 - 1, -2 ** 63 + 1])
+def test_encoder_narrow_column_at_int64_ends(value):
+    """A column of one value is encoded through a lookup table of its
+    range, which must not step past the ends of int64."""
+    col = np.full(CHUNK_ROWS - 1, value, dtype=np.int64)
+    want = (str(value) + "\n").encode() * col.size
+    assert encode_rows([col], b"\n") == want
+
+
 class TestTruthCsv:
     def test_empty_log_is_header_only(self, tmp_path):
         new, ref = truth_bytes(tmp_path, truth_log(0))
