@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._columns import CHUNK_ROWS, TextTable, encode_rows
+from ._columns import CHUNK_ROWS, encode_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -36,11 +36,6 @@ FIBER_DELAY_PS_PER_KM = 5_000_000  # 5 us of group delay per km
 PATH_NAMES = ("normal", "anomalous")
 PATH_SIGNS = (NORMAL, ANOMALOUS)
 LOST = -1
-# Most (signal user, idler user, flags) codes write_truth_csv encodes into
-# one table: 1 MB of text units at this bound, 81 kB for the 40-user
-# reference network. With user ids beyond 126 the four columns are
-# encoded one by one.
-MAX_TAIL_CODES = 1 << 16
 
 
 class ScenarioConfigError(ValueError):
@@ -176,32 +171,16 @@ def write_truth_csv(truth: TruthLog, path) -> None:
     chunk's columns, units and text, 2.7 MB at the peak (tracemalloc),
     however long the log is.
     """
-    su, iu = truth.signal_user, truth.idler_user
-    # signal_user, idler_user and the two flags take few distinct values:
-    # pack them into one code per row and encode each code's text once
-    lo = min(int(su.min(initial=LOST)), int(iu.min(initial=LOST)))
-    span = max(int(su.max(initial=0)), int(iu.max(initial=0))) - lo + 1
-    tails = None
-    if span * span * 4 <= MAX_TAIL_CODES:
-        users, flags = np.divmod(np.arange(span * span * 4), 4)
-        tails = TextTable([users // span + lo, users % span + lo,
-                           flags >> 1, flags & 1])
-
     with open(path, "wb") as fh:
         fh.write(",".join(TRUTH_CSV_HEADER).encode() + b"\r\n")
         for start in range(0, len(truth), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            sd, idd = truth.signal_detected[rows], truth.idler_detected[rows]
-            if tails is None:
-                tail = [su[rows], iu[rows], sd, idd]
-            else:
-                code = (((su[rows].astype(np.int64) - lo) * span
-                         + (iu[rows] - lo)) * 4 + sd * 2 + idd)
-                tail = [(code, tails)]
             fh.write(encode_rows(
                 [truth.pair_id[rows], truth.resource_id[rows],
                  # rounded a chunk at a time: no full-size copy of the log
-                 np.rint(truth.t_emit_ps[rows]).astype(np.int64)] + tail,
+                 np.rint(truth.t_emit_ps[rows]).astype(np.int64),
+                 truth.signal_user[rows], truth.idler_user[rows],
+                 truth.signal_detected[rows], truth.idler_detected[rows]],
                 b"\r\n"))
 
 

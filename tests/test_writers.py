@@ -157,8 +157,8 @@ class TestTruthCsv:
                                     b"2251799813685248", b"10000000000000000"]
 
     def test_many_users(self, tmp_path):
-        """Users beyond the packed table's reach are written column by
-        column, to the same bytes."""
+        """User ids into the hundreds, too wide a range for the encoder's
+        lookup table, are written as the oracle writes them."""
         rng = np.random.default_rng(3)
         users = rng.integers(LOST, 500, size=(2, 3000)).astype(np.int32)
         truth = truth_log(3000, signal_user=users[0], idler_user=users[1])
