@@ -26,10 +26,10 @@ The writers call encode_rows once per CHUNK_ROWS rows and make one write
 per call, so besides their input they hold one chunk's columns, units
 and text however long the table is: for the 16384 rows of a truth-log
 chunk 0.75 MB of units, as much again transposed, and 0.5 MB of text;
-tracemalloc puts the peak of the whole truth writer at 2.7 MB. On
+tracemalloc puts the peak of the whole truth writer at 2.4 MB. On
 500k truth rows (16.2 MB, benchmarks/bench_writers.py) this writes
-182-191 MB/s against 55-67 MB/s for the `str` and `str.join` per cell
-it replaced, on a 2-core host.
+171-227 MB/s against 30-50 MB/s for the `str` and `str.join` per cell
+it replaced, in three alternating runs a side on a busy 2-core host.
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def write_truth_csv(truth: TruthLog, path) -> None:
 
     Rows are encoded by _columns.encode_rows and written CHUNK_ROWS
     (16384) at a time, so besides the log itself the writer holds one
-    chunk's columns, units and text, 2.7 MB at the peak (tracemalloc),
+    chunk's columns, units and text, 2.4 MB at the peak (tracemalloc),
     however long the log is.
     """
     with open(path, "wb") as fh:
