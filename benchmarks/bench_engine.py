@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Scenario engine throughput on a fixed input.
+"""Scenario engine throughput and memory on a fixed input.
 
 Times run_scenario alone (pair generation, arrival transform, detector)
-on the users of the 42 `figures` links of the default config, without a
-truth log, as report.run_bundle calls it: best of --repeat runs at the
-short duration and one run at the long one. Each duration runs in a
-fresh subprocess, so the peak RSS printed beside it (ru_maxrss) is that
-duration's alone. NumPy's transparent-hugepage advice is off in the
-children (NUMPY_MADVISE_HUGEPAGE=0) unless the caller sets it, as in
-perfbench, so that peak RSS does not move by whole 2 MB pages. Prints
-engine seconds, detected tags per second and peak MB.
+on the users of the 42 `figures` links of the default config, as
+report.run_bundle calls it: without a truth log, or with one under
+--truth. Best of --repeat runs at the first duration and one run at each
+other. Each duration runs in a fresh subprocess, so the peak RSS printed
+beside it (ru_maxrss) is that duration's alone. NumPy's
+transparent-hugepage advice is off in the children
+(NUMPY_MADVISE_HUGEPAGE=0) unless the caller sets it, as in perfbench,
+so that peak RSS does not move by whole 2 MB pages. Prints engine
+seconds, detected tags per second, peak MB and peak bytes per expected
+tag: the peak over report.expected_tags, the count report.check_memory
+charges BYTES_PER_TAG (BYTES_PER_TRUTH_TAG with --truth) for. The
+fixed cost of the interpreter and NumPy weighs on that ratio at short
+durations; from about 10 s on it approaches the per-tag cost.
 
-Usage: python3 benchmarks/bench_engine.py [--seconds S ...] [--seed N] [--repeat K]
+Usage: python3 benchmarks/bench_engine.py [--seconds S ...] [--seed N]
+                                          [--repeat K] [--truth]
 """
 
 import argparse
@@ -23,7 +29,7 @@ import sys
 import time
 
 
-def measure(duration_s: float, seed: int, repeat: int) -> dict:
+def measure(duration_s: float, seed: int, repeat: int, truth: bool) -> dict:
     """Best-of-repeat engine time for one duration, in this process."""
     from entnetsim import config, report
     from entnetsim.sim import run_scenario
@@ -38,13 +44,15 @@ def measure(duration_s: float, seed: int, repeat: int) -> dict:
     for _ in range(repeat):
         t0 = time.perf_counter()
         result = run_scenario(plan, sys_cfg, duration_s, seed,
-                              selected_users=users, collect_truth=False)
+                              selected_users=users, collect_truth=truth)
         best = min(best, time.perf_counter() - t0)
         tags = sum(result.singles_counts().values())
         del result
     return {"duration_s": duration_s, "users": len(users), "repeat": repeat,
             "engine_s": best, "tags": tags,
-            "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "expected_tags": report.expected_tags(plan, sys_cfg, users,
+                                                  duration_s),
+            "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 
 
 def main():
@@ -54,15 +62,18 @@ def main():
                              " times, the others once")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--truth", action="store_true",
+                        help="collect the ground-truth log, as --dump-truth")
     parser.add_argument("--child", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.seed, args.repeat)))
+        print(json.dumps(measure(args.child, args.seed, args.repeat,
+                                 args.truth)))
         return
 
     header = (f"{'simulated':>9s} {'users':>5s} {'runs':>4s} {'engine':>9s}"
-              f" {'tags':>11s} {'tags/s':>10s} {'peak':>9s}")
+              f" {'tags':>11s} {'tags/s':>10s} {'peak':>9s} {'B/tag':>6s}")
     print(header)
     print("-" * len(header))
     env = {"NUMPY_MADVISE_HUGEPAGE": "0", **os.environ}
@@ -70,12 +81,16 @@ def main():
         repeat = args.repeat if k == 0 else 1
         proc = subprocess.run(
             [sys.executable, __file__, "--child", str(seconds),
-             "--seed", str(args.seed), "--repeat", str(repeat)],
+             "--seed", str(args.seed), "--repeat", str(repeat)]
+            + (["--truth"] if args.truth else []),
             capture_output=True, text=True, check=True, env=env)
         r = json.loads(proc.stdout.strip().splitlines()[-1])
+        per_tag = (f"{r['peak_kb'] * 1024 / r['expected_tags']:6.1f}"
+                   if r["expected_tags"] else f"{'-':>6s}")
         print(f"{r['duration_s']:8.3g}s {r['users']:5d} {r['repeat']:4d}"
               f" {r['engine_s']:8.2f}s {r['tags']:11,d}"
-              f" {r['tags'] / r['engine_s']:10.3g} {r['peak_mb']:7.1f}MB")
+              f" {r['tags'] / r['engine_s']:10.3g} {r['peak_kb'] / 1024:7.1f}MB"
+              f" {per_tag}")
 
 
 if __name__ == "__main__":

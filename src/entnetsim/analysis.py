@@ -49,6 +49,13 @@ POOL_TAGS = 1 << 17
 GAP_CHUNK = 1 << 14  # pooled tags per chunk of the slab's gap test
 
 
+def _bin_centres_ps(index, n_bins, bin_width_ps):
+    """Centre of bin `index` of a zero-centred histogram of n_bins bins:
+    (index - n_bins // 2) * bin_width_ps. For an even n_bins the extra bin
+    is on the negative side (4 bins of 10 ps: -20, -10, 0, 10)."""
+    return (index - n_bins // 2) * bin_width_ps
+
+
 @dataclass(frozen=True)
 class CorrelationHistogram:
     """Delay histogram between two tag streams.
@@ -72,8 +79,8 @@ class CorrelationHistogram:
 
     def delays_ps(self) -> np.ndarray:
         """Bin centers."""
-        half = self.n_bins // 2
-        return (np.arange(-half, half + 1, dtype=np.int64) * self.bin_width_ps)
+        return _bin_centres_ps(np.arange(self.n_bins, dtype=np.int64),
+                              self.n_bins, self.bin_width_ps)
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -520,8 +527,8 @@ def write_histograms_csv(histograms: dict[tuple[int, int], CorrelationHistogram]
         for start in range(0, int(ends[-1]), CHUNK_ROWS):
             rows = np.arange(start, min(start + CHUNK_ROWS, int(ends[-1])))
             link = np.searchsorted(ends, rows, side="right")
-            # bin i of a link is centred on (i - n_bins // 2) * bin_width
-            delays = (rows - starts[link] - sizes[link] // 2) * run_wide[0]
+            delays = _bin_centres_ps(rows - starts[link], sizes[link],
+                                    run_wide[0])
             first, last = int(link[0]), int(link[-1])
             counts = np.concatenate([
                 hists[k].counts[max(start - starts[k], 0):rows[-1] + 1 - starts[k]]

@@ -119,9 +119,10 @@ def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
     kept = np.flatnonzero(rng.random(arrivals_ps.size) < cfg.efficiency)
     times = arrivals_ps[kept]
     if cfg.jitter_ps > 0:
-        times = times + rng.normal(0.0, cfg.jitter_ps, size=times.size)
-    tags = np.rint(times).astype(np.int64)
-    origin = kept.astype(np.int64)
+        times += rng.normal(0.0, cfg.jitter_ps, size=times.size)
+    tags = np.rint(times, out=times).astype(np.int64)
+    del times
+    origin = kept.astype(np.int64, copy=False)
 
     n_dark = int(rng.poisson(cfg.dark_rate_hz * duration_s)) if duration_s > 0 else 0
     if n_dark:

@@ -31,13 +31,15 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
-# Peak memory per expected tag, rounded up: the 60 s figures CLI run
-# (87.45M expected tags) peaked at 1777220 kB ru_maxrss, 20.8 bytes a tag.
-BYTES_PER_TAG = 21
+# Peak memory per expected tag (expected_tags), rounded up: the 60 s
+# figures CLI run (87.45M expected tags) peaked at 1408028 kB ru_maxrss,
+# 16.5 bytes a tag (benchmarks/bench_engine.py --seconds 60: 16.5).
+BYTES_PER_TAG = 17
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 1335852 kB, 117.3 bytes a tag; from 4 s to 8 s
-# the peak grew by 115 bytes per added tag.
-BYTES_PER_TRUTH_TAG = 118
+# expected tags) peaked at 833348 kB, 73.2 bytes a tag; from 4 s to 8 s
+# the peak grew by 72.5 bytes per added tag (bench_engine.py --truth
+# --seconds 8: 70.3).
+BYTES_PER_TRUTH_TAG = 74
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 
@@ -123,14 +125,21 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def expected_tags(plan: NetworkPlan, sys_cfg: SystemConfig, users,
+                  duration_s: float) -> float:
+    """Expected detected tags of the users over the duration, from
+    rates.expected_singles_rate."""
+    return duration_s * sum(expected_singles_rate(plan, sys_cfg, u)
+                            for u in users)
+
+
 def check_memory(plan: NetworkPlan, sys_cfg: SystemConfig, users,
                  duration_s: float, collect_truth: bool = False) -> None:
-    """Raise ConfigError naming run.duration_s when the run's expected
-    tags (rates.expected_singles_rate of the selected users over the
-    duration) would need more than the host's physical memory. A run that
-    collects the ground-truth log needs BYTES_PER_TRUTH_TAG a tag."""
-    tags = duration_s * sum(expected_singles_rate(plan, sys_cfg, u)
-                            for u in users)
+    """Raise ConfigError naming run.duration_s when the run's
+    expected_tags would need more than the host's physical memory at
+    BYTES_PER_TAG a tag, or at BYTES_PER_TRUTH_TAG when the run collects
+    the ground-truth log."""
+    tags = expected_tags(plan, sys_cfg, users, duration_s)
     per_tag = BYTES_PER_TRUTH_TAG if collect_truth else BYTES_PER_TAG
     need, have = tags * per_tag, physical_memory_bytes()
     if need > have:

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from entnetsim import ItuChannel, analysis, build_plan
-from entnetsim.analysis import (CAR_CAP, compute_car, cross_correlate,
-                                link_matrix, link_window, match_coincidences,
-                                write_histograms_csv, write_links_csv)
+from entnetsim.analysis import (CAR_CAP, CorrelationHistogram, compute_car,
+                                cross_correlate, link_matrix, link_window,
+                                match_coincidences, write_histograms_csv,
+                                write_links_csv)
 from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
                              sift_frames)
 from entnetsim.photonics import ContractViolation
@@ -84,6 +85,23 @@ class TestCrossCorrelate:
         rows = lines[header_idx + 1:]
         assert len(rows) == hist.n_bins
         assert all(r.startswith("0,1,0,2,1,") for r in rows)
+
+
+    def test_even_bin_count(self, tmp_path):
+        even = CorrelationHistogram(
+            bin_width_ps=10, offset_ps=0, counts=np.arange(4, dtype=np.int64),
+            singles_a=0, singles_b=0, duration_ps=0)
+        odd = CorrelationHistogram(
+            bin_width_ps=10, offset_ps=5, counts=np.arange(3, dtype=np.int64),
+            singles_a=1, singles_b=2, duration_ps=0)
+        assert even.delays_ps().tolist() == [-20, -10, 0, 10]
+        assert odd.delays_ps().tolist() == [-10, 0, 10]
+        out = tmp_path / "h.csv"
+        write_histograms_csv({(0, 1): even, (2, 3): odd}, out)
+        rows = out.read_text().splitlines()[3:]
+        assert [int(r.split(",")[5]) for r in rows] == [-20, -10, 0, 10,
+                                                        -10, 0, 10]
+        assert list(helpers.read_histograms_csv(out)) == [(0, 1), (2, 3)]
 
 
 class TestMatchCoincidences:

@@ -74,16 +74,20 @@ class TestDispersionShift:
 
 
 class TestPairStream:
-    """The engine's pair emission, as sim._category_events draws it for
-    one resource. Determinism and zero and negative durations are checked
+    """The engine's pair emission for one resource: each outcome's count
+    as sim._outcome_counts draws it, and its events as sim._draw_events
+    draws them. Determinism and zero and negative durations are checked
     on run_scenario in test_sim.TestRunScenario."""
 
     @staticmethod
     def events(source, duration_ps, seed, materialize):
         plan = build_plan(1, 2, ItuChannel(40))
         sys_cfg = sim.SystemConfig(source=source)
-        return list(sim._category_events(sys_cfg, plan, plan.resources()[0],
-                                         duration_ps, seed, materialize))
+        return [(u, v, n, sim._draw_events(rng, n, source, duration_ps,
+                                           v in materialize)
+                 if n and (u in materialize or v in materialize) else None)
+                for u, v, n, rng in sim._outcome_counts(
+                    sys_cfg, plan, plan.resources()[0], duration_ps, seed)]
 
     def test_poisson_count_within_5_sigma(self):
         # counted only: the outcome counts of a resource sum to its

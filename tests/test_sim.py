@@ -328,6 +328,7 @@ class TestEngineBytes:
     STREAMS = "55944c356e3bfdc9e9266b52c54bbd8fd5f3b1b51fe227452d7e461f4334ff4a"
     TRUTH = "a116e7a7b7448d5c7c15fcfd469d3c09602c41fcb09653f943226b9169945885"
     SUBSET = "238791ef76ea960caadac5a5d7df619b8dde9f4dbedb830f96b92197d2543a56"
+    TAG_ROWS = "4b215b1cbd89002411a3530b60c2c6327b3a4300ab5bbd473402f0c0ff94323e"
 
     @staticmethod
     def run(**kwargs):
@@ -344,6 +345,8 @@ class TestEngineBytes:
         assert self.streams_digest(res) == self.STREAMS
         assert _sha256([res.truth.signal_detected, res.truth.idler_detected,
                         res.truth.t_emit_ps]) == self.TRUTH
+        assert _sha256(res.tag_pair_rows[key]
+                       for key in sorted(res.tag_pair_rows)) == self.TAG_ROWS
 
     def test_run_without_truth(self):
         res = self.run(collect_truth=False)
@@ -354,6 +357,37 @@ class TestEngineBytes:
         res = self.run(collect_truth=False, selected_users=[4, 1])
         assert sorted(res.streams) == [(1, 0), (1, 1), (4, 0), (4, 1)]
         assert self.streams_digest(res) == self.SUBSET
+
+
+class TestEngineEdgeCases:
+    """A truth run of a few pairs on one 2-user subnet, pinned by sha256 of
+    its streams, tag rows and every truth column. At seed 26 the stream
+    (1, 0) gets no photon, row 1 lands both photons on user 0's normal
+    path and row 0 both on its anomalous path, so a pair's two photons
+    share one arrival region of a user on either path."""
+
+    DIGEST = "cfc37de802ea8a945c77a7b5f1311a7c77973d07443c92e2ee6c2189442f65f1"
+
+    def test_empty_stream_and_pairs_on_one_user(self):
+        plan = build_plan(1, 2, ItuChannel(40))
+        sys_cfg = light_system(pair_rate=2e4, dark=0.0)
+        res = run_scenario(plan, sys_cfg, 0.0004, seed=26)
+        truth, rows = res.truth, res.tag_pair_rows
+        assert res.streams[(1, 0)].size == rows[(1, 0)].size == 0
+        np.testing.assert_array_equal(truth.signal_user[:2], [0, 0])
+        np.testing.assert_array_equal(truth.idler_user[:2], [0, 0])
+        np.testing.assert_array_equal(rows[(0, 0)], [2, 1, 1])
+        np.testing.assert_array_equal(rows[(0, 1)], [0, 0])
+        assert _sha256([
+            *(res.streams[key] for key in sorted(res.streams)),
+            *(rows[key] for key in sorted(rows)),
+            truth.pair_id, truth.resource_id, truth.t_emit_ps,
+            truth.signal_user, truth.idler_user, truth.signal_detected,
+            truth.idler_detected]) == self.DIGEST
+        plain = run_scenario(plan, sys_cfg, 0.0004, seed=26,
+                             collect_truth=False)
+        for key, tags in res.streams.items():
+            np.testing.assert_array_equal(plain.streams[key], tags)
 
 
 class TestEngineAgreesWithReference:
