@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Scenario engine throughput and memory on a fixed input.
 
-Times run_scenario alone (pair generation, arrival transform, detector)
-on the users of the 42 `figures` links of the default config, as
-report.run_bundle calls it: without a truth log, or with one under
---truth. Best of --repeat runs at the first duration and one run at each
-other. Each duration runs in a fresh subprocess, so the peak RSS printed
-beside it (ru_maxrss) is that duration's alone. NumPy's
-transparent-hugepage advice is off in the children
+Times run_scenario alone (pair generation, arrival transform, detector
+and the merge of each user's two paths into one labelled stream, which
+report.run_bundle used to do) on the users of the 42 `figures` links of
+the default config, as report.run_bundle calls it: without a truth log,
+or with one under --truth. Best of --repeat runs at the first duration
+and one run at each other. Each duration runs in a fresh subprocess, so
+the peak RSS printed beside it (ru_maxrss) is that duration's alone.
+NumPy's transparent-hugepage advice is off in the children
 (NUMPY_MADVISE_HUGEPAGE=0) unless the caller sets it, as in perfbench,
 so that peak RSS does not move by whole 2 MB pages. Prints engine
 seconds, detected tags per second, peak MB and peak bytes per expected
@@ -46,7 +47,7 @@ def measure(duration_s: float, seed: int, repeat: int, truth: bool) -> dict:
         result = run_scenario(plan, sys_cfg, duration_s, seed,
                               selected_users=users, collect_truth=truth)
         best = min(best, time.perf_counter() - t0)
-        tags = sum(result.singles_counts().values())
+        tags = sum(times.size for times, _ in result.streams.values())
         del result
     return {"duration_s": duration_s, "users": len(users), "repeat": repeat,
             "engine_s": best, "tags": tags,

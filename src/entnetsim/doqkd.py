@@ -37,7 +37,7 @@ class FrameConfig:
 
     frame_length_ps: int = 1024
     bins_per_frame: int = 8
-    guard_band_ps: int = 16
+    guard_band_ps: int = 40
 
     def __post_init__(self):
         d = self.bins_per_frame

@@ -32,13 +32,14 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
-# figures CLI run (87.45M expected tags) peaked at 1408028 kB ru_maxrss,
-# 16.5 bytes a tag (benchmarks/bench_engine.py --seconds 60: 16.5).
-BYTES_PER_TAG = 17
+# figures CLI run (87.45M expected tags) peaked at 1258040 kB ru_maxrss
+# at most in three runs, 14.7 bytes a tag (benchmarks/bench_engine.py
+# --seconds 60: 14.7).
+BYTES_PER_TAG = 15
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 833348 kB, 73.2 bytes a tag; from 4 s to 8 s
-# the peak grew by 72.5 bytes per added tag (bench_engine.py --truth
-# --seconds 8: 70.3).
+# expected tags) peaked at 789760 kB, 69.4 bytes a tag; from 4 s to 8 s
+# the peak grew by 66.0 bytes per added tag (bench_engine.py --truth
+# --seconds 8: 69.4).
 BYTES_PER_TRUTH_TAG = 74
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
@@ -104,8 +105,6 @@ class ReportBundle:
     link_reports: list[LinkReport]
     key_reports: dict[tuple[int, int], KeyRateReport]
     histograms: dict[tuple[int, int], CorrelationHistogram]
-    merged_streams: dict[int, tuple] = field(repr=False)
-    singles_counts: dict[tuple[int, int], int] = field(repr=False)
     result: ScenarioResult = field(repr=False)
     _by_link: dict[tuple[int, int], LinkReport] = field(
         init=False, repr=False, compare=False)
@@ -113,6 +112,11 @@ class ReportBundle:
     def __post_init__(self):
         self._by_link = {(rep.user_a, rep.user_b): rep
                          for rep in self.link_reports}
+
+    @property
+    def singles_counts(self) -> dict[tuple[int, int], int]:
+        """Detected tags per (user, path) of the run."""
+        return self.result.singles_counts()
 
     def link_report(self, ua: int, ub: int) -> LinkReport:
         try:
@@ -165,17 +169,11 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)
-    singles = result.singles_counts()
-    merged = {}
-    for u in users:
-        merged[u] = result.user_stream(u)
-        # the merged stream holds the same tags: free the per-path copies
-        # now, so that the run never holds both for every user at once
-        del result.streams[(u, 0)], result.streams[(u, 1)]
+    streams = {u: result.user_stream(u) for u in users}
     delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
 
     link_reports, histograms, windows = link_matrix(
-        merged, plan, links, qkd_cfg.window_ps, delays, cfg.duration_s,
+        streams, plan, links, qkd_cfg.window_ps, delays, cfg.duration_s,
         monitor_window_ps=qkd_cfg.monitor_window_ps)
     key_reports = {}
     if cfg.duration_s > 0:
@@ -188,8 +186,7 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 
     return ReportBundle(config=cfg, plan=plan, links=links,
                         link_reports=link_reports, key_reports=key_reports,
-                        histograms=histograms, merged_streams=merged,
-                        singles_counts=singles, result=result)
+                        histograms=histograms, result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +342,8 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
         emit(f"{figure}.csv", lambda p, r=rows: _write_rows(p, r))
     if dump_tags:
         os.makedirs(os.path.join(out_dir, "tags"), exist_ok=True)
-        for user in sorted(bundle.merged_streams):
-            times, labels = bundle.merged_streams[user]
+        for user in sorted(bundle.result.streams):
+            times, labels = bundle.result.user_stream(user)
             for path_idx in (0, 1):
                 tags = times[labels == path_idx]
                 emit(f"tags/user{user}_{PATH_NAMES[path_idx]}.txt",

@@ -1,5 +1,5 @@
 """Scenario engine: routes photon pairs through the planned network and
-produces per-user, per-dispersion-path detection tag streams plus a
+produces one path-labelled detection tag stream per user plus a
 ground-truth log.
 
 Routing model per photon: the demux/mux chain and splitter losses compose
@@ -28,7 +28,9 @@ the two regions meet exactly and each, read in its own direction, is in
 outcome order. A truth run keeps the photons' truth rows in a matching
 int64 buffer and fills preallocated truth columns. Each region is sorted
 once before its detector: in place, or through a stable argsort when a
-truth run needs the permutation.
+truth run needs the permutation. Right after a user's second path the
+two paths' tags are merged into the user's one time-sorted stream with
+a path label per tag, and the per-path arrays are freed.
 """
 
 from __future__ import annotations
@@ -199,25 +201,31 @@ def write_truth_csv(truth: TruthLog, path) -> None:
 
 @dataclass
 class ScenarioResult:
+    """streams[user] is the user's (times, labels): int64 tags sorted by
+    time and the uint8 path of each (0 normal, 1 anomalous); on equal
+    times path 0's tags come first. A truth run's tag_pair_rows[user]
+    holds each tag's truth-log row (-1 for a dark count), aligned with
+    the user's times."""
+
     duration_ps: int
     seed: int
-    streams: dict[tuple[int, int], np.ndarray]
+    streams: dict[int, tuple[np.ndarray, np.ndarray]]
     emitted_pairs: dict[int, int]
     truth: TruthLog | None
-    tag_pair_rows: dict[tuple[int, int], np.ndarray] | None = None
+    tag_pair_rows: dict[int, np.ndarray] | None = None
 
     def singles_counts(self) -> dict[tuple[int, int], int]:
-        return {key: int(tags.size) for key, tags in self.streams.items()}
+        """Detected tags per (user, path), counted from the labels."""
+        counts = {}
+        for user, (times, labels) in self.streams.items():
+            anomalous = int(np.count_nonzero(labels))
+            counts[(user, 0)] = times.size - anomalous
+            counts[(user, 1)] = anomalous
+        return counts
 
     def user_stream(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Merged (times, path_labels) for one user, sorted by time."""
-        t0 = self.streams.get((user, 0), np.empty(0, dtype=np.int64))
-        t1 = self.streams.get((user, 1), np.empty(0, dtype=np.int64))
-        merged = np.concatenate([t0, t1])
-        labels = np.concatenate([np.zeros(t0.size, dtype=np.uint8),
-                                 np.ones(t1.size, dtype=np.uint8)])
-        order = np.argsort(merged, kind="stable")
-        return merged[order], labels[order]
+        """One user's (times, labels)."""
+        return self.streams[user]
 
 
 def _outcome_counts(sys_cfg: SystemConfig, plan: NetworkPlan,
@@ -319,6 +327,21 @@ def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
     return front + n_normal, back - n_anomalous
 
 
+def _tag_truth_rows(packed: np.ndarray, origin: np.ndarray,
+                    truth: TruthLog) -> np.ndarray:
+    """Truth-log row of each tag of one detector (-1 for a dark count),
+    from the packed rows of its input photons; marks the photons that
+    made a tag detected in the truth log."""
+    tag_rows = np.full(origin.size, -1, dtype=np.int64)
+    photon = origin >= 0
+    if origin.size:
+        hit = packed[origin[photon]]
+        tag_rows[photon] = hit // 2
+        truth.signal_detected[hit[hit % 2 == 0] // 2] = True
+        truth.idler_detected[hit[hit % 2 == 1] // 2] = True
+    return tag_rows
+
+
 def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
                  seed: int, selected_users=None,
                  collect_truth: bool = True) -> ScenarioResult:
@@ -332,6 +355,12 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     The two passes and the per-user buffer layout are described in the
     module docstring. A truth run's packed row is 2 * truth row, plus 1
     for the idler photon. The user's buffers are freed after both paths.
+
+    Each path goes through its own detector, seeded per (user, path).
+    The two tag arrays are then merged by a stable argsort of their
+    concatenation, path 0 first, which puts path 0's tag first on equal
+    times; the per-path arrays are freed before the next user. A truth
+    run's tag rows follow the same permutation.
 
     A truth run reads the anomalous region reversed, which restores
     outcome order, and sorts each region with a stable argsort, because
@@ -408,12 +437,12 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         row += n
     del outcomes  # and with them the generators
 
-    streams: dict[tuple[int, int], np.ndarray] = {}
-    tag_pair_rows: dict[tuple[int, int], np.ndarray] | None = (
-        {} if collect_truth else None)
+    streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    tag_pair_rows: dict[int, np.ndarray] | None = {} if collect_truth else None
     for user in selected:
         user_times = times_buf.pop(user)
         user_rows = rows_buf.pop(user) if truth is not None else None
+        path_tags, path_rows = [], []
         for path, region in ((0, slice(None, front[user])),
                              (1, slice(front[user], None))):
             times = user_times[region]
@@ -431,20 +460,22 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
             tags, origin = detector_response_traced(times, sys_cfg.detector,
                                                     duration_s, rng)
             del times
-            streams[(user, path)] = tags
+            path_tags.append(tags)
             if truth is not None:
-                tag_rows = np.full(tags.size, -1, dtype=np.int64)
-                photon = origin >= 0
-                if origin.size:
-                    hit = packed[origin[photon]]
-                    tag_rows[photon] = hit // 2
-                    sig_rows = hit[hit % 2 == 0] // 2
-                    idl_rows = hit[hit % 2 == 1] // 2
-                    truth.signal_detected[sig_rows] = True
-                    truth.idler_detected[idl_rows] = True
-                tag_pair_rows[(user, path)] = tag_rows
+                path_rows.append(_tag_truth_rows(packed, origin, truth))
                 del packed
+            del tags, origin  # path_tags keeps the only reference
         del user_times, user_rows
+        n_normal = path_tags[0].size
+        merged = np.concatenate(path_tags)
+        del path_tags  # frees both paths' tags before the argsort
+        order = np.argsort(merged, kind="stable")
+        labels = (order >= n_normal).view(np.uint8)  # 1 where from path 1
+        streams[user] = (merged[order], labels)
+        del merged
+        if truth is not None:
+            tag_pair_rows[user] = np.concatenate(path_rows)[order]
+        del order, path_rows
 
     return ScenarioResult(
         duration_ps=duration_ps,

@@ -293,19 +293,18 @@ def resource_arrivals(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int
             for key, chunks in sorted(out.items())}
 
 
-def user_pair_rows(result: sim.ScenarioResult, user: int) -> np.ndarray:
-    """Truth-log row per merged tag (-1 for dark counts), aligned with
-    result.user_stream(user); requires the run to have collected truth."""
-    if result.tag_pair_rows is None:
-        raise ValueError("run was executed without truth collection")
-    r0 = result.tag_pair_rows.get((user, 0), np.empty(0, dtype=np.int64))
-    r1 = result.tag_pair_rows.get((user, 1), np.empty(0, dtype=np.int64))
-    t0 = result.streams.get((user, 0), np.empty(0, dtype=np.int64))
-    t1 = result.streams.get((user, 1), np.empty(0, dtype=np.int64))
-    merged = np.concatenate([t0, t1])
-    rows = np.concatenate([r0, r1])
-    order = np.argsort(merged, kind="stable")
-    return rows[order]
+def path_streams(result: sim.ScenarioResult) -> dict[tuple[int, int], np.ndarray]:
+    """Each user's tags split by path label, keyed (user, path)."""
+    return {(user, path): times[labels == path]
+            for user, (times, labels) in result.streams.items()
+            for path in (0, 1)}
+
+
+def path_tag_rows(result: sim.ScenarioResult) -> dict[tuple[int, int], np.ndarray]:
+    """Each user's tag_pair_rows split by path label, keyed (user, path)."""
+    return {(user, path): result.tag_pair_rows[user][labels == path]
+            for user, (_, labels) in result.streams.items()
+            for path in (0, 1)}
 
 
 def ref_write_truth_csv(truth: sim.TruthLog, path) -> None:

@@ -194,8 +194,8 @@ class TestTruthLogValidation:
         res = run_scenario(plan, sys_cfg, duration, seed=52)
         ta, _ = res.user_stream(0)
         tb, _ = res.user_stream(1)
-        dark_a = ta[helpers.user_pair_rows(res, 0) == -1]
-        dark_b = tb[helpers.user_pair_rows(res, 1) == -1]
+        dark_a = ta[res.tag_pair_rows[0] == -1]
+        dark_b = tb[res.tag_pair_rows[1] == -1]
         hist = cross_correlate(dark_a, dark_b, 128, 65 * 128)
         r1 = dark_a.size / duration
         r2 = dark_b.size / duration
@@ -212,8 +212,8 @@ class TestTruthLogValidation:
         res = run_scenario(plan, sys_cfg, duration, seed=41)
         ta, _ = res.user_stream(0)
         tb, _ = res.user_stream(1)
-        rows_a = helpers.user_pair_rows(res, 0)
-        rows_b = helpers.user_pair_rows(res, 1)
+        rows_a = res.tag_pair_rows[0]
+        rows_b = res.tag_pair_rows[1]
 
         window = 128
         m = match_coincidences(ta, tb, window)

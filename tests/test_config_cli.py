@@ -15,9 +15,11 @@ from entnetsim.config import (ConfigError, ScenarioConfig, default_config,
                               parse_config, parse_config_text, provenance,
                               with_overrides, SCHEMA)
 from entnetsim import report
+from entnetsim.doqkd import QkdConfig
 from entnetsim.rates import expected_singles_rate
 from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
                               resolve_links, run_bundle, write_bundle)
+from entnetsim.sim import SystemConfig
 
 import helpers
 
@@ -30,6 +32,11 @@ class TestParseConfig:
         path = tmp_path / "empty.ini"
         path.write_text("")
         assert parse_config(path).values == default_config().values
+
+    def test_dataclass_defaults_are_the_config_defaults(self):
+        cfg = default_config()
+        assert cfg.qkd() == QkdConfig()
+        assert cfg.system() == SystemConfig()
 
     def test_explicit_reference_values_match_default_plan(self):
         cfg = parse_config_text("[network]\nsubnets = 5\nsubnet_size = 8\n"

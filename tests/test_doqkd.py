@@ -366,7 +366,7 @@ class TestDispersionCancellation:
         from entnetsim.analysis import match_coincidences
         ta, pa = res.user_stream(0)
         tb, pb = res.user_stream(1)
-        ra, rb = helpers.user_pair_rows(res, 0), helpers.user_pair_rows(res, 1)
+        ra, rb = res.tag_pair_rows[0], res.tag_pair_rows[1]
         m = match_coincidences(ta, tb, 512)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])
         genuine = (ra[m.index_a] >= 0) & (ra[m.index_a] == rb[m.index_b])
@@ -389,7 +389,7 @@ class TestContaminationDirection:
         from entnetsim.analysis import match_coincidences
         ta, pa = res.user_stream(0)
         tb, pb = res.user_stream(1)
-        ra, rb = helpers.user_pair_rows(res, 0), helpers.user_pair_rows(res, 1)
+        ra, rb = res.tag_pair_rows[0], res.tag_pair_rows[1]
         m = match_coincidences(ta, tb, 128)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])
         genuine = (ra[m.index_a] >= 0) & (ra[m.index_a] == rb[m.index_b])

@@ -135,7 +135,7 @@ class TestRunScenario:
     def test_zero_duration_empty(self):
         plan = build_plan(1, 2, ItuChannel(40))
         res = run_scenario(plan, light_system(), 0.0, seed=1)
-        assert all(tags.size == 0 for tags in res.streams.values())
+        assert all(times.size == 0 for times, _ in res.streams.values())
         assert len(res.truth) == 0
         assert all(n == 0 for n in res.emitted_pairs.values())
 
@@ -154,7 +154,7 @@ class TestRunScenario:
                                                         corr=300.0))
         res = run_scenario(plan, sys_cfg, 0.02, seed=13)
         emitted = sum(res.emitted_pairs.values())
-        total_tags = sum(tags.size for tags in res.streams.values())
+        total_tags = sum(res.singles_counts().values())
         assert emitted > 0
         assert total_tags == 2 * emitted
         assert len(res.truth) == emitted
@@ -174,10 +174,19 @@ class TestRunScenario:
     def test_tags_bounded_and_sorted(self):
         plan = build_plan(2, 2, ItuChannel(40))
         res = run_scenario(plan, light_system(pair_rate=5e4), 0.05, seed=4)
-        for tags in res.streams.values():
-            if tags.size:
-                assert tags[0] >= 0 and tags[-1] < res.duration_ps
+        singles = res.singles_counts()
+        assert sorted(res.streams) == list(plan.users())
+        for user, (times, labels) in res.streams.items():
+            assert times.dtype == np.int64 and labels.dtype == np.uint8
+            assert times.size == labels.size > 0
+            assert times[0] >= 0 and times[-1] < res.duration_ps
+            assert np.all(np.diff(times) >= 0)
+            assert set(np.unique(labels)) <= {0, 1}
+            for path in (0, 1):
+                tags = times[labels == path]
                 assert np.all(np.diff(tags) > 0)
+                assert singles[(user, path)] == tags.size
+            assert res.tag_pair_rows[user].size == times.size
 
     def test_determinism(self):
         plan = build_plan(2, 3, ItuChannel(40))
@@ -185,8 +194,9 @@ class TestRunScenario:
         r1 = run_scenario(plan, sys_cfg, 0.1, seed=99)
         r2 = run_scenario(plan, sys_cfg, 0.1, seed=99)
         assert r1.emitted_pairs == r2.emitted_pairs
-        for key in r1.streams:
-            np.testing.assert_array_equal(r1.streams[key], r2.streams[key])
+        for user, (times, labels) in r1.streams.items():
+            np.testing.assert_array_equal(r2.streams[user][0], times)
+            np.testing.assert_array_equal(r2.streams[user][1], labels)
         np.testing.assert_array_equal(r1.truth.t_emit_ps, r2.truth.t_emit_ps)
 
     def test_selection_does_not_change_other_streams(self):
@@ -195,9 +205,10 @@ class TestRunScenario:
         full = run_scenario(plan, sys_cfg, 0.1, seed=21)
         partial = run_scenario(plan, sys_cfg, 0.1, seed=21,
                                selected_users=[0, 3])
-        for key in partial.streams:
-            np.testing.assert_array_equal(partial.streams[key],
-                                          full.streams[key])
+        assert sorted(partial.streams) == [0, 3]
+        for user, (times, labels) in partial.streams.items():
+            np.testing.assert_array_equal(times, full.streams[user][0])
+            np.testing.assert_array_equal(labels, full.streams[user][1])
 
     def test_singles_rates_match_analytic(self, reference_plan):
         sys_cfg = SystemConfig(
@@ -206,9 +217,10 @@ class TestRunScenario:
         )
         res = run_scenario(reference_plan, sys_cfg, 2.0, seed=31,
                            selected_users=[0, 2, 8], collect_truth=False)
+        singles = res.singles_counts()
         for user in (0, 2, 8):
             for path in (0, 1):
-                n = res.streams[(user, path)].size
+                n = singles[(user, path)]
                 mean = expected_singles_rate(reference_plan, sys_cfg, user, path) * 2.0
                 assert abs(n - mean) < 5 * math.sqrt(mean), (user, path)
 
@@ -216,8 +228,9 @@ class TestRunScenario:
         # full reference network: every (user, path) stream is populated
         res = run_scenario(reference_plan, SystemConfig(), 1.0, seed=62,
                            collect_truth=False)
-        assert len(res.streams) == 80
-        assert all(tags.size > 0 for tags in res.streams.values())
+        singles = res.singles_counts()
+        assert len(singles) == 80
+        assert all(n > 0 for n in singles.values())
 
     def test_inter_subnet_separation_in_truth(self):
         plan = build_plan(2, 2, ItuChannel(40))
@@ -246,7 +259,8 @@ class TestRunScenario:
         for collect_truth in (True, False):
             res = run_scenario(plan, sys_cfg, 0.1, seed=17,
                                collect_truth=collect_truth)
-            assert set(res.streams) == keys
+            streams = helpers.path_streams(res)
+            assert set(streams) == keys
             for user, path in sorted(keys):
                 arrivals = np.sort(np.concatenate(
                     [a[(user, path)] for a in alone.values() if (user, path) in a]))
@@ -255,20 +269,28 @@ class TestRunScenario:
                 tags, _ = detector_response_traced(arrivals, sys_cfg.detector,
                                                    0.1, rng)
                 assert tags.size > 0
-                np.testing.assert_array_equal(tags, res.streams[(user, path)])
+                np.testing.assert_array_equal(tags, streams[(user, path)])
 
     def test_truth_rows_align_with_tags(self):
         plan = build_plan(1, 2, ItuChannel(40))
         sys_cfg = light_system(pair_rate=4e4, dark=1000.0)
         res = run_scenario(plan, sys_cfg, 0.1, seed=5)
-        times, _ = res.user_stream(0)
-        rows = helpers.user_pair_rows(res, 0)
-        assert rows.size == times.size
-        photon = rows >= 0
-        # every photon-tag row must be marked detected on some side
-        detected = (res.truth.signal_detected[rows[photon]]
-                    | res.truth.idler_detected[rows[photon]])
-        assert bool(np.all(detected))
+        assert sorted(res.tag_pair_rows) == sorted(res.streams) == [0, 1]
+        singles = res.singles_counts()
+        for user, (times, labels) in res.streams.items():
+            rows = res.tag_pair_rows[user]
+            assert rows.dtype == np.int64 and rows.size == times.size > 0
+            assert np.all(np.diff(times) >= 0)
+            assert set(np.unique(labels)) <= {0, 1}
+            for path in (0, 1):
+                assert np.all(np.diff(times[labels == path]) > 0)
+                assert singles[(user, path)] == np.count_nonzero(labels == path)
+            photon = rows >= 0
+            assert 0 < np.count_nonzero(photon) < rows.size  # dark counts too
+            # every photon-tag row must be marked detected on some side
+            detected = (res.truth.signal_detected[rows[photon]]
+                        | res.truth.idler_detected[rows[photon]])
+            assert bool(np.all(detected))
 
 
 class TestArrivalTransform:
@@ -318,7 +340,8 @@ def _sha256(arrays) -> str:
 
 
 class TestEngineBytes:
-    """sha256 of every (user, path) stream of a small default-physics run.
+    """sha256 of every (user, path) stream of a small default-physics run,
+    each the user's tags of that path label.
 
     The constants pin the engine's exact output: a rewrite that is meant
     to be bit-identical must leave them alone, and a change that moves a
@@ -337,16 +360,17 @@ class TestEngineBytes:
 
     @staticmethod
     def streams_digest(res) -> str:
-        return _sha256(res.streams[key] for key in sorted(res.streams))
+        streams = helpers.path_streams(res)
+        return _sha256(streams[key] for key in sorted(streams))
 
     def test_truth_run(self):
         res = self.run()
-        assert len(res.streams) == 12
+        assert len(res.streams) == 6
         assert self.streams_digest(res) == self.STREAMS
         assert _sha256([res.truth.signal_detected, res.truth.idler_detected,
                         res.truth.t_emit_ps]) == self.TRUTH
-        assert _sha256(res.tag_pair_rows[key]
-                       for key in sorted(res.tag_pair_rows)) == self.TAG_ROWS
+        rows = helpers.path_tag_rows(res)
+        assert _sha256(rows[key] for key in sorted(rows)) == self.TAG_ROWS
 
     def test_run_without_truth(self):
         res = self.run(collect_truth=False)
@@ -355,7 +379,7 @@ class TestEngineBytes:
 
     def test_selected_users(self):
         res = self.run(collect_truth=False, selected_users=[4, 1])
-        assert sorted(res.streams) == [(1, 0), (1, 1), (4, 0), (4, 1)]
+        assert sorted(res.streams) == [1, 4]
         assert self.streams_digest(res) == self.SUBSET
 
 
@@ -372,22 +396,25 @@ class TestEngineEdgeCases:
         plan = build_plan(1, 2, ItuChannel(40))
         sys_cfg = light_system(pair_rate=2e4, dark=0.0)
         res = run_scenario(plan, sys_cfg, 0.0004, seed=26)
-        truth, rows = res.truth, res.tag_pair_rows
-        assert res.streams[(1, 0)].size == rows[(1, 0)].size == 0
+        truth = res.truth
+        streams = helpers.path_streams(res)
+        rows = helpers.path_tag_rows(res)
+        assert streams[(1, 0)].size == rows[(1, 0)].size == 0
         np.testing.assert_array_equal(truth.signal_user[:2], [0, 0])
         np.testing.assert_array_equal(truth.idler_user[:2], [0, 0])
         np.testing.assert_array_equal(rows[(0, 0)], [2, 1, 1])
         np.testing.assert_array_equal(rows[(0, 1)], [0, 0])
         assert _sha256([
-            *(res.streams[key] for key in sorted(res.streams)),
+            *(streams[key] for key in sorted(streams)),
             *(rows[key] for key in sorted(rows)),
             truth.pair_id, truth.resource_id, truth.t_emit_ps,
             truth.signal_user, truth.idler_user, truth.signal_detected,
             truth.idler_detected]) == self.DIGEST
         plain = run_scenario(plan, sys_cfg, 0.0004, seed=26,
                              collect_truth=False)
-        for key, tags in res.streams.items():
-            np.testing.assert_array_equal(plain.streams[key], tags)
+        for user, (times, labels) in res.streams.items():
+            np.testing.assert_array_equal(plain.streams[user][0], times)
+            np.testing.assert_array_equal(plain.streams[user][1], labels)
 
 
 class TestEngineAgreesWithReference:
@@ -402,7 +429,7 @@ class TestEngineAgreesWithReference:
 
         exp_singles = expected_singles_rate(plan, sys_cfg, 0, 0) * duration
         exp_cc = expected_coincidence_rate(plan, sys_cfg, 0, 1, 256) * duration
-        for streams in (engine.streams, reference):
+        for streams in (helpers.path_streams(engine), reference):
             n = streams[(0, 0)].size
             assert abs(n - exp_singles) < 5 * math.sqrt(exp_singles)
             ta = np.sort(np.concatenate([streams[(0, 0)], streams[(0, 1)]]))
