@@ -186,7 +186,6 @@ class TestRunScenario:
                 tags = times[labels == path]
                 assert np.all(np.diff(tags) > 0)
                 assert singles[(user, path)] == tags.size
-            assert res.tag_pair_rows[user].size == times.size
 
     def test_determinism(self):
         plan = build_plan(2, 3, ItuChannel(40))
@@ -276,15 +275,9 @@ class TestRunScenario:
         sys_cfg = light_system(pair_rate=4e4, dark=1000.0)
         res = run_scenario(plan, sys_cfg, 0.1, seed=5)
         assert sorted(res.tag_pair_rows) == sorted(res.streams) == [0, 1]
-        singles = res.singles_counts()
-        for user, (times, labels) in res.streams.items():
+        for user, (times, _) in res.streams.items():
             rows = res.tag_pair_rows[user]
             assert rows.dtype == np.int64 and rows.size == times.size > 0
-            assert np.all(np.diff(times) >= 0)
-            assert set(np.unique(labels)) <= {0, 1}
-            for path in (0, 1):
-                assert np.all(np.diff(times[labels == path]) > 0)
-                assert singles[(user, path)] == np.count_nonzero(labels == path)
             photon = rows >= 0
             assert 0 < np.count_nonzero(photon) < rows.size  # dark counts too
             # every photon-tag row must be marked detected on some side
