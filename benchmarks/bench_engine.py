@@ -2,20 +2,26 @@
 """Scenario engine throughput and memory on a fixed input.
 
 Times run_scenario alone (pair generation, arrival transform, detector
-and the merge of each user's two paths into one labelled stream, which
-report.run_bundle used to do) on the users of the 42 `figures` links of
-the default config, as report.run_bundle calls it: without a truth log,
-or with one under --truth. Best of --repeat runs at the first duration
-and one run at each other. Each duration runs in a fresh subprocess, so
-the peak RSS printed beside it (ru_maxrss) is that duration's alone.
-NumPy's transparent-hugepage advice is off in the children
+and the merge of each user's two paths into one labelled stream) on the
+users of the 42 `figures` links of the default config, as
+report.run_bundle calls it: without a truth log, or with one under
+--truth. Best of --repeat runs at the first duration and one run at
+each other. Each duration runs in a fresh subprocess, so the peaks
+printed beside it (ru_maxrss) are that duration's alone: the peak of
+the process that calls run_scenario ("parent") and the largest peak of
+the pass-2 workers it forks ("worker", RUSAGE_CHILDREN; 0 when it
+forks none). NumPy's transparent-hugepage advice is off in the children
 (NUMPY_MADVISE_HUGEPAGE=0) unless the caller sets it, as in perfbench,
 so that peak RSS does not move by whole 2 MB pages. Prints engine
-seconds, detected tags per second, peak MB and peak bytes per expected
-tag: the peak over report.expected_tags, the count report.check_memory
-charges BYTES_PER_TAG (BYTES_PER_TRUTH_TAG with --truth) for. The
-fixed cost of the interpreter and NumPy weighs on that ratio at short
-durations; from about 10 s on it approaches the per-tag cost.
+seconds, detected tags per second, both peaks, the minor page faults
+and system seconds of the best run (parent and workers together), and
+peak bytes per expected tag: the sum of the two peaks over
+report.expected_tags, the count report.check_memory charges
+BYTES_PER_TAG (BYTES_PER_TRUTH_TAG with --truth) for. The sum bounds
+what the run holds on the host at once, counting twice the pages the
+parent and a worker share. The fixed cost of the interpreter and NumPy
+weighs on that ratio at short durations; from about 10 s on it
+approaches the per-tag cost.
 
 Usage: python3 benchmarks/bench_engine.py [--seconds S ...] [--seed N]
                                           [--repeat K] [--truth]
@@ -43,17 +49,31 @@ def measure(duration_s: float, seed: int, repeat: int, truth: bool) -> dict:
     sys_cfg = cfg.system()
     best = float("inf")
     for _ in range(repeat):
+        before = usage()
         t0 = time.perf_counter()
         result = run_scenario(plan, sys_cfg, duration_s, seed,
                               selected_users=users, collect_truth=truth)
-        best = min(best, time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best = elapsed
+            minflt, stime = (a - b for a, b in zip(usage(), before))
         tags = sum(times.size for times, _ in result.streams.values())
         del result
     return {"duration_s": duration_s, "users": len(users), "repeat": repeat,
-            "engine_s": best, "tags": tags,
+            "engine_s": best, "tags": tags, "minflt": minflt, "stime": stime,
             "expected_tags": report.expected_tags(plan, sys_cfg, users,
                                                   duration_s),
-            "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+            "parent_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "worker_kb":
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}
+
+
+def usage() -> tuple[int, float]:
+    """Minor page faults and system seconds of this process and its
+    reaped children."""
+    ru = [resource.getrusage(who)
+          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    return (sum(r.ru_minflt for r in ru), sum(r.ru_stime for r in ru))
 
 
 def main():
@@ -74,7 +94,8 @@ def main():
         return
 
     header = (f"{'simulated':>9s} {'users':>5s} {'runs':>4s} {'engine':>9s}"
-              f" {'tags':>11s} {'tags/s':>10s} {'peak':>9s} {'B/tag':>6s}")
+              f" {'tags':>11s} {'tags/s':>10s} {'parent':>9s} {'worker':>9s}"
+              f" {'minflt':>9s} {'sys':>7s} {'B/tag':>6s}")
     print(header)
     print("-" * len(header))
     env = {"NUMPY_MADVISE_HUGEPAGE": "0", **os.environ}
@@ -86,13 +107,14 @@ def main():
             + (["--truth"] if args.truth else []),
             capture_output=True, text=True, check=True, env=env)
         r = json.loads(proc.stdout.strip().splitlines()[-1])
-        per_tag = (f"{r['peak_kb'] * 1024 / r['expected_tags']:6.1f}"
+        peak_kb = r["parent_kb"] + r["worker_kb"]
+        per_tag = (f"{peak_kb * 1024 / r['expected_tags']:6.1f}"
                    if r["expected_tags"] else f"{'-':>6s}")
         print(f"{r['duration_s']:8.3g}s {r['users']:5d} {r['repeat']:4d}"
               f" {r['engine_s']:8.2f}s {r['tags']:11,d}"
-              f" {r['tags'] / r['engine_s']:10.3g} {r['peak_kb'] / 1024:7.1f}MB"
-              f" {per_tag}")
-
+              f" {r['tags'] / r['engine_s']:10.3g}"
+              f" {r['parent_kb'] / 1024:7.1f}MB {r['worker_kb'] / 1024:7.1f}MB"
+              f" {r['minflt']:9,d} {r['stime']:6.2f}s {per_tag}")
 
 if __name__ == "__main__":
     main()

@@ -32,15 +32,16 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
-# figures CLI run (87.45M expected tags) peaked at 1258040 kB ru_maxrss
-# at most in three runs, 14.7 bytes a tag (benchmarks/bench_engine.py
-# --seconds 60: 14.7).
-BYTES_PER_TAG = 15
+# figures CLI run (87.45M expected tags) peaked at 1051456 kB ru_maxrss
+# in the process that runs run_scenario and 597484 kB in its pass-2
+# worker, 1648936 kB together at most in three runs, 19.3 bytes a tag.
+# The sum bounds the host total: it counts twice the pages the two
+# share.
+BYTES_PER_TAG = 20
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 789760 kB, 69.4 bytes a tag; from 4 s to 8 s
-# the peak grew by 66.0 bytes per added tag (bench_engine.py --truth
-# --seconds 8: 69.4).
-BYTES_PER_TRUTH_TAG = 74
+# expected tags) peaked at 729028 + 331728 kB, 1060752 kB at most in
+# two runs, 93.2 bytes a tag.
+BYTES_PER_TRUTH_TAG = 94
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 

@@ -26,16 +26,32 @@ preallocated float64 buffer: normal-path photons fill it from the front
 in outcome order, anomalous-path photons from the back in reverse, so
 the two regions meet exactly and each, read in its own direction, is in
 outcome order. A truth run keeps the photons' truth rows in a matching
-int64 buffer and fills preallocated truth columns. Each region is sorted
-once before its detector: in place, or through a stable argsort when a
-truth run needs the permutation. Right after a user's second path the
-two paths' tags are merged into the user's one time-sorted stream with
-a path label per tag, and the per-path arrays are freed.
+int64 buffer and fills preallocated truth columns. Each draw and each
+step of the arrival transform writes into one scratch set per group,
+sized to the group's largest outcome block.
+
+The second pass is split by user into one group per CPU: this process
+fills one group and a forked worker each other. Every buffer a worker
+fills (a user's arrivals, packed rows and normal-path count, the truth
+columns) lives in an anonymous shared mapping made before the fork, so
+the parent reads what the worker wrote; a user's mappings are unmapped
+once the parent has detected that user. Detection stays in the parent:
+each region is sorted once before its detector, in place, or through a
+stable argsort when a truth run needs the permutation. Right after a
+user's second path the two paths' tags are merged into the user's one
+time-sorted stream with a path label per tag, and the per-path arrays
+are freed. The parent reaps every worker before run_scenario returns or
+raises.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import traceback
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,32 +274,78 @@ def _outcome_counts(sys_cfg: SystemConfig, plan: NetworkPlan,
                                         * duration_s)), rng
 
 
-def _draw_events(rng: np.random.Generator, n: int, source: SourceConfig,
-                 duration_ps: int, draw_idler: bool):
-    """One outcome's n events, drawn after its count in a fixed sequence:
-    (times, detuning, path_s, path_i, corr_jitter), times sorted.
+class _Scratch:
+    """One pass-2 group's temporaries, sized to its largest outcome block.
 
-    path_i and corr_jitter, the last draws, are made only when draw_idler
-    holds (the idler user is materialized) and are None otherwise; path_s
-    is drawn either way, because path_i follows it in the sequence. So
-    which users are materialized never changes another outcome's events.
+    Each block works in the first n items of every array, so pass 2
+    allocates only the two path draws of a block (Generator.integers has
+    no out=), and the pages of the rest are faulted in once per group
+    instead of once per block. A truth run adds the packed rows: steps
+    holds 0, 2, 4, ..., and each block's packed rows are one add to it.
     """
-    times = rng.uniform(0.0, duration_ps, size=n)
+
+    def __init__(self, size: int, truth: bool):
+        self.times = np.empty(size)
+        self.detuning = np.empty(size)
+        self.corr = np.empty(size)
+        self.arrivals = np.empty(size)
+        self.shift = np.empty(size)
+        self.anomalous = np.empty(size, dtype=bool)
+        self.normal = np.empty(size, dtype=bool)
+        if truth:
+            self.steps = np.arange(0, 2 * size, 2, dtype=np.int64)
+            self.packed = np.empty(size, dtype=np.int64)
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float,
+             out: np.ndarray) -> np.ndarray:
+    """rng.uniform(low, high, out.size) drawn into out: the same
+    float steps, low + (high - low) * u, and the same generator state
+    after."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+def _draw_events(rng: np.random.Generator, n: int, source: SourceConfig,
+                 duration_ps: int, draw_idler: bool, scratch: _Scratch):
+    """One outcome's n events, drawn after its count in a fixed sequence
+    into the first n items of scratch: (times, detuning, path_s, path_i,
+    corr), times sorted.
+
+    The times and the detuning are rng.uniform draws (_uniform) and the
+    correlation jitter is rng.normal(0.0, sigma) taken apart: a standard
+    normal, times sigma, plus 0.0, as normal computes it. path_i and
+    corr, the last draws, are made only when draw_idler holds (the idler
+    user is materialized) and are None otherwise; path_s is drawn either
+    way, because path_i follows it in the sequence. So which users are
+    materialized never changes another outcome's events.
+    """
+    times = _uniform(rng, 0.0, duration_ps, scratch.times[:n])
     times.sort()
     half_bw = source.bandwidth_ghz / 2.0
-    detuning = rng.uniform(-half_bw, half_bw, size=n)
+    detuning = _uniform(rng, -half_bw, half_bw, scratch.detuning[:n])
     path_s = rng.integers(0, 2, size=n)
     path_i = corr = None
     if draw_idler:
         path_i = rng.integers(0, 2, size=n)
         sigma = source.correlation_jitter_ps
-        corr = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        corr = scratch.corr[:n]
+        if sigma > 0:
+            rng.standard_normal(out=corr)
+            corr *= sigma
+            corr += 0.0
+        else:
+            corr.fill(0.0)
     return times, detuning, path_s, path_i, corr
 
 
 def _photon_arrival_times(block, role: str, user: int, pair: ChannelPair,
-                          sys_cfg: SystemConfig) -> np.ndarray:
-    """Receiver arrival times for one side of an event block.
+                          sys_cfg: SystemConfig, scratch: _Scratch
+                          ) -> np.ndarray:
+    """Receiver arrival times for one side of an event block, written into
+    the first n items of scratch.arrivals.
 
     arrival = (t + fiber delay) + sign * D * (dlambda/dnu * detuning), with
     sign = PATH_SIGNS[path], the idler's detuning negated and the
@@ -296,33 +358,38 @@ def _photon_arrival_times(block, role: str, user: int, pair: ChannelPair,
     also exact (x * -y == -x * y in IEEE arithmetic).
     """
     times, detuning, path_s, path_i, corr = block
+    arrivals, shift = scratch.arrivals[:times.size], scratch.shift[:times.size]
     delay = float(fiber_delay_ps(sys_cfg.losses, user))
     if role == "signal":
         channel, paths = pair.signal, path_s
         dlam_per_ghz = wavelength_shift_nm_per_ghz(channel)
-        arrivals = times + delay
     else:
         channel, paths = pair.idler, path_i
         dlam_per_ghz = -wavelength_shift_nm_per_ghz(channel)
-        arrivals = times + corr
-        arrivals += delay
     mag = sys_cfg.dispersion.magnitude_ps_per_nm
     sign_mag = np.array([PATH_SIGNS[0] * mag, PATH_SIGNS[1] * mag], dtype=float)
-    shift = np.multiply(detuning, dlam_per_ghz)
-    shift *= sign_mag[paths]
+    np.multiply(detuning, dlam_per_ghz, out=shift)
+    # arrivals holds the gathered signs until the times overwrite it;
+    # mode="clip" (paths are 0 or 1) lets take write out= unbuffered
+    shift *= np.take(sign_mag, paths, out=arrivals, mode="clip")
+    if role == "signal":
+        np.add(times, delay, out=arrivals)
+    else:
+        np.add(times, corr, out=arrivals)
+        arrivals += delay
     arrivals += shift
     return arrivals
 
 
 def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
-           anomalous: np.ndarray) -> tuple[int, int]:
+           anomalous: np.ndarray, normal: np.ndarray) -> tuple[int, int]:
     """Write one block's normal-path values at buf[front:] in order and its
     anomalous-path values just below buf[back], reversed; return the new
     (front, back). np.compress writes straight into the buffer (boolean
     indexing with a copy took 3.5x as long on 24k random path bits)."""
     n_anomalous = int(np.count_nonzero(anomalous))
     n_normal = values.size - n_anomalous
-    np.compress(~anomalous, values, out=buf[front:front + n_normal])
+    np.compress(normal, values, out=buf[front:front + n_normal])
     np.compress(anomalous, values, out=buf[back - n_anomalous:back][::-1])
     return front + n_normal, back - n_anomalous
 
@@ -342,6 +409,191 @@ def _tag_truth_rows(packed: np.ndarray, origin: np.ndarray,
     return tag_rows
 
 
+def _shared_empty(n: int, dtype) -> np.ndarray:
+    """An array of n items in its own anonymous shared mapping: what a
+    forked worker writes to it, the parent reads, and dropping the last
+    reference unmaps it."""
+    dtype = np.dtype(dtype)
+    if n == 0:  # mmap refuses an empty mapping
+        return np.empty(0, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype=dtype)
+
+
+def _workers() -> int:
+    """Processes that share pass 2: one per CPU this process may run on,
+    the parent included, or only the parent where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _groups(selected: list[int], arrivals: dict[int, int],
+            n_groups: int) -> list[list[int]]:
+    """Split the users into at most n_groups nonempty groups of near-equal
+    arrival totals: largest first, each to the lightest group so far."""
+    groups = [[] for _ in range(max(1, min(n_groups, len(selected))))]
+    load = [0] * len(groups)
+    for user in sorted(selected, key=lambda u: -arrivals[u]):
+        k = load.index(min(load))
+        groups[k].append(user)
+        load[k] += arrivals[user]
+    return [sorted(group) for group in groups]
+
+
+def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
+                sys_cfg: SystemConfig, duration_ps: int,
+                times_buf: dict[int, np.ndarray],
+                rows_buf: dict[int, np.ndarray] | None,
+                truth_columns: dict[str, np.ndarray] | None,
+                front: np.ndarray, slot: dict[int, int]) -> None:
+    """Pass 2 for one group of users: draw every outcome that reaches one
+    of them and write their arrivals (and a truth run's packed rows)
+    into their buffers. An outcome's rows of the truth columns
+    (resource_id, t_emit_ps, signal_user, idler_user) are written by the
+    group of its signal user, or of its idler user when the signal user
+    is not selected. Each user's normal-path count goes to
+    front[slot[user]]."""
+    mine = set(users)
+    todo = [o for o in outcomes if o[1] in mine or o[2] in mine]
+    scratch = _Scratch(max((o[3] for o in todo), default=0),
+                       truth_columns is not None)
+    fronts = dict.fromkeys(users, 0)
+    backs = {u: times_buf[u].size for u in users}
+    for pair, u, v, n, rng, row in todo:
+        block = _draw_events(rng, n, sys_cfg.source, duration_ps, v in mine,
+                             scratch)
+        if truth_columns is not None and (u in mine or u not in sel_set):
+            rows = slice(row, row + n)
+            truth_columns["resource_id"][rows] = pair.resource_id
+            truth_columns["t_emit_ps"][rows] = block[0]
+            truth_columns["signal_user"][rows] = u
+            truth_columns["idler_user"][rows] = v
+        for role_bit, (role, dest, paths) in enumerate(
+                (("signal", u, block[2]), ("idler", v, block[3]))):
+            if dest not in mine:
+                continue
+            arr = _photon_arrival_times(block, role, dest, pair, sys_cfg,
+                                        scratch)
+            anomalous = np.equal(paths, 1, out=scratch.anomalous[:n])
+            normal = np.logical_not(anomalous, out=scratch.normal[:n])
+            f, b = fronts[dest], backs[dest]
+            fronts[dest], backs[dest] = _place(times_buf[dest], f, b, arr,
+                                               anomalous, normal)
+            if truth_columns is not None:
+                packed = np.add(scratch.steps[:n], 2 * row + role_bit,
+                                out=scratch.packed[:n])
+                _place(rows_buf[dest], f, b, packed, anomalous, normal)
+    for user in users:
+        front[slot[user]] = fronts[user]
+
+
+def _fork(work) -> tuple[int, int]:
+    """Run work() in a forked worker; return its pid and the read end of
+    a pipe on which it leaves its traceback if it fails.
+
+    The worker leaves through os._exit whatever happens, so it never
+    returns into the caller's stack or runs exit handlers and flushes
+    that belong to the parent. Python 3.12+ warns on a fork of a process
+    with other threads, such as NumPy's BLAS pool; under an "error"
+    filter that warning would be raised in the parent after the fork and
+    orphan the worker, so it is ignored here: the worker calls no BLAS
+    routine, and only draws and writes arrays.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            work()
+            code = 0
+        except BaseException:
+            os.write(write_fd, traceback.format_exc().encode()[-4096:])
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _check_worker(name: str, pid: int, status: int, fd: int) -> None:
+    """Raise, naming the worker and quoting its traceback, if a reaped
+    worker failed; close its pipe either way."""
+    try:
+        chunks = []
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"{name} (pid {pid}) exited with status {code}:\n"
+                           + b"".join(chunks).decode(errors="replace"))
+
+
+def _detect_user(user: int, times_buf: dict[int, np.ndarray],
+                 rows_buf: dict[int, np.ndarray] | None, n_normal: int,
+                 truth: TruthLog | None, seed: int, sys_cfg: SystemConfig,
+                 duration_s: float):
+    """One user's (times, labels) and, in a truth run, tag rows (else
+    None), from its filled buffers, which are popped and freed on the way.
+
+    Each path goes through its own detector, seeded per (user, path).
+    The two tag arrays are then merged by a stable argsort of their
+    concatenation, path 0 first, which puts path 0's tag first on equal
+    times. A truth run's tag rows follow the same permutation.
+
+    A truth run reads the anomalous region reversed, which restores
+    outcome order, and sorts each region with a stable argsort, because
+    the truth rows must follow the same permutation. Without truth the
+    region is sorted in place by value: equal floats cannot be told
+    apart, so the sorted array, and with it every tag, is the same
+    whichever order the region was filled in.
+    """
+    user_times = times_buf.pop(user)
+    user_rows = rows_buf.pop(user) if truth is not None else None
+    path_tags, path_rows = [], []
+    for path, region in ((0, slice(None, n_normal)), (1, slice(n_normal, None))):
+        times = user_times[region]
+        if truth is None:
+            times.sort()
+        else:
+            packed = user_rows[region]
+            if path == 1:  # filled from the back
+                times, packed = times[::-1], packed[::-1]
+            order = np.argsort(times, kind="stable")
+            times, packed = times[order], packed[order]
+            del order
+        rng = np.random.default_rng(derive_stream_seed(seed, "detector", user,
+                                                       path))
+        tags, origin = detector_response_traced(times, sys_cfg.detector,
+                                                duration_s, rng)
+        del times
+        path_tags.append(tags)
+        if truth is not None:
+            path_rows.append(_tag_truth_rows(packed, origin, truth))
+            del packed
+        del tags, origin  # path_tags keeps the only reference
+    del user_times, user_rows  # unmaps the user's buffers
+    n_normal_tags = path_tags[0].size
+    merged = np.concatenate(path_tags)
+    del path_tags  # frees both paths' tags before the argsort
+    order = np.argsort(merged, kind="stable")
+    labels = (order >= n_normal_tags).view(np.uint8)  # 1 where from path 1
+    stream = (merged[order], labels)
+    del merged
+    rows = np.concatenate(path_rows)[order] if truth is not None else None
+    return stream, rows
+
+
 def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
                  seed: int, selected_users=None,
                  collect_truth: bool = True) -> ScenarioResult:
@@ -350,24 +602,32 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     selected_users restricts which users' receivers are materialized (all
     by default). A user's tag stream is byte-identical whichever other
     users are selected alongside it. Deterministic in (plan, configs,
-    duration, seed).
+    duration, seed), and independent of how many workers share pass 2.
 
     The two passes and the per-user buffer layout are described in the
     module docstring. A truth run's packed row is 2 * truth row, plus 1
-    for the idler photon. The user's buffers are freed after both paths.
+    for the idler photon.
 
-    Each path goes through its own detector, seeded per (user, path).
-    The two tag arrays are then merged by a stable argsort of their
-    concatenation, path 0 first, which puts path 0's tag first on equal
-    times; the per-path arrays are freed before the next user. A truth
-    run's tag rows follow the same permutation.
-
-    A truth run reads the anomalous region reversed, which restores
-    outcome order, and sorts each region with a stable argsort, because
-    the truth rows must follow the same permutation. Without truth the
-    region is sorted in place by value: equal floats cannot be told
-    apart, so the sorted array, and with it every tag, is the same
-    whichever order the region was filled in.
+    Pass 2 is split into _workers() groups of users (no more groups than
+    users), balanced by their pass-1 arrival totals. Group 0 runs in this
+    process; each other group runs in a worker forked before group 0
+    starts, which inherits every pass-1 generator where pass 1 left it,
+    so an outcome that reaches two groups is drawn in both with
+    identical events. Every buffer a worker writes lives in its own
+    anonymous shared mapping: each user's arrivals and packed rows, the
+    truth log's resource, emission-time and user columns, and the
+    int64 array that takes each user's normal-path count. A worker
+    writes only its own users' buffers and the truth rows of the
+    outcomes its group owns (_fill_group). The truth log's pair ids and
+    detected flags are made after the forks and written here only, so
+    no worker holds their pages. This process detects group
+    0's users while the workers run, then reaps the workers in order and
+    detects each one's users after it exits: the detectors, the merge
+    and the truth log's detected flags all stay here (_detect_user).
+    Each user's mappings are unmapped after its detection. A worker
+    that fails makes this call raise, naming it; on any exit every
+    worker still running is killed and every worker is reaped, so none
+    outlives the call.
     """
     if duration_s < 0:
         raise ScenarioConfigError("run.duration_s: must be >= 0")
@@ -381,101 +641,75 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     sel_set = set(selected)
 
     emitted: dict[int, int] = {}
-    outcomes = []  # (pair, signal user, idler user, n, rng) to draw
+    outcomes = []  # (pair, signal user, idler user, n, rng, first row)
     arrivals = dict.fromkeys(selected, 0)
+    n_rows = 0
     for pair in sorted(plan.resources(), key=lambda p: p.resource_id):
         emitted[pair.resource_id] = 0
         for u, v, n, rng in _outcome_counts(sys_cfg, plan, pair, duration_ps,
                                             seed):
             emitted[pair.resource_id] += n
             if n and (u in sel_set or v in sel_set):
-                outcomes.append((pair, u, v, n, rng))
+                outcomes.append((pair, u, v, n, rng, n_rows))
+                n_rows += n
                 for dest in (u, v):
                     if dest in sel_set:
                         arrivals[dest] += n
 
-    times_buf = {u: np.empty(arrivals[u]) for u in selected}
-    front = dict.fromkeys(selected, 0)
-    back = dict(arrivals)
+    groups = _groups(selected, arrivals, _workers())
+    times_buf = {u: _shared_empty(arrivals[u], np.float64) for u in selected}
     if collect_truth:
-        n_rows = sum(n for _, _, _, n, _ in outcomes)
-        rows_buf = {u: np.empty(arrivals[u], dtype=np.int64) for u in selected}
-        truth = TruthLog(
-            pair_id=np.arange(n_rows, dtype=np.int64),
-            resource_id=np.empty(n_rows, dtype=np.int32),
-            t_emit_ps=np.empty(n_rows, dtype=float),
-            signal_user=np.empty(n_rows, dtype=np.int32),
-            idler_user=np.empty(n_rows, dtype=np.int32),
-            signal_detected=np.zeros(n_rows, dtype=bool),
-            idler_detected=np.zeros(n_rows, dtype=bool),
-        )
+        rows_buf = {u: _shared_empty(arrivals[u], np.int64) for u in selected}
+        truth_columns = {"resource_id": _shared_empty(n_rows, np.int32),
+                         "t_emit_ps": _shared_empty(n_rows, np.float64),
+                         "signal_user": _shared_empty(n_rows, np.int32),
+                         "idler_user": _shared_empty(n_rows, np.int32)}
     else:
-        truth = None
+        rows_buf = truth_columns = truth = None
+    front = _shared_empty(len(selected), np.int64)
+    slot = {u: k for k, u in enumerate(selected)}
 
-    row = 0
-    for pair, u, v, n, rng in outcomes:
-        block = _draw_events(rng, n, sys_cfg.source, duration_ps, v in sel_set)
-        if truth is not None:
-            rows = slice(row, row + n)
-            truth.resource_id[rows] = pair.resource_id
-            truth.t_emit_ps[rows] = block[0]
-            truth.signal_user[rows] = u
-            truth.idler_user[rows] = v
-        for role_bit, (role, dest, paths) in enumerate(
-                (("signal", u, block[2]), ("idler", v, block[3]))):
-            if dest not in sel_set:
-                continue
-            arr = _photon_arrival_times(block, role, dest, pair, sys_cfg)
-            anomalous = paths == 1
-            f, b = front[dest], back[dest]
-            front[dest], back[dest] = _place(times_buf[dest], f, b, arr,
-                                             anomalous)
-            if truth is not None:
-                packed = np.arange(2 * row + role_bit, 2 * (row + n), 2,
-                                   dtype=np.int64)
-                _place(rows_buf[dest], f, b, packed, anomalous)
-        row += n
-    del outcomes  # and with them the generators
+    def fill(users):
+        _fill_group(users, outcomes, sel_set, sys_cfg, duration_ps, times_buf,
+                    rows_buf, truth_columns, front, slot)
 
-    streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    tag_pair_rows: dict[int, np.ndarray] | None = {} if collect_truth else None
-    for user in selected:
-        user_times = times_buf.pop(user)
-        user_rows = rows_buf.pop(user) if truth is not None else None
-        path_tags, path_rows = [], []
-        for path, region in ((0, slice(None, front[user])),
-                             (1, slice(front[user], None))):
-            times = user_times[region]
-            if truth is None:
-                times.sort()
-            else:
-                packed = user_rows[region]
-                if path == 1:  # filled from the back
-                    times, packed = times[::-1], packed[::-1]
-                order = np.argsort(times, kind="stable")
-                times, packed = times[order], packed[order]
-                del order
-            rng = np.random.default_rng(
-                derive_stream_seed(seed, "detector", user, path))
-            tags, origin = detector_response_traced(times, sys_cfg.detector,
-                                                    duration_s, rng)
-            del times
-            path_tags.append(tags)
+    # keyed in user order up front: users are detected group by group
+    streams = dict.fromkeys(selected)
+    tag_pair_rows = dict.fromkeys(selected) if collect_truth else None
+
+    def detect(users):
+        for user in users:
+            streams[user], rows = _detect_user(
+                user, times_buf, rows_buf, int(front[slot[user]]), truth,
+                seed, sys_cfg, duration_s)
             if truth is not None:
-                path_rows.append(_tag_truth_rows(packed, origin, truth))
-                del packed
-            del tags, origin  # path_tags keeps the only reference
-        del user_times, user_rows
-        n_normal = path_tags[0].size
-        merged = np.concatenate(path_tags)
-        del path_tags  # frees both paths' tags before the argsort
-        order = np.argsort(merged, kind="stable")
-        labels = (order >= n_normal).view(np.uint8)  # 1 where from path 1
-        streams[user] = (merged[order], labels)
-        del merged
-        if truth is not None:
-            tag_pair_rows[user] = np.concatenate(path_rows)[order]
-        del order, path_rows
+                tag_pair_rows[user] = rows
+
+    workers = []  # (group, pid, pipe) of the workers not yet reaped
+    try:
+        for g in range(1, len(groups)):
+            workers.append((g, *_fork(lambda g=g: fill(groups[g]))))
+        if collect_truth:
+            # made after the forks, so no worker holds their pages
+            truth = TruthLog(pair_id=np.arange(n_rows, dtype=np.int64),
+                             signal_detected=np.zeros(n_rows, dtype=bool),
+                             idler_detected=np.zeros(n_rows, dtype=bool),
+                             **truth_columns)
+        fill(groups[0])
+        outcomes.clear()  # and with them this process's generators
+        detect(groups[0])
+        while workers:
+            g, pid, fd = workers[0]
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            _check_worker(f"pass-2 worker {g} of {len(groups) - 1}"
+                          f" (users {groups[g]})", pid, status, fd)
+            detect(groups[g])
+    finally:
+        for _, pid, fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
     return ScenarioResult(
         duration_ps=duration_ps,

@@ -84,7 +84,8 @@ class TestPairStream:
         plan = build_plan(1, 2, ItuChannel(40))
         sys_cfg = sim.SystemConfig(source=source)
         return [(u, v, n, sim._draw_events(rng, n, source, duration_ps,
-                                           v in materialize)
+                                           v in materialize,
+                                           sim._Scratch(n, truth=False))
                  if n and (u in materialize or v in materialize) else None)
                 for u, v, n, rng in sim._outcome_counts(
                     sys_cfg, plan, plan.resources()[0], duration_ps, seed)]

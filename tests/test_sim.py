@@ -4,6 +4,8 @@ pair-by-pair reference implementation."""
 
 import hashlib
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -316,7 +318,8 @@ class TestArrivalTransform:
                         block = self.block(n, paths, corr_ps, rng)
                         for user in (0, 3):  # no fiber, 1.7 km of fiber
                             got = sim._photon_arrival_times(
-                                block, role, user, pair, sys_cfg)
+                                block, role, user, pair, sys_cfg,
+                                sim._Scratch(n, truth=False))
                             want = helpers.ref_photon_arrival_times(
                                 block, role, user, pair, sys_cfg)
                             assert got.dtype == want.dtype == np.float64
@@ -408,6 +411,105 @@ class TestEngineEdgeCases:
         for user, (times, labels) in res.streams.items():
             np.testing.assert_array_equal(plain.streams[user][0], times)
             np.testing.assert_array_equal(plain.streams[user][1], labels)
+
+
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPass2Workers:
+    """Pass 2 split across forked workers gives the pinned bytes for any
+    worker count, and no worker outlives run_scenario."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the workers run_scenario forks."""
+        pids = []
+        fork = sim._fork
+
+        def counting_fork(work):
+            pids.append(fork(work))
+            return pids[-1]
+
+        monkeypatch.setattr(sim, "_fork", counting_fork)
+        return pids
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pins_for_any_worker_count(self, monkeypatch, forks, workers):
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        pins = TestEngineBytes
+        res = pins.run()
+        assert len(forks) == workers - 1
+        assert pins.streams_digest(res) == pins.STREAMS
+        assert _sha256([res.truth.signal_detected, res.truth.idler_detected,
+                        res.truth.t_emit_ps]) == pins.TRUTH
+        rows = helpers.path_tag_rows(res)
+        assert _sha256(rows[key] for key in sorted(rows)) == pins.TAG_ROWS
+        assert pins.streams_digest(pins.run(collect_truth=False)) == pins.STREAMS
+        assert (pins.streams_digest(pins.run(collect_truth=False,
+                                             selected_users=[4, 1]))
+                == pins.SUBSET)
+        # the truth columns the pins leave out, against one process
+        monkeypatch.setattr(sim, "_workers", lambda: 1)
+        alone = pins.run().truth
+        for column in ("pair_id", "resource_id", "signal_user", "idler_user"):
+            np.testing.assert_array_equal(getattr(res.truth, column),
+                                          getattr(alone, column))
+        _assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_edge_case_pin_for_any_worker_count(self, monkeypatch, forks,
+                                                workers):
+        # two users: three workers make only two groups
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        TestEngineEdgeCases().test_empty_stream_and_pairs_on_one_user()
+        assert len(forks) == 2  # one worker each for the truth and plain runs
+        _assert_no_child()
+
+    def test_failing_worker_is_named(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        parent = os.getpid()
+        draw = sim._draw_events
+
+        def failing_in_worker(*args):
+            if os.getpid() != parent:
+                raise ValueError("injected draw failure")
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "_draw_events", failing_in_worker)
+        with pytest.raises(RuntimeError, match="pass-2 worker 1 of 1") as err:
+            TestEngineBytes.run()
+        assert "injected draw failure" in str(err.value)
+        _assert_no_child()
+
+    def test_workers_reaped_when_this_process_fails(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
+        parent = os.getpid()
+        draw = sim._draw_events
+
+        def failing_here(*args):
+            if os.getpid() == parent:
+                raise ValueError("injected draw failure")
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "_draw_events", failing_here)
+        with pytest.raises(ValueError, match="injected draw failure"):
+            TestEngineBytes.run()
+        _assert_no_child()
+
+    def test_fork_under_warnings_as_errors(self, monkeypatch, forks):
+        # Python 3.12+ warns on forking a process with other threads (a
+        # BLAS pool); raised as an error after the fork, that warning
+        # would orphan the worker. Before 3.12 there is no such warning.
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = TestEngineBytes.run(collect_truth=False)
+        assert len(forks) == 1
+        assert TestEngineBytes.streams_digest(res) == TestEngineBytes.STREAMS
+        _assert_no_child()
 
 
 class TestEngineAgreesWithReference:
