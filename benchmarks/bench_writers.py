@@ -4,7 +4,9 @@
 Builds a synthetic truth log, tag stream and set of link histograms shaped
 like those of a calibrated run, and times the bulk writers of the report
 bundle on them (`sim.write_truth_csv`, `sim.write_tag_stream`,
-`analysis.write_histograms_csv`). For comparison it also writes the same
+`analysis.write_histograms_csv`). The truth log is in run form, as the
+engine makes it: runs of rows that share a resource and users, one per
+joint routing outcome. For comparison it also writes the same
 histograms as one file per link, the layout of earlier bundles (through
 the per-link oracle in tests/helpers.py), and creates as many empty files.
 Every repeat writes into a new directory, so each file is created as in a
@@ -41,16 +43,22 @@ DURATION_PS = 250_000_000_000
 
 
 def make_truth(n_rows: int, rng) -> TruthLog:
-    users = rng.integers(0, 40, size=(2, n_rows)).astype(np.int32)
-    users[rng.random((2, n_rows)) < 0.3] = LOST
+    """n_rows pairs in runs of 250 rows on average, cut at random rows."""
+    first_row = np.unique(np.r_[0, rng.integers(0, n_rows,
+                                                size=n_rows // 250)])
+    n_runs = first_row.size
+    users = rng.integers(0, 40, size=(2, n_runs)).astype(np.int32)
+    users[rng.random((2, n_runs)) < 0.3] = LOST
+    reached = np.repeat(users != LOST, np.diff(np.r_[first_row, n_rows]),
+                        axis=1)
     return TruthLog(
-        pair_id=np.arange(n_rows, dtype=np.int64),
-        resource_id=rng.integers(0, 20, size=n_rows).astype(np.int32),
         t_emit_ps=np.sort(rng.uniform(0, DURATION_PS, size=n_rows)),
+        signal_detected=reached[0] & (rng.random(n_rows) < 0.5),
+        idler_detected=reached[1] & (rng.random(n_rows) < 0.5),
+        first_row=first_row,
+        resource_id=rng.integers(0, 20, size=n_runs).astype(np.int32),
         signal_user=users[0],
         idler_user=users[1],
-        signal_detected=(users[0] != LOST) & (rng.random(n_rows) < 0.5),
-        idler_detected=(users[1] != LOST) & (rng.random(n_rows) < 0.5),
     )
 
 

@@ -16,11 +16,11 @@ The block is transposed into line order and `bytes.translate(None, b"\\0")`
 deletes every 0 byte, which leaves each line as
 `",".join(map(str, row)) + newline` spells it.
 
-A column whose values in the chunk span a range narrower than
-1/LOOKUP_RATIO of the chunk's rows (resource ids, users, flags,
-histogram counts) is encoded once per value of the range into a
-TextTable and gathered from it. A caller can pass its own TextTable for
-a code that stands for several fields: the histogram table's link keys.
+An int64 column is always spelled digit by digit, whatever its range.
+Fields that stay the same over runs of rows are passed as a
+`(codes, TextTable)` pair instead, which encodes each run's fields once
+and gathers them: the histogram table's link keys and the truth log's
+resource and users.
 
 The writers call encode_rows once per CHUNK_ROWS rows and make one write
 per call, so besides their input they hold one chunk's columns, units
@@ -37,15 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 CHUNK_ROWS = 16_384
-# A chunk's column goes through a TextTable of its value range when the
-# range is at most 1/LOOKUP_RATIO of the chunk's rows long. Measured on
-# a 16384-row chunk of the benchmarks/bench_writers.py truth log (median
-# of 150 interleaved calls, 2-core host): 2.63 ms with the lookup at any
-# ratio from 2 to 64, 2.80 ms with none; in that span the choice moves
-# nothing, because the narrow columns (ids, users, flags) span at most
-# 42 values and pair_id spans as many as the chunk has rows. The ratio
-# must stay above 1, or a table's own column would qualify again.
-LOOKUP_RATIO = 8
 
 
 def _unit(text: bytes) -> np.uint16:
@@ -94,10 +85,6 @@ def _digit_units(mag: np.ndarray, low: int, top: int) -> list[np.ndarray]:
 def _int_units(x: np.ndarray) -> list:
     """The units of one int64 column."""
     lo, hi = int(x.min()), int(x.max())
-    if (hi - lo + 1) * LOOKUP_RATIO <= x.size:
-        # hi + 1 can be 2**63, past int64: count up from lo instead
-        return TextTable([lo + np.arange(hi - lo + 1, dtype=np.int64)]
-                         ).take(x - lo)
     if lo >= 0:
         return _digit_units(x.view(np.uint64), lo, hi)
     mag = np.abs(x).view(np.uint64)  # -2**63 becomes 2**63

@@ -268,19 +268,19 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
         raise ConfigError(
             f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
             " float64 picosecond times are exact only up to 2**53 ps")
-    links = run["links"]
-    if links not in LINK_SET_NAMES and not _looks_like_link_list(links):
-        raise ConfigError(
-            f"run.links: expected one of {', '.join(LINK_SET_NAMES)} or a"
-            " comma-separated list like 0-1,0-2")
-
-
-def _looks_like_link_list(text: str) -> bool:
-    try:
-        parse_link_list(text)
-        return True
-    except ValueError:
-        return False
+    if run["seed"] < 0:
+        raise ConfigError("run.seed: must be >= 0")
+    if run["links"] not in LINK_SET_NAMES:
+        try:
+            links = parse_link_list(run["links"])
+        except ValueError:
+            raise ConfigError(
+                f"run.links: expected one of {', '.join(LINK_SET_NAMES)} or a"
+                " comma-separated list like 0-1,0-2") from None
+        for user in (u for link in links for u in link):
+            if not 0 <= user < n_users:
+                raise ConfigError(
+                    f"run.links: user {user} not in 0..{n_users - 1}")
 
 
 def parse_link_list(text: str) -> list[tuple[int, int]]:

@@ -26,22 +26,24 @@ preallocated float64 buffer: normal-path photons fill it from the front
 in outcome order, anomalous-path photons from the back in reverse, so
 the two regions meet exactly and each, read in its own direction, is in
 outcome order. A truth run keeps the photons' truth rows in a matching
-int64 buffer and fills preallocated truth columns. Each draw and each
-step of the arrival transform writes into one scratch set per group,
-sized to the group's largest outcome block.
+int64 buffer and fills the preallocated emission-time column of the
+truth log; the log's resource and users are one run per outcome, taken
+from pass 1. Each draw and each step of the arrival transform writes
+into one scratch set per group, sized to the group's largest outcome
+block.
 
 The second pass is split by user into one group per CPU: this process
 fills one group and a forked worker each other. Every buffer a worker
 fills (a user's arrivals, packed rows and normal-path count, the truth
-columns) lives in an anonymous shared mapping made before the fork, so
-the parent reads what the worker wrote; a user's mappings are unmapped
-once the parent has detected that user. Detection stays in the parent:
-each region is sorted once before its detector, in place, or through a
-stable argsort when a truth run needs the permutation. Right after a
-user's second path the two paths' tags are merged into the user's one
-time-sorted stream with a path label per tag, and the per-path arrays
-are freed. The parent reaps every worker before run_scenario returns or
-raises.
+log's emission times) lives in an anonymous shared mapping made before
+the fork, so the parent reads what the worker wrote; a user's mappings
+are unmapped once the parent has detected that user. Detection stays in
+the parent: each region is sorted once before its detector, in place,
+or through a stable argsort when a truth run needs the permutation.
+Right after a user's second path the two paths' tags are merged into
+the user's one time-sorted stream with a path label per tag, and the
+per-path arrays are freed. The parent reaps every worker before
+run_scenario returns or raises.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._columns import CHUNK_ROWS, encode_rows
+from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -169,18 +171,25 @@ class TruthLog:
     Pairs lost on both sides before any selected receiver are tallied in
     emitted counts only; recording them individually is pointless and, at
     calibrated rates, would dwarf the useful data.
+
+    A pair's id is its row. t_emit_ps and the detected flags hold one
+    item per row. The other four fields hold one item per run: the rows
+    of one joint routing outcome, consecutive and in pass-1 order. Run k
+    starts at row first_row[k] (strictly increasing from 0) and ends
+    where run k + 1 starts; its pairs share resource_id[k],
+    signal_user[k] and idler_user[k].
     """
 
-    pair_id: np.ndarray
-    resource_id: np.ndarray
     t_emit_ps: np.ndarray
-    signal_user: np.ndarray
-    idler_user: np.ndarray
     signal_detected: np.ndarray
     idler_detected: np.ndarray
+    first_row: np.ndarray
+    resource_id: np.ndarray
+    signal_user: np.ndarray
+    idler_user: np.ndarray
 
     def __len__(self) -> int:
-        return self.pair_id.size
+        return self.t_emit_ps.size
 
 
 TRUTH_CSV_HEADER = ["pair_id", "resource_id", "t_emit_ps", "signal_user",
@@ -199,19 +208,27 @@ def write_truth_csv(truth: TruthLog, path) -> None:
 
     Rows are encoded by _columns.encode_rows and written CHUNK_ROWS
     (16384) at a time, so besides the log itself the writer holds one
-    chunk's columns, units and text, 2.4 MB at the peak (tracemalloc),
-    however long the log is.
+    chunk's columns, units and text, 2.7 MB at the peak (tracemalloc,
+    500k rows in 1995 runs), however long the log is. A row's resource
+    and users are gathered by its run from TextTables that encode each
+    run's fields once.
     """
     with open(path, "wb") as fh:
         fh.write(",".join(TRUTH_CSV_HEADER).encode() + b"\r\n")
+        if not len(truth):
+            return
+        resources = TextTable([truth.resource_id])
+        users = TextTable([truth.signal_user, truth.idler_user])
         for start in range(0, len(truth), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+            rows = np.arange(start, min(start + CHUNK_ROWS, len(truth)))
+            run = np.searchsorted(truth.first_row, rows, "right") - 1
+            chunk = slice(start, start + CHUNK_ROWS)
             fh.write(encode_rows(
-                [truth.pair_id[rows], truth.resource_id[rows],
+                [rows, (run, resources),
                  # rounded a chunk at a time: no full-size copy of the log
-                 np.rint(truth.t_emit_ps[rows]).astype(np.int64),
-                 truth.signal_user[rows], truth.idler_user[rows],
-                 truth.signal_detected[rows], truth.idler_detected[rows]],
+                 np.rint(truth.t_emit_ps[chunk]).astype(np.int64),
+                 (run, users),
+                 truth.signal_detected[chunk], truth.idler_detected[chunk]],
                 b"\r\n"))
 
 
@@ -446,30 +463,25 @@ def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
                 sys_cfg: SystemConfig, duration_ps: int,
                 times_buf: dict[int, np.ndarray],
                 rows_buf: dict[int, np.ndarray] | None,
-                truth_columns: dict[str, np.ndarray] | None,
+                t_emit: np.ndarray | None,
                 front: np.ndarray, slot: dict[int, int]) -> None:
     """Pass 2 for one group of users: draw every outcome that reaches one
     of them and write their arrivals (and a truth run's packed rows)
-    into their buffers. An outcome's rows of the truth columns
-    (resource_id, t_emit_ps, signal_user, idler_user) are written by the
-    group of its signal user, or of its idler user when the signal user
-    is not selected. Each user's normal-path count goes to
-    front[slot[user]]."""
+    into their buffers. A truth run's one shared truth column, t_emit,
+    takes an outcome's emission times from the group of its signal
+    user, or of its idler user when the signal user is not selected.
+    Each user's normal-path count goes to front[slot[user]]."""
     mine = set(users)
     todo = [o for o in outcomes if o[1] in mine or o[2] in mine]
     scratch = _Scratch(max((o[3] for o in todo), default=0),
-                       truth_columns is not None)
+                       t_emit is not None)
     fronts = dict.fromkeys(users, 0)
     backs = {u: times_buf[u].size for u in users}
     for pair, u, v, n, rng, row in todo:
         block = _draw_events(rng, n, sys_cfg.source, duration_ps, v in mine,
                              scratch)
-        if truth_columns is not None and (u in mine or u not in sel_set):
-            rows = slice(row, row + n)
-            truth_columns["resource_id"][rows] = pair.resource_id
-            truth_columns["t_emit_ps"][rows] = block[0]
-            truth_columns["signal_user"][rows] = u
-            truth_columns["idler_user"][rows] = v
+        if t_emit is not None and (u in mine or u not in sel_set):
+            t_emit[row:row + n] = block[0]
         for role_bit, (role, dest, paths) in enumerate(
                 (("signal", u, block[2]), ("idler", v, block[3]))):
             if dest not in mine:
@@ -481,7 +493,7 @@ def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
             f, b = fronts[dest], backs[dest]
             fronts[dest], backs[dest] = _place(times_buf[dest], f, b, arr,
                                                anomalous, normal)
-            if truth_columns is not None:
+            if t_emit is not None:
                 packed = np.add(scratch.steps[:n], 2 * row + role_bit,
                                 out=scratch.packed[:n])
                 _place(rows_buf[dest], f, b, packed, anomalous, normal)
@@ -615,19 +627,19 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     so an outcome that reaches two groups is drawn in both with
     identical events. Every buffer a worker writes lives in its own
     anonymous shared mapping: each user's arrivals and packed rows, the
-    truth log's resource, emission-time and user columns, and the
-    int64 array that takes each user's normal-path count. A worker
-    writes only its own users' buffers and the truth rows of the
-    outcomes its group owns (_fill_group). The truth log's pair ids and
-    detected flags are made after the forks and written here only, so
-    no worker holds their pages. This process detects group
-    0's users while the workers run, then reaps the workers in order and
-    detects each one's users after it exits: the detectors, the merge
-    and the truth log's detected flags all stay here (_detect_user).
-    Each user's mappings are unmapped after its detection. A worker
-    that fails makes this call raise, naming it; on any exit every
-    worker still running is killed and every worker is reaped, so none
-    outlives the call.
+    truth log's emission times, and the int64 array that takes each
+    user's normal-path count. A worker writes only its own users' buffers
+    and the emission times of the outcomes its group owns (_fill_group).
+    The truth log's run table (each outcome's first row, resource and
+    users, from pass 1) and its detected flags are made after the forks
+    and written here only, so no worker holds their pages. This process
+    detects group 0's users while the workers run, then reaps the
+    workers in order and detects each one's users after it exits: the
+    detectors, the merge and the truth log's detected flags all stay
+    here (_detect_user). Each user's mappings are unmapped after its
+    detection. A worker that fails makes this call raise, naming it; on
+    any exit every worker still running is killed and every worker is
+    reaped, so none outlives the call.
     """
     if duration_s < 0:
         raise ScenarioConfigError("run.duration_s: must be >= 0")
@@ -660,18 +672,15 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     times_buf = {u: _shared_empty(arrivals[u], np.float64) for u in selected}
     if collect_truth:
         rows_buf = {u: _shared_empty(arrivals[u], np.int64) for u in selected}
-        truth_columns = {"resource_id": _shared_empty(n_rows, np.int32),
-                         "t_emit_ps": _shared_empty(n_rows, np.float64),
-                         "signal_user": _shared_empty(n_rows, np.int32),
-                         "idler_user": _shared_empty(n_rows, np.int32)}
+        t_emit = _shared_empty(n_rows, np.float64)
     else:
-        rows_buf = truth_columns = truth = None
+        rows_buf = t_emit = truth = None
     front = _shared_empty(len(selected), np.int64)
     slot = {u: k for k, u in enumerate(selected)}
 
     def fill(users):
         _fill_group(users, outcomes, sel_set, sys_cfg, duration_ps, times_buf,
-                    rows_buf, truth_columns, front, slot)
+                    rows_buf, t_emit, front, slot)
 
     # keyed in user order up front: users are detected group by group
     streams = dict.fromkeys(selected)
@@ -691,10 +700,15 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
             workers.append((g, *_fork(lambda g=g: fill(groups[g]))))
         if collect_truth:
             # made after the forks, so no worker holds their pages
-            truth = TruthLog(pair_id=np.arange(n_rows, dtype=np.int64),
-                             signal_detected=np.zeros(n_rows, dtype=bool),
-                             idler_detected=np.zeros(n_rows, dtype=bool),
-                             **truth_columns)
+            truth = TruthLog(
+                t_emit_ps=t_emit,
+                signal_detected=np.zeros(n_rows, dtype=bool),
+                idler_detected=np.zeros(n_rows, dtype=bool),
+                first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
+                resource_id=np.array([o[0].resource_id for o in outcomes],
+                                     dtype=np.int32),
+                signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
+                idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
         fill(groups[0])
         outcomes.clear()  # and with them this process's generators
         detect(groups[0])

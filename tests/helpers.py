@@ -11,7 +11,8 @@ imperfection removed, for conservation checks. ref_mutual_information is
 the joint histogram's old np.add.at form. ref_dispersion_time_shift,
 ref_photon_arrival_times and resource_arrivals rebuild the engine's
 arrivals the way it computed them before its arrival transform dropped
-the per-path masks. The ref_write_* functions are the bundle's per-row
+the per-path masks. truth_rows expands a truth log's runs into one
+value per row. The ref_write_* functions are the bundle's per-row
 writers, kept as byte oracles for the column-wise writers in the package;
 ref_write_histogram_csv is the per-link histogram file that bundles held
 before histograms.csv, kept to show that the table loses nothing of it.
@@ -307,18 +308,30 @@ def path_tag_rows(result: sim.ScenarioResult) -> dict[tuple[int, int], np.ndarra
             for path in (0, 1)}
 
 
+def truth_rows(truth: sim.TruthLog) -> dict[str, np.ndarray]:
+    """Every TRUTH_CSV_HEADER column of a truth log with one value per
+    row: int64 pair ids counted from 0, and each run's int32 resource
+    and users repeated over its rows."""
+    lengths = np.diff(np.append(truth.first_row, len(truth)))
+    rows = {"pair_id": np.arange(len(truth), dtype=np.int64),
+            "t_emit_ps": truth.t_emit_ps,
+            "signal_detected": truth.signal_detected,
+            "idler_detected": truth.idler_detected}
+    for name in ("resource_id", "signal_user", "idler_user"):
+        rows[name] = np.repeat(getattr(truth, name), lengths).astype(np.int32)
+    return {name: rows[name] for name in TRUTH_CSV_HEADER}
+
+
 def ref_write_truth_csv(truth: sim.TruthLog, path) -> None:
     """One csv.writer row per pair, one int() per cell; t_emit_ps through
     Python's round(), which rounds half to even."""
+    columns = truth_rows(truth)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_CSV_HEADER)
         for k in range(len(truth)):
-            writer.writerow([int(truth.pair_id[k]), int(truth.resource_id[k]),
-                             round(float(truth.t_emit_ps[k])),
-                             int(truth.signal_user[k]), int(truth.idler_user[k]),
-                             int(truth.signal_detected[k]),
-                             int(truth.idler_detected[k])])
+            writer.writerow([round(float(col[k])) if name == "t_emit_ps"
+                             else int(col[k]) for name, col in columns.items()])
 
 
 def ref_write_tag_stream(path, user: int, path_index: int, duration_ps: int,

@@ -33,6 +33,10 @@ class TestParseConfig:
         path.write_text("")
         assert parse_config(path).values == default_config().values
 
+    def test_sample_file_is_all_defaults(self):
+        sample = Path(__file__).resolve().parent.parent / "scenario.sample.ini"
+        assert parse_config(sample) == default_config()
+
     def test_dataclass_defaults_are_the_config_defaults(self):
         cfg = default_config()
         assert cfg.qkd() == QkdConfig()
@@ -261,6 +265,23 @@ class TestCliErrors:
         code = run_cli("--config", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "dark_rate_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, ini, field", [
+        (("--links", "0-99"), "", "run.links"),
+        (("--links", "0-1,40-2"), "", "run.links"),
+        (("--seed", "-1"), "", "run.seed"),
+        ((), "[run]\nseed = -5\n", "run.seed"),
+        ((), "[run]\nlinks = 3-39,39-40\n", "run.links"),
+    ])
+    def test_bad_run_field_exit_2(self, tmp_path, capsys, args, ini, field):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = run_cli("--config", str(cfg), "--out", str(out),
+                       "--duration", "0.01", *args)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         code = run_cli("--config", str(tmp_path / "none.ini"),

@@ -287,6 +287,27 @@ class TestRunScenario:
                         | res.truth.idler_detected[rows[photon]])
             assert bool(np.all(detected))
 
+    def test_truth_runs_cover_rows(self):
+        """The run table splits the rows into contiguous runs, and each
+        photon tag's row is in a run that routes a photon to its user."""
+        plan = build_plan(2, 3, ItuChannel(40))
+        res = run_scenario(plan, light_system(pair_rate=4e4, dark=1000.0),
+                           0.05, seed=11)
+        truth = res.truth
+        n_runs = truth.first_row.size
+        assert len(truth) > n_runs > 1
+        assert truth.first_row[0] == 0
+        assert np.all(np.diff(truth.first_row) > 0)
+        assert truth.first_row[-1] < len(truth)
+        for column in (truth.resource_id, truth.signal_user, truth.idler_user):
+            assert column.size == n_runs
+        for user, rows in res.tag_pair_rows.items():
+            rows = rows[rows >= 0]
+            assert rows.size > 0 and rows.max() < len(truth)
+            run = np.searchsorted(truth.first_row, rows, "right") - 1
+            assert np.all((truth.signal_user[run] == user)
+                          | (truth.idler_user[run] == user))
+
 
 class TestArrivalTransform:
     """_photon_arrival_times against the per-path masked oracle, bit for bit."""
@@ -392,20 +413,18 @@ class TestEngineEdgeCases:
         plan = build_plan(1, 2, ItuChannel(40))
         sys_cfg = light_system(pair_rate=2e4, dark=0.0)
         res = run_scenario(plan, sys_cfg, 0.0004, seed=26)
-        truth = res.truth
+        truth = helpers.truth_rows(res.truth)
         streams = helpers.path_streams(res)
         rows = helpers.path_tag_rows(res)
         assert streams[(1, 0)].size == rows[(1, 0)].size == 0
-        np.testing.assert_array_equal(truth.signal_user[:2], [0, 0])
-        np.testing.assert_array_equal(truth.idler_user[:2], [0, 0])
+        np.testing.assert_array_equal(truth["signal_user"][:2], [0, 0])
+        np.testing.assert_array_equal(truth["idler_user"][:2], [0, 0])
         np.testing.assert_array_equal(rows[(0, 0)], [2, 1, 1])
         np.testing.assert_array_equal(rows[(0, 1)], [0, 0])
         assert _sha256([
             *(streams[key] for key in sorted(streams)),
             *(rows[key] for key in sorted(rows)),
-            truth.pair_id, truth.resource_id, truth.t_emit_ps,
-            truth.signal_user, truth.idler_user, truth.signal_detected,
-            truth.idler_detected]) == self.DIGEST
+            *truth.values()]) == self.DIGEST
         plain = run_scenario(plan, sys_cfg, 0.0004, seed=26,
                              collect_truth=False)
         for user, (times, labels) in res.streams.items():
@@ -454,7 +473,7 @@ class TestPass2Workers:
         # the truth columns the pins leave out, against one process
         monkeypatch.setattr(sim, "_workers", lambda: 1)
         alone = pins.run().truth
-        for column in ("pair_id", "resource_id", "signal_user", "idler_user"):
+        for column in ("first_row", "resource_id", "signal_user", "idler_user"):
             np.testing.assert_array_equal(getattr(res.truth, column),
                                           getattr(alone, column))
         _assert_no_child()

@@ -24,23 +24,35 @@ import helpers
 from test_sim import light_system
 
 
-def truth_log(n, seed=0, t_emit=None, signal_user=None, idler_user=None,
-              signal_detected=None, idler_detected=None):
+def truth_log(n, seed=0, lengths=None, t_emit=None, signal_user=None,
+              idler_user=None, signal_detected=None, idler_detected=None):
+    """A truth log of n rows in runs of the given lengths. Unless given,
+    the lengths are drawn: up to three 1-row runs, then the rest cut at
+    three random rows, so a log of over a chunk has a run that crosses a
+    chunk boundary. The users are given per run, the times and flags per
+    row; what is not given is drawn."""
     rng = np.random.default_rng(seed)
+    if lengths is None:
+        ones = min(n, 3)
+        lengths = np.diff(np.unique(np.r_[0:ones + 1, n, rng.integers(
+            ones, n + 1, size=3)]))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    assert lengths.sum() == n and np.all(lengths > 0)
+    n_runs = lengths.size
 
     def pick(given, default):
         return np.asarray(given) if given is not None else default
 
     return TruthLog(
-        pair_id=np.arange(n, dtype=np.int64),
-        resource_id=rng.integers(0, 20, size=n).astype(np.int32),
         t_emit_ps=pick(t_emit, np.sort(rng.uniform(0, 2.5e11, size=n))),
-        signal_user=pick(signal_user,
-                         rng.integers(LOST, 40, size=n).astype(np.int32)),
-        idler_user=pick(idler_user,
-                        rng.integers(LOST, 40, size=n).astype(np.int32)),
         signal_detected=pick(signal_detected, rng.random(n) < 0.5),
         idler_detected=pick(idler_detected, rng.random(n) < 0.5),
+        first_row=np.cumsum(lengths) - lengths,
+        resource_id=rng.integers(0, 20, size=n_runs).astype(np.int32),
+        signal_user=pick(signal_user,
+                         rng.integers(LOST, 40, size=n_runs).astype(np.int32)),
+        idler_user=pick(idler_user,
+                        rng.integers(LOST, 40, size=n_runs).astype(np.int32)),
     )
 
 
@@ -117,8 +129,8 @@ def test_encoder_matches_str_join(case):
 
 @pytest.mark.parametrize("value", [2 ** 63 - 1, -2 ** 63 + 1])
 def test_encoder_narrow_column_at_int64_ends(value):
-    """A column of one value is encoded through a lookup table of its
-    range, which must not step past the ends of int64."""
+    """A column of one value at either end of int64 is spelled in
+    full."""
     col = np.full(CHUNK_ROWS - 1, value, dtype=np.int64)
     want = (str(value) + "\n").encode() * col.size
     assert encode_rows([col], b"\n") == want
@@ -131,7 +143,8 @@ class TestTruthCsv:
         assert new.count(b"\r\n") == 1
 
     def test_lost_on_either_side(self, tmp_path):
-        truth = truth_log(4, signal_user=[LOST, 5, LOST, 0],
+        truth = truth_log(4, lengths=[1, 1, 1, 1],
+                          signal_user=[LOST, 5, LOST, 0],
                           idler_user=[7, LOST, LOST, 39],
                           signal_detected=[False, True, False, True],
                           idler_detected=[True, False, False, True])
@@ -140,7 +153,7 @@ class TestTruthCsv:
         assert b",-1,7,0,1\r\n" in new and b",5,-1,1,0\r\n" in new
 
     def test_all_detected_flag_combinations(self, tmp_path):
-        truth = truth_log(4, signal_user=[2, 2, 2, 2], idler_user=[9, 9, 9, 9],
+        truth = truth_log(4, lengths=[4], signal_user=[2], idler_user=[9],
                           signal_detected=[False, False, True, True],
                           idler_detected=[False, True, False, True])
         new, ref = truth_bytes(tmp_path, truth)
@@ -157,19 +170,25 @@ class TestTruthCsv:
                                     b"2251799813685248", b"10000000000000000"]
 
     def test_many_users(self, tmp_path):
-        """User ids into the hundreds, too wide a range for the encoder's
-        lookup table, are written as the oracle writes them."""
+        """User ids into the hundreds, one run per row, are written as the
+        oracle writes them."""
         rng = np.random.default_rng(3)
         users = rng.integers(LOST, 500, size=(2, 3000)).astype(np.int32)
-        truth = truth_log(3000, signal_user=users[0], idler_user=users[1])
+        truth = truth_log(3000, lengths=np.ones(3000), signal_user=users[0],
+                          idler_user=users[1])
         new, ref = truth_bytes(tmp_path, truth)
         assert new == ref
 
-    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   3 * CHUNK_ROWS + 7])
     def test_chunk_boundaries(self, tmp_path, n):
-        new, ref = truth_bytes(tmp_path, truth_log(n, seed=n))
+        truth = truth_log(n, seed=n)
+        new, ref = truth_bytes(tmp_path, truth)
         assert new == ref
         assert new.count(b"\r\n") == n + 1
+        # a run crosses every chunk boundary inside the log
+        boundaries = np.arange(CHUNK_ROWS, n, CHUNK_ROWS)
+        assert not np.isin(boundaries, truth.first_row).any()
 
     def test_simulated_log(self, tmp_path):
         plan = build_plan(1, 3, ItuChannel(40))
