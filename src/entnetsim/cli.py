@@ -17,7 +17,8 @@ import warnings
 
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, with_overrides)
-from .report import FIGURES, FigureDataError, run_bundle, write_bundle
+from .report import (FIGURES, FigureDataError, check_figures, resolve_links,
+                     run_bundle, write_bundle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,6 +101,9 @@ def main(argv=None) -> int:
 
 def _run(args, cfg: ScenarioConfig, overrides: dict, figures: list) -> int:
     try:
+        plan = cfg.network_plan()
+        check_figures(plan, resolve_links(plan, cfg.links), cfg.duration_s,
+                      figures)
         t0 = time.perf_counter()
         bundle = run_bundle(cfg, collect_truth=args.dump_truth)
         wall = time.perf_counter() - t0

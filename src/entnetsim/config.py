@@ -3,20 +3,22 @@
 Every parameter has a default; an empty file reproduces the reference
 40-user scenario. Each default carries a provenance tag distinguishing
 measured hardware figures from calibration choices; the tags are emitted
-into the run metadata so the two are never silently conflated.
+into the run metadata so the two are never silently conflated. The range
+of each value, finite for a float, is checked by the constructor that
+takes it (build_plan and the dataclasses, whose defaults SCHEMA reuses);
+loading builds them once and names the key of a refused value.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from .doqkd import FrameConfig, QkdConfig
 from .photonics import (PS_PER_SECOND, DetectorConfig, DispersionConfig,
                         SourceConfig)
-from .plan import ItuChannel, NetworkPlan, build_plan
+from .plan import ItuChannel, NetworkPlan, ParameterError, build_plan
 from .sim import LossBudget, SystemConfig
 
 
@@ -38,32 +40,36 @@ SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
         "fiber_km": ("usermap", "reference", ((0, 1.0), (1, 2.0))),
     },
     "source": {
-        "pair_rate_hz": ("float", "calibration", 2.0e6),
-        "bandwidth_ghz": ("float", "reference", 100.0),
-        "correlation_jitter_ps": ("float", "calibration", 2.0),
+        "pair_rate_hz": ("float", "calibration", SourceConfig.pair_rate_hz),
+        "bandwidth_ghz": ("float", "reference", SourceConfig.bandwidth_ghz),
+        "correlation_jitter_ps": ("float", "calibration",
+                                  SourceConfig.correlation_jitter_ps),
     },
     "losses": {
-        "awg_db": ("float", "reference", 5.5),
-        "wdm_db": ("float", "reference", 0.5),
-        "splitter_db": ("float", "reference", 10.4),
-        "dispersion_db": ("float", "reference", 3.0),
-        "fiber_db_per_km": ("float", "calibration", 0.2),
-        "inter_extra_wdm_db": ("float", "reference", 0.5),
+        "awg_db": ("float", "reference", LossBudget.awg_db),
+        "wdm_db": ("float", "reference", LossBudget.wdm_db),
+        "splitter_db": ("float", "reference", LossBudget.splitter_db),
+        "dispersion_db": ("float", "reference",
+                          DispersionConfig.insertion_loss_db),
+        "fiber_db_per_km": ("float", "calibration", LossBudget.fiber_db_per_km),
+        "inter_extra_wdm_db": ("float", "reference",
+                               LossBudget.inter_extra_wdm_db),
     },
     "detector": {
-        "efficiency": ("float", "reference", 0.70),
-        "dark_rate_hz": ("float", "reference", 100.0),
-        "jitter_ps": ("float", "calibration", 30.0),
-        "dead_time_ps": ("int", "calibration", 50_000),
-        "dispersion_ps_per_nm": ("float", "reference", 1980.0),
+        "efficiency": ("float", "reference", DetectorConfig.efficiency),
+        "dark_rate_hz": ("float", "reference", DetectorConfig.dark_rate_hz),
+        "jitter_ps": ("float", "calibration", DetectorConfig.jitter_ps),
+        "dead_time_ps": ("int", "calibration", DetectorConfig.dead_time_ps),
+        "dispersion_ps_per_nm": ("float", "reference",
+                                 DispersionConfig.magnitude_ps_per_nm),
     },
     "qkd": {
-        "frame_length_ps": ("int", "calibration", 1024),
-        "bins_per_frame": ("int", "calibration", 8),
-        "guard_band_ps": ("int", "calibration", 40),
-        "beta": ("float", "calibration", 0.9),
-        "window_ps": ("int", "reference", 128),
-        "monitor_window_ps": ("int", "calibration", 4096),
+        "frame_length_ps": ("int", "calibration", FrameConfig.frame_length_ps),
+        "bins_per_frame": ("int", "calibration", FrameConfig.bins_per_frame),
+        "guard_band_ps": ("int", "calibration", FrameConfig.guard_band_ps),
+        "beta": ("float", "calibration", QkdConfig.beta),
+        "window_ps": ("int", "reference", QkdConfig.window_ps),
+        "monitor_window_ps": ("int", "calibration", QkdConfig.monitor_window_ps),
     },
     "run": {
         "duration_s": ("float", "runtime", 60.0),
@@ -71,6 +77,13 @@ SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
         "links": ("str", "runtime", "default"),
     },
 }
+
+# The config key of each constructor argument not named after its key;
+# every other argument is found by name in SCHEMA.
+ARGUMENT_KEYS = {"num_subnets": "network.subnets", "pump": "network.pump_channel",
+                 "valid_range": "network.channel_min",
+                 "magnitude_ps_per_nm": "detector.dispersion_ps_per_nm",
+                 "insertion_loss_db": "losses.dispersion_db"}
 
 LINK_SET_NAMES = ("default", "all", "fig3", "fig4", "figures")
 
@@ -203,76 +216,42 @@ def _parse_value(section: str, key: str, kind: str, raw: str):
     raise ConfigError(f"{path}: unknown field kind {kind}")
 
 
-def _validate(values: dict[str, dict[str, object]]) -> None:
-    def positive(section, key):
-        if values[section][key] <= 0:
-            raise ConfigError(f"{section}.{key}: must be positive")
+def _key_path(argument: str) -> str:
+    return ARGUMENT_KEYS.get(argument) or next(
+        f"{section}.{argument}" for section, body in SCHEMA.items()
+        if argument in body)
 
-    def non_negative(section, key):
-        if values[section][key] < 0:
-            raise ConfigError(f"{section}.{key}: must be >= 0")
 
-    net = values["network"]
-    if net["subnets"] < 1:
-        raise ConfigError("network.subnets: must be >= 1")
-    if net["subnet_size"] < 2:
-        raise ConfigError("network.subnet_size: must be >= 2")
-    if net["channel_min"] >= net["channel_max"]:
-        raise ConfigError("network.channel_min: must be below channel_max")
-    if not net["channel_min"] <= net["pump_channel"] <= net["channel_max"]:
-        raise ConfigError("network.pump_channel: outside the channel range")
-    if net["pump_guard"] < 0:
-        raise ConfigError("network.pump_guard: must be >= 0")
-    n_users = net["subnets"] * net["subnet_size"]
-    for user, km in net["fiber_km"]:
+def _validate(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError naming the key of the first value a run cannot use.
+
+    Builds the plan, the system and the QKD settings, whose constructors
+    check every network, physics and qkd range; checked here is only what
+    no constructor sees: the fiber map's users and the run section.
+    """
+    try:
+        n_users = cfg.network_plan().num_users
+        cfg.system()
+        cfg.qkd()
+        ParameterError.check("duration_s", cfg.duration_s, 0)
+        ParameterError.check("seed", cfg.seed, 0)
+    except ParameterError as exc:
+        raise ConfigError(f"{_key_path(exc.name)}: {exc.rule}") from None
+    seen = set()
+    for user, _ in cfg.get("network", "fiber_km"):
         if not 0 <= user < n_users:
             raise ConfigError(f"network.fiber_km: user {user} not in 0..{n_users - 1}")
-        if km < 0:
-            raise ConfigError(f"network.fiber_km: negative length for user {user}")
+        if user in seen:
+            raise ConfigError(f"network.fiber_km: user {user} listed twice")
+        seen.add(user)
 
-    positive("source", "pair_rate_hz")
-    positive("source", "bandwidth_ghz")
-    non_negative("source", "correlation_jitter_ps")
-    for key in SCHEMA["losses"]:
-        non_negative("losses", key)
-    det = values["detector"]
-    if not 0.0 <= det["efficiency"] <= 1.0:
-        raise ConfigError("detector.efficiency: must be within [0, 1]")
-    non_negative("detector", "dark_rate_hz")
-    non_negative("detector", "jitter_ps")
-    non_negative("detector", "dead_time_ps")
-    non_negative("detector", "dispersion_ps_per_nm")
-
-    q = values["qkd"]
-    d = q["bins_per_frame"]
-    if d < 2 or d & (d - 1):
-        raise ConfigError("qkd.bins_per_frame: must be a power of two >= 2")
-    if q["frame_length_ps"] <= 0 or q["frame_length_ps"] % d:
-        raise ConfigError("qkd.frame_length_ps: must be a positive multiple"
-                          " of bins_per_frame")
-    bin_width = q["frame_length_ps"] // d
-    if not 0 <= q["guard_band_ps"] < bin_width / 2:
-        raise ConfigError("qkd.guard_band_ps: must lie in [0, bin_width/2)")
-    positive("qkd", "window_ps")
-    positive("qkd", "monitor_window_ps")
-    if not 0.0 < q["beta"] <= 1.0:
-        raise ConfigError("qkd.beta: must be in (0, 1]")
-
-    run = values["run"]
-    duration_s = run["duration_s"]
-    if not math.isfinite(duration_s):
-        raise ConfigError("run.duration_s: must be finite")
-    if duration_s < 0:
-        raise ConfigError("run.duration_s: must be >= 0")
-    if round(duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
+    if round(cfg.duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
         raise ConfigError(
             f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
             " float64 picosecond times are exact only up to 2**53 ps")
-    if run["seed"] < 0:
-        raise ConfigError("run.seed: must be >= 0")
-    if run["links"] not in LINK_SET_NAMES:
+    if cfg.links not in LINK_SET_NAMES:
         try:
-            links = parse_link_list(run["links"])
+            links = parse_link_list(cfg.links)
         except ValueError:
             raise ConfigError(
                 f"run.links: expected one of {', '.join(LINK_SET_NAMES)} or a"
@@ -323,8 +302,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
                 raise ConfigError(f"unknown key {section}.{key}")
             kind = SCHEMA[section][key][0]
             values[section][key] = _parse_value(section, key, kind, raw)
-    _validate(values)
-    return ScenarioConfig(values=values)
+    cfg = ScenarioConfig(values=values)
+    _validate(cfg)
+    return cfg
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -350,5 +330,5 @@ def with_overrides(cfg: ScenarioConfig, **run_overrides) -> ScenarioConfig:
     if run_overrides.get("direct_detection"):
         values["detector"]["dispersion_ps_per_nm"] = 0.0
     new = ScenarioConfig(values=values)
-    _validate(new.values)
+    _validate(new)
     return new

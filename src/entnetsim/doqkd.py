@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import LinkWindow, match_coincidences
+from .plan import ParameterError
 
 DISCARD_REASONS = ("basis_mismatch", "guard_band", "frame_mismatch",
                    "multi_event_frame")
@@ -42,12 +43,12 @@ class FrameConfig:
     def __post_init__(self):
         d = self.bins_per_frame
         if d < 2 or d & (d - 1):
-            raise ValueError("bins_per_frame must be a power of two >= 2")
-        if self.frame_length_ps % d:
-            raise ValueError("frame_length_ps must be an exact multiple of"
-                             " bins_per_frame")
-        if not 0 <= self.guard_band_ps < self.bin_width_ps / 2:
-            raise ValueError("guard_band_ps must lie in [0, bin_width/2)")
+            raise ParameterError("bins_per_frame", "must be a power of two >= 2")
+        if self.frame_length_ps <= 0 or self.frame_length_ps % d:
+            raise ParameterError("frame_length_ps", "must be a positive"
+                                 " multiple of bins_per_frame")
+        ParameterError.check("guard_band_ps", self.guard_band_ps, 0,
+                             self.bin_width_ps / 2, high_open=True)
 
     @property
     def bin_width_ps(self) -> int:
@@ -316,10 +317,9 @@ class QkdConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        if self.window_ps <= 0 or self.monitor_window_ps <= 0:
-            raise ValueError("coincidence windows must be positive")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
+        for name in ("window_ps", "monitor_window_ps"):
+            ParameterError.check(name, getattr(self, name), 0, low_open=True)
+        ParameterError.check("beta", self.beta, 0, 1, low_open=True)
 
 
 def monitor_deltas(link: LinkWindow, monitor_window_ps: int) -> np.ndarray:

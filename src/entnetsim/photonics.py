@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .plan import ItuChannel, SPEED_OF_LIGHT_NM_THZ
+from .plan import ItuChannel, ParameterError, SPEED_OF_LIGHT_NM_THZ
 
 PS_PER_SECOND = 1e12
 
@@ -36,12 +36,9 @@ class SourceConfig:
     correlation_jitter_ps: float = 2.0
 
     def __post_init__(self):
-        if self.pair_rate_hz <= 0:
-            raise ValueError("pair_rate_hz must be positive")
-        if self.bandwidth_ghz <= 0:
-            raise ValueError("bandwidth_ghz must be positive")
-        if self.correlation_jitter_ps < 0:
-            raise ValueError("correlation_jitter_ps must be >= 0")
+        ParameterError.check("pair_rate_hz", self.pair_rate_hz, 0, low_open=True)
+        ParameterError.check("bandwidth_ghz", self.bandwidth_ghz, 0, low_open=True)
+        ParameterError.check("correlation_jitter_ps", self.correlation_jitter_ps, 0)
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,9 @@ class DetectorConfig:
     dead_time_ps: int = 50_000
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be within [0, 1]")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.jitter_ps < 0:
-            raise ValueError("jitter_ps must be >= 0")
-        if self.dead_time_ps < 0:
-            raise ValueError("dead_time_ps must be >= 0")
+        ParameterError.check("efficiency", self.efficiency, 0, 1)
+        for name in ("dark_rate_hz", "jitter_ps", "dead_time_ps"):
+            ParameterError.check(name, getattr(self, name), 0)
 
 
 NORMAL = +1
@@ -76,10 +68,8 @@ class DispersionConfig:
     insertion_loss_db: float = 3.0
 
     def __post_init__(self):
-        if self.magnitude_ps_per_nm < 0:
-            raise ValueError("magnitude_ps_per_nm must be >= 0")
-        if self.insertion_loss_db < 0:
-            raise ValueError("insertion_loss_db must be >= 0")
+        ParameterError.check("magnitude_ps_per_nm", self.magnitude_ps_per_nm, 0)
+        ParameterError.check("insertion_loss_db", self.insertion_loss_db, 0)
 
 
 def db_to_transmittance(loss_db: float) -> float:

@@ -12,6 +12,7 @@ one-channel-pair-per-link design would burn.
 from __future__ import annotations
 
 import csv
+import math
 import string
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -24,12 +25,34 @@ SPEED_OF_LIGHT_NM_THZ = 299792.458  # c in nm*THz
 DEFAULT_CHANNEL_RANGE = (21, 59)
 
 
+class ParameterError(ValueError):
+    """An argument out of range: `name` is the argument, `rule` the
+    condition it breaks."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name}: {rule}")
+        self.name, self.rule = name, rule
+
+    @classmethod
+    def check(cls, name: str, value, low, high=math.inf, *,
+              low_open: bool = False, high_open: bool = False) -> None:
+        """Raise `cls` naming `name` unless `value` is finite and lies
+        between low and high; each end is closed unless marked open."""
+        if not (-math.inf < value < math.inf
+                and (low < value if low_open else low <= value)
+                and (value < high if high_open else value <= high)):
+            interval = (f"{'(' if low_open else '['}{low:g}, {high:g}"
+                        f"{')' if high_open else ']'}")
+            raise cls(name, f"must be finite and in {interval}, got {value!r}")
+
+
 class ChannelRangeError(ValueError):
     """Channel index outside the configured grid range."""
 
 
-class CapacityError(ValueError):
-    """Not enough grid channels around the pump for the requested plan."""
+class CapacityError(ParameterError):
+    """Not enough grid channels around the pump for the requested plan;
+    named after num_subnets, the count that sets the plan's reach."""
 
 
 class UnknownUserError(KeyError):
@@ -177,20 +200,23 @@ def build_plan(num_subnets: int, subnet_size: int, pump: ItuChannel,
     1..K, resource i serving subnet i-1); inter resources take the next
     K*(K-1)/2 pairs outward, assigned to unordered subnet pairs in
     lexicographic order. For subnet pair (a, b) with a < b the signal
-    (higher-index) channel is multiplexed toward subnet a.
+    (higher-index) channel is multiplexed toward subnet a. Raises
+    ParameterError naming an argument out of range (CapacityError when
+    the plan does not fit the grid).
     """
-    if num_subnets < 1:
-        raise ValueError("need at least one subnet")
-    if subnet_size < 2:
-        raise ValueError("need at least two users per subnet")
-    if pump_guard < 0:
-        raise ValueError("pump_guard must be >= 0")
+    ParameterError.check("num_subnets", num_subnets, 1)
+    ParameterError.check("subnet_size", subnet_size, 2)
+    ParameterError.check("pump_guard", pump_guard, 0)
+    lo, hi = valid_range
+    if lo >= hi:
+        raise ParameterError("valid_range", f"C{lo}..C{hi} is empty")
+    ParameterError.check("pump", pump.index, lo, hi)
 
     total_pairs = num_subnets * (num_subnets + 1) // 2
     reach = pump_guard + total_pairs
-    lo, hi = valid_range
     if pump.index - reach < lo or pump.index + reach > hi:
         raise CapacityError(
+            "num_subnets",
             f"{total_pairs} channel pairs beyond a {pump_guard}-channel pump"
             f" guard need grid indices C{pump.index - reach}.."
             f"C{pump.index + reach}, but the valid range is C{lo}..C{hi}")

@@ -30,7 +30,6 @@ from .rates import expected_singles_rate, monitor_expected_iqr_ps
 from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
 
-FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
 # figures CLI run (87.45M expected tags) peaked at 1051456 kB ru_maxrss
 # in the process that runs run_scenario and 597484 kB in its pass-2
@@ -46,7 +45,8 @@ JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 
 class FigureDataError(ValueError):
-    """A figure was requested whose links are missing from the bundle."""
+    """A figure was requested that the run's links or duration cannot
+    give."""
 
 
 def representative_users(plan: NetworkPlan) -> list[int]:
@@ -71,6 +71,13 @@ def first_pair_links(plan: NetworkPlan) -> list[tuple[int, int]]:
     """One intra pair per subnet: its first two users."""
     return [(plan.subnet_users(s)[0], plan.subnet_users(s)[1])
             for s in range(plan.num_subnets)]
+
+
+# Each figure's links, as emit_figure_data describes them.
+FIGURE_LINKS = {"fig3a": first_pair_links, "fig3b": inter_rep_links,
+                "fig4a": lambda plan: intra_subnet_links(plan, 0),
+                "fig4b": inter_rep_links}
+FIGURES = tuple(FIGURE_LINKS)
 
 
 def resolve_links(plan: NetworkPlan, selector: str) -> list[tuple[int, int]]:
@@ -190,8 +197,34 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 # ---------------------------------------------------------------------------
 # figure-shaped CSV data
 
+def _figure_links(plan: NetworkPlan, figure: str) -> list[tuple[int, int]]:
+    if figure not in FIGURE_LINKS:
+        raise FigureDataError(
+            f"unknown figure {figure!r}; expected one of {FIGURES}")
+    return FIGURE_LINKS[figure](plan)
+
+
+def check_figures(plan: NetworkPlan, links, duration_s: float, figures) -> None:
+    """Raise FigureDataError unless each figure's links (FIGURE_LINKS) are
+    among the run's links, and a key-rate figure (fig4a, fig4b) has a run
+    duration above 0, without which no link has a key report."""
+    have = set(links)
+    for figure in figures:
+        missing = [f"{ua}-{ub}" for (ua, ub) in _figure_links(plan, figure)
+                   if (ua, ub) not in have]
+        if missing:
+            raise FigureDataError(
+                f"{figure} needs links absent from this run: {', '.join(missing)}"
+                " (run with --links figures or --links all)")
+        if figure.startswith("fig4") and duration_s <= 0:
+            raise FigureDataError(
+                f"{figure} needs key rates, which a run.duration_s of 0 does"
+                " not give")
+
+
 def emit_figure_data(bundle: ReportBundle, figure: str) -> list[list]:
-    """Rows (including header) for one figure-shaped CSV.
+    """Rows (including header) for one figure-shaped CSV; check_figures
+    says whether the bundle holds the figure's links.
 
     fig3a/fig3b: per-link delay histograms (one intra pair per subnet /
     the representative inter pairs). fig4a: secure key rate of every link
@@ -200,63 +233,27 @@ def emit_figure_data(bundle: ReportBundle, figure: str) -> list[list]:
     letter pairs.
     """
     plan = bundle.plan
-    if figure == "fig3a":
-        wanted = first_pair_links(plan)
-        _require_links(bundle, wanted, figure)
-        rows = [["subnet", "user_a", "user_b", "delay_ps", "counts"]]
+    wanted = _figure_links(plan, figure)
+    if figure.startswith("fig3"):
+        rows = [["subnet" if figure == "fig3a" else "link",
+                 "user_a", "user_b", "delay_ps", "counts"]]
         for (ua, ub) in wanted:
             hist = bundle.histograms[(ua, ub)]
-            label = subnet_label(plan.subnet_of(ua))
+            label = (subnet_label(plan.subnet_of(ua)) if figure == "fig3a"
+                     else _pair_label(plan, ua, ub))
             for d, c in zip(hist.delays_ps(), hist.counts):
                 rows.append([label, ua, ub, int(d), int(c)])
         return rows
-    if figure == "fig3b":
-        wanted = inter_rep_links(plan)
-        _require_links(bundle, wanted, figure)
-        rows = [["link", "user_a", "user_b", "delay_ps", "counts"]]
-        for (ua, ub) in wanted:
-            hist = bundle.histograms[(ua, ub)]
-            label = _pair_label(plan, ua, ub)
-            for d, c in zip(hist.delays_ps(), hist.counts):
-                rows.append([label, ua, ub, int(d), int(c)])
-        return rows
-    if figure == "fig4a":
-        wanted = intra_subnet_links(plan, 0)
-        _require_links(bundle, wanted, figure)
-        rows = [["link", "user_a", "user_b", "secure_rate_bps"]]
-        for idx, (ua, ub) in enumerate(wanted, start=1):
-            rows.append([idx, ua, ub,
-                         repr(bundle.key_reports[(ua, ub)].secure_rate_bps)])
-        return rows
-    if figure == "fig4b":
-        wanted = inter_rep_links(plan)
-        _require_links(bundle, wanted, figure)
-        rows = [["link", "user_a", "user_b", "secure_rate_bps"]]
-        for (ua, ub) in wanted:
-            rows.append([_pair_label(plan, ua, ub), ua, ub,
-                         repr(bundle.key_reports[(ua, ub)].secure_rate_bps)])
-        return rows
-    raise FigureDataError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    rows = [["link", "user_a", "user_b", "secure_rate_bps"]]
+    for idx, (ua, ub) in enumerate(wanted, start=1):
+        label = idx if figure == "fig4a" else _pair_label(plan, ua, ub)
+        rows.append([label, ua, ub,
+                     repr(bundle.key_reports[(ua, ub)].secure_rate_bps)])
+    return rows
 
 
 def _pair_label(plan: NetworkPlan, ua: int, ub: int) -> str:
     return subnet_label(plan.subnet_of(ua)) + subnet_label(plan.subnet_of(ub))
-
-
-def _require_links(bundle: ReportBundle, wanted, figure: str) -> None:
-    have = set(bundle.histograms)
-    missing = [f"{ua}-{ub}" for (ua, ub) in wanted if (ua, ub) not in have]
-    if missing:
-        raise FigureDataError(
-            f"{figure} needs links absent from this bundle: {', '.join(missing)}"
-            " (run with --links figures or --links all)")
-    if figure.startswith("fig4"):
-        missing = [f"{ua}-{ub}" for (ua, ub) in wanted
-                   if (ua, ub) not in bundle.key_reports]
-        if missing:
-            raise FigureDataError(
-                f"{figure} needs key reports absent from this bundle:"
-                f" {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +312,12 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
                  dump_tags: bool = False, dump_truth: bool = False) -> list[str]:
     """Write the artifact bundle; returns the relative paths written.
 
-    timing.json holds wall_time_s and, under write_s, the seconds each
-    other file took to write, keyed by its relative path.
+    Raises FigureDataError before writing anything when a requested
+    figure is one the bundle cannot give (check_figures). timing.json
+    holds wall_time_s and, under write_s, the seconds each other file took
+    to write, keyed by its relative path.
     """
+    check_figures(bundle.plan, bundle.links, bundle.config.duration_s, figures)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     write_s = {}

@@ -63,7 +63,7 @@ from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
                         PS_PER_SECOND)
-from .plan import NetworkPlan, ChannelPair
+from .plan import NetworkPlan, ChannelPair, ParameterError
 
 FIBER_DELAY_PS_PER_KM = 5_000_000  # 5 us of group delay per km
 PATH_NAMES = ("normal", "anomalous")
@@ -71,8 +71,8 @@ PATH_SIGNS = (NORMAL, ANOMALOUS)
 LOST = -1
 
 
-class ScenarioConfigError(ValueError):
-    """Inconsistent scenario configuration; message lists offending fields."""
+class ScenarioConfigError(ParameterError):
+    """A scenario argument out of range; `name` is the argument."""
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,13 @@ class LossBudget:
     fiber_km: dict[int, float] = field(default_factory=lambda: {0: 1.0, 1: 2.0})
 
     def __post_init__(self):
-        bad = [name for name in ("awg_db", "wdm_db", "splitter_db",
-                                 "fiber_db_per_km", "inter_extra_wdm_db")
-               if getattr(self, name) < 0]
-        bad += [f"fiber_km[{u}]" for u, km in self.fiber_km.items() if km < 0]
-        if bad:
-            raise ScenarioConfigError(f"negative loss entries: {', '.join(bad)}")
+        for name in ("awg_db", "wdm_db", "splitter_db", "fiber_db_per_km",
+                     "inter_extra_wdm_db"):
+            ScenarioConfigError.check(name, getattr(self, name), 0)
+        for user, km in self.fiber_km.items():
+            if not 0 <= km < math.inf:
+                raise ScenarioConfigError("fiber_km", f"user {user}: must be"
+                                          f" finite and >= 0, got {km!r}")
 
     def user_fiber_km(self, user: int) -> float:
         return self.fiber_km.get(user, 0.0)
@@ -641,8 +642,7 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     any exit every worker still running is killed and every worker is
     reaped, so none outlives the call.
     """
-    if duration_s < 0:
-        raise ScenarioConfigError("run.duration_s: must be >= 0")
+    ScenarioConfigError.check("duration_s", duration_s, 0)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
     if selected_users is None:
         selected = list(plan.users())

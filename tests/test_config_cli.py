@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,6 +23,35 @@ from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
 from entnetsim.sim import SystemConfig
 
 import helpers
+
+# One out-of-range value for each SCHEMA key with a range of its own;
+# channel_max is bounded only through channel_min and the pump channel.
+OUT_OF_RANGE = {
+    "network.subnets": "0", "network.subnet_size": "1",
+    "network.pump_channel": "70", "network.channel_min": "60",
+    "network.pump_guard": "-1", "network.fiber_km": "0:-1",
+    "source.pair_rate_hz": "0", "source.bandwidth_ghz": "0",
+    "source.correlation_jitter_ps": "-1",
+    **{f"losses.{key}": "-1" for key in SCHEMA["losses"]},
+    "detector.efficiency": "1.5", "detector.dark_rate_hz": "-1",
+    "detector.jitter_ps": "-1", "detector.dead_time_ps": "-1",
+    "detector.dispersion_ps_per_nm": "-1",
+    "qkd.frame_length_ps": "1028", "qkd.bins_per_frame": "6",
+    "qkd.guard_band_ps": "64", "qkd.beta": "0", "qkd.window_ps": "0",
+    "qkd.monitor_window_ps": "0",
+    "run.duration_s": "-1", "run.seed": "-1", "run.links": "0-99",
+}
+FLOAT_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
+              for key, spec in body.items() if spec[0] in ("float", "usermap")]
+
+
+def one_key_ini(path: str, raw: str) -> str:
+    section, key = path.split(".")
+    return f"[{section}]\n{key} = {raw}\n"
+
+
+def no_simulation(*args, **kwargs):
+    raise AssertionError("run_scenario was called")
 
 
 class TestParseConfig:
@@ -82,6 +112,28 @@ class TestParseConfig:
     def test_guard_band_vs_bin_width(self):
         with pytest.raises(ConfigError, match="qkd.guard_band_ps"):
             parse_config_text("[qkd]\nguard_band_ps = 64\n")
+
+    def test_every_key_with_a_range_listed(self):
+        assert set(OUT_OF_RANGE) == set(provenance()) - {"network.channel_max"}
+
+    @pytest.mark.parametrize("path", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_names_its_key(self, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
+            parse_config_text(one_key_ini(path, OUT_OF_RANGE[path]))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", FLOAT_KEYS)
+    def test_non_finite_value_names_its_key(self, path, value):
+        raw = f"0:{value}" if path == "network.fiber_km" else value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
+            parse_config_text(one_key_ini(path, raw))
+
+    def test_user_listed_twice_in_fiber_map(self):
+        """resolved_config would keep the last length while config_hash
+        hashes both entries."""
+        with pytest.raises(ConfigError,
+                           match=r"^network\.fiber_km: user 0 listed twice"):
+            parse_config_text("[network]\nfiber_km = 0:1.0, 0:3.0\n")
 
     def test_provenance_covers_every_key(self):
         tags = provenance()
@@ -283,17 +335,48 @@ class TestCliErrors:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ini, field", [
+        ("[detector]\njitter_ps = nan\n", "detector.jitter_ps"),
+        ("[network]\nfiber_km = 0:nan\n", "network.fiber_km"),
+        ("[network]\nsubnets = 10\n", "network.subnets"),
+        ("[network]\nchannel_min = 30\n", "network.subnets"),
+    ])
+    def test_unusable_value_exit_2(self, tmp_path, capsys, ini, field):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = run_cli("--config", str(cfg), "--out", str(out),
+                       "--duration", "0.01")
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         code = run_cli("--config", str(tmp_path / "none.ini"),
                        "--out", str(tmp_path / "o"))
         assert code == 2
 
-    def test_figure_without_links_exit_2(self, tmp_path, capsys):
-        code = run_cli("--out", str(tmp_path / "o"), "--duration", "0.1",
+    def test_figure_without_links_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(report, "run_scenario", no_simulation)
+        out = tmp_path / "o"
+        code = run_cli("--out", str(out), "--duration", "0.1",
                        "--links", "default", "--emit", "fig3a")
         assert code == 2
         err = capsys.readouterr().err
         assert "fig3a" in err and "8-9" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["fig4a", "fig4b"])
+    def test_key_rate_figure_without_duration_exit_2(self, tmp_path, capsys,
+                                                     monkeypatch, figure):
+        monkeypatch.setattr(report, "run_scenario", no_simulation)
+        out = tmp_path / "o"
+        code = run_cli("--out", str(out), "--duration", "0",
+                       "--links", "figures", "--emit", figure)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert figure in err and "run.duration_s" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "10000"])
     def test_inexact_duration_exit_2(self, tmp_path, capsys, duration):
@@ -305,9 +388,6 @@ class TestCliErrors:
 
     def test_run_too_big_for_memory_exit_2(self, tmp_path, capsys,
                                            monkeypatch):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated a run that does not fit")
-
         monkeypatch.setattr(report, "physical_memory_bytes", lambda: 10**6)
         monkeypatch.setattr(report, "run_scenario", no_simulation)
         out = tmp_path / "o"
@@ -449,6 +529,14 @@ class TestFigureEmission:
         bundle = run_bundle(cfg)
         with pytest.raises(FigureDataError):
             emit_figure_data(bundle, "fig9z")
+
+    def test_write_bundle_checks_figures_first(self, tmp_path):
+        cfg = with_overrides(default_config(), duration_s=0.05, links="0-1")
+        bundle = run_bundle(cfg)
+        out = tmp_path / "o"
+        with pytest.raises(FigureDataError, match="fig4a needs links"):
+            write_bundle(bundle, str(out), wall_time_s=0.0, figures=["fig4a"])
+        assert not out.exists()
 
 
 class TestLinkReport:

@@ -65,6 +65,13 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             FrameConfig(guard_band_ps=64)
 
+    @pytest.mark.parametrize("cls, name", [
+        (FrameConfig, "frame_length_ps"), (QkdConfig, "window_ps"),
+        (QkdConfig, "monitor_window_ps")])
+    def test_zero_length_names_its_argument(self, cls, name):
+        with pytest.raises(ValueError, match=rf"^{name}:"):
+            cls(**{name: 0})
+
 
 class TestBinEncode:
     def test_tag_zero_guarded_boundary(self):
