@@ -43,10 +43,7 @@ def measure(duration_s: float, seed: int, repeat: int, truth: bool) -> dict:
 
     cfg = config.with_overrides(config.default_config(), seed=seed,
                                 duration_s=duration_s, links="figures")
-    plan = cfg.network_plan()
-    users = sorted({u for link in report.resolve_links(plan, cfg.links)
-                    for u in link})
-    sys_cfg = cfg.system()
+    plan, sys_cfg, users = cfg.network_plan(), cfg.system(), cfg.selected_users
     best = float("inf")
     for _ in range(repeat):
         before = usage()

@@ -15,10 +15,10 @@ import sys
 import time
 import warnings
 
-from .config import (ConfigError, ScenarioConfig, default_config,
-                     parse_config, with_overrides)
-from .report import (FIGURES, FigureDataError, check_figures, resolve_links,
-                     run_bundle, write_bundle)
+from .config import (ConfigError, ScenarioConfig, override_map, parse_config,
+                     parse_config_text)
+from .report import (FIGURES, FigureDataError, check_figures, run_bundle,
+                     write_bundle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,20 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple[ScenarioConfig, dict]:
-    cfg = parse_config(args.config) if args.config else default_config()
-    overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if args.duration is not None:
-        overrides["run.duration_s"] = args.duration
-    if args.links is not None:
-        overrides["run.links"] = args.links
-    if args.direct_detection:
-        overrides["detector.dispersion_ps_per_nm"] = 0.0
-    cfg = with_overrides(cfg, seed=args.seed, duration_s=args.duration,
-                         links=args.links,
-                         direct_detection=args.direct_detection)
-    return cfg, overrides
+    """The run, resolved once, and the flags' overrides (cli_overrides)."""
+    overrides = override_map(seed=args.seed, duration_s=args.duration,
+                             links=args.links,
+                             direct_detection=args.direct_detection)
+    if args.config:
+        return parse_config(args.config, overrides), overrides
+    return parse_config_text("", overrides=overrides), overrides
 
 
 def main(argv=None) -> int:
@@ -101,9 +94,7 @@ def main(argv=None) -> int:
 
 def _run(args, cfg: ScenarioConfig, overrides: dict, figures: list) -> int:
     try:
-        plan = cfg.network_plan()
-        check_figures(plan, resolve_links(plan, cfg.links), cfg.duration_s,
-                      figures)
+        check_figures(cfg, figures)
         t0 = time.perf_counter()
         bundle = run_bundle(cfg, collect_truth=args.dump_truth)
         wall = time.perf_counter() - t0

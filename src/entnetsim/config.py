@@ -5,20 +5,24 @@ Every parameter has a default; an empty file reproduces the reference
 measured hardware figures from calibration choices; the tags are emitted
 into the run metadata so the two are never silently conflated. The range
 of each value, finite for a float, is checked by the constructor that
-takes it (build_plan and the dataclasses, whose defaults SCHEMA reuses);
-loading builds them once and names the key of a refused value.
+takes it (build_plan and the dataclasses, whose defaults SCHEMA reuses).
+A ScenarioConfig is a resolved run: constructing one builds the plan,
+the system and the QKD settings and resolves the link set once, and
+names the key of a refused value.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import combinations
 
 from .doqkd import FrameConfig, QkdConfig
 from .photonics import (PS_PER_SECOND, DetectorConfig, DispersionConfig,
                         SourceConfig)
-from .plan import ItuChannel, NetworkPlan, ParameterError, build_plan
+from .plan import (DEFAULT_CHANNEL_RANGE, DEFAULT_PUMP_GUARD, ItuChannel,
+                   NetworkPlan, ParameterError, build_plan)
 from .sim import LossBudget, SystemConfig
 
 
@@ -34,10 +38,11 @@ SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
         "subnets": ("int", "reference", 5),
         "subnet_size": ("int", "reference", 8),
         "pump_channel": ("int", "reference", 40),
-        "channel_min": ("int", "reference", 21),
-        "channel_max": ("int", "reference", 59),
-        "pump_guard": ("int", "reference", 4),
-        "fiber_km": ("usermap", "reference", ((0, 1.0), (1, 2.0))),
+        "channel_min": ("int", "reference", DEFAULT_CHANNEL_RANGE[0]),
+        "channel_max": ("int", "reference", DEFAULT_CHANNEL_RANGE[1]),
+        "pump_guard": ("int", "reference", DEFAULT_PUMP_GUARD),
+        "fiber_km": ("usermap", "reference",
+                     tuple(LossBudget().fiber_km.items())),
     },
     "source": {
         "pair_rate_hz": ("float", "calibration", SourceConfig.pair_rate_hz),
@@ -79,13 +84,11 @@ SCHEMA: dict[str, dict[str, tuple[str, str, object]]] = {
 }
 
 # The config key of each constructor argument not named after its key;
-# every other argument is found by name in SCHEMA.
+# every other argument is found by name in SCHEMA (_key_path).
 ARGUMENT_KEYS = {"num_subnets": "network.subnets", "pump": "network.pump_channel",
                  "valid_range": "network.channel_min",
                  "magnitude_ps_per_nm": "detector.dispersion_ps_per_nm",
                  "insertion_loss_db": "losses.dispersion_db"}
-
-LINK_SET_NAMES = ("default", "all", "fig3", "fig4", "figures")
 
 # Emission and arrival times are float64 picoseconds, which hold every
 # integer only up to 2**53 (about 9007 s).
@@ -94,54 +97,84 @@ MAX_DURATION_PS = 2**53
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs, resolved and validated."""
+    """A resolved run: the values, and the plan, system, QKD settings and
+    link set built from them once, by the constructor.
+
+    The constructor raises ConfigError naming the key of a value the run
+    cannot use. The constructors of the plan, the system and the QKD
+    settings check every network, physics and qkd range; checked here is
+    only what none of them sees: the run section, and the users of the
+    fiber map and of the selected links, in one place.
+    """
 
     values: dict[str, dict[str, object]] = field(repr=False)
+    _plan: NetworkPlan = field(init=False, compare=False, repr=False)
+    _system: SystemConfig = field(init=False, compare=False, repr=False)
+    _qkd: QkdConfig = field(init=False, compare=False, repr=False)
+    # run.links resolved (resolve_links) as (user, user) tuples, and the
+    # users of those links, ascending: run_scenario's selected_users
+    selected_links: tuple = field(init=False, compare=False, repr=False)
+    selected_users: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        net = self.values["network"]
+        try:
+            plan = build_plan(net["subnets"], net["subnet_size"],
+                              ItuChannel(net["pump_channel"]),
+                              valid_range=(net["channel_min"], net["channel_max"]),
+                              pump_guard=net["pump_guard"])
+            system = SystemConfig(
+                source=self._build(SourceConfig),
+                detector=self._build(DetectorConfig),
+                dispersion=self._build(DispersionConfig),
+                losses=self._build(LossBudget, fiber_km=dict(net["fiber_km"])))
+            qkd = self._build(QkdConfig, frames=self._build(FrameConfig))
+            ParameterError.check("duration_s", self.duration_s, 0)
+            ParameterError.check("seed", self.seed, 0)
+        except ParameterError as exc:
+            raise ConfigError(f"{_key_path(exc.name)}: {exc.rule}") from None
+        if round(self.duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
+            raise ConfigError(
+                f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
+                " float64 picosecond times are exact only up to 2**53 ps")
+        try:
+            links = tuple(resolve_links(plan, self.links))
+        except ValueError:
+            raise ConfigError(
+                f"run.links: expected one of {', '.join(LINK_SETS)} or a"
+                " comma-separated list like 0-1,0-2") from None
+        users = tuple(sorted({u for link in links for u in link}))
+        fiber_users = [user for user, _ in net["fiber_km"]]
+        for key, listed in (("network.fiber_km", fiber_users), ("run.links", users)):
+            bad = [u for u in listed if not 0 <= u < plan.num_users]
+            if bad:
+                raise ConfigError(
+                    f"{key}: user {bad[0]} not in 0..{plan.num_users - 1}")
+        twice = [u for i, u in enumerate(fiber_users) if u in fiber_users[:i]]
+        if twice:
+            raise ConfigError(f"network.fiber_km: user {twice[0]} listed twice")
+        for name, value in (("_plan", plan), ("_system", system), ("_qkd", qkd),
+                            ("selected_links", links), ("selected_users", users)):
+            object.__setattr__(self, name, value)
+
+    def _build(self, cls, **given):
+        """cls with the given arguments, the rest read from their keys."""
+        for arg in fields(cls):
+            if arg.name not in given:
+                given[arg.name] = self.get(*_key_path(arg.name).split("."))
+        return cls(**given)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
 
-    # typed views -------------------------------------------------------
-
     def network_plan(self) -> NetworkPlan:
-        net = self.values["network"]
-        return build_plan(net["subnets"], net["subnet_size"],
-                          ItuChannel(net["pump_channel"]),
-                          valid_range=(net["channel_min"], net["channel_max"]),
-                          pump_guard=net["pump_guard"])
+        return self._plan
 
     def system(self) -> SystemConfig:
-        src = self.values["source"]
-        det = self.values["detector"]
-        los = self.values["losses"]
-        return SystemConfig(
-            source=SourceConfig(pair_rate_hz=src["pair_rate_hz"],
-                                bandwidth_ghz=src["bandwidth_ghz"],
-                                correlation_jitter_ps=src["correlation_jitter_ps"]),
-            detector=DetectorConfig(efficiency=det["efficiency"],
-                                    dark_rate_hz=det["dark_rate_hz"],
-                                    jitter_ps=det["jitter_ps"],
-                                    dead_time_ps=det["dead_time_ps"]),
-            dispersion=DispersionConfig(
-                magnitude_ps_per_nm=det["dispersion_ps_per_nm"],
-                insertion_loss_db=los["dispersion_db"]),
-            losses=LossBudget(awg_db=los["awg_db"], wdm_db=los["wdm_db"],
-                              splitter_db=los["splitter_db"],
-                              fiber_db_per_km=los["fiber_db_per_km"],
-                              inter_extra_wdm_db=los["inter_extra_wdm_db"],
-                              fiber_km=dict(self.values["network"]["fiber_km"])),
-        )
+        return self._system
 
     def qkd(self) -> QkdConfig:
-        q = self.values["qkd"]
-        return QkdConfig(
-            frames=FrameConfig(frame_length_ps=q["frame_length_ps"],
-                               bins_per_frame=q["bins_per_frame"],
-                               guard_band_ps=q["guard_band_ps"]),
-            window_ps=q["window_ps"],
-            monitor_window_ps=q["monitor_window_ps"],
-            beta=q["beta"],
-        )
+        return self._qkd
 
     @property
     def duration_s(self) -> float:
@@ -153,6 +186,7 @@ class ScenarioConfig:
 
     @property
     def links(self) -> str:
+        """The run.links selector; selected_links holds its links."""
         return self.values["run"]["links"]
 
     # serialization ------------------------------------------------------
@@ -222,46 +256,6 @@ def _key_path(argument: str) -> str:
         if argument in body)
 
 
-def _validate(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError naming the key of the first value a run cannot use.
-
-    Builds the plan, the system and the QKD settings, whose constructors
-    check every network, physics and qkd range; checked here is only what
-    no constructor sees: the fiber map's users and the run section.
-    """
-    try:
-        n_users = cfg.network_plan().num_users
-        cfg.system()
-        cfg.qkd()
-        ParameterError.check("duration_s", cfg.duration_s, 0)
-        ParameterError.check("seed", cfg.seed, 0)
-    except ParameterError as exc:
-        raise ConfigError(f"{_key_path(exc.name)}: {exc.rule}") from None
-    seen = set()
-    for user, _ in cfg.get("network", "fiber_km"):
-        if not 0 <= user < n_users:
-            raise ConfigError(f"network.fiber_km: user {user} not in 0..{n_users - 1}")
-        if user in seen:
-            raise ConfigError(f"network.fiber_km: user {user} listed twice")
-        seen.add(user)
-
-    if round(cfg.duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
-        raise ConfigError(
-            f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
-            " float64 picosecond times are exact only up to 2**53 ps")
-    if cfg.links not in LINK_SET_NAMES:
-        try:
-            links = parse_link_list(cfg.links)
-        except ValueError:
-            raise ConfigError(
-                f"run.links: expected one of {', '.join(LINK_SET_NAMES)} or a"
-                " comma-separated list like 0-1,0-2") from None
-        for user in (u for link in links for u in link):
-            if not 0 <= user < n_users:
-                raise ConfigError(
-                    f"run.links: user {user} not in 0..{n_users - 1}")
-
-
 def parse_link_list(text: str) -> list[tuple[int, int]]:
     """`A-B,C-D,...` as (min, max) user pairs in order of first mention; a
     pair given again, in either order, is dropped."""
@@ -279,13 +273,89 @@ def parse_link_list(text: str) -> list[tuple[int, int]]:
     return list(dict.fromkeys(links))
 
 
-def default_config() -> ScenarioConfig:
-    values = {section: {key: spec[2] for key, spec in body.items()}
-              for section, body in SCHEMA.items()}
+def representative_users(plan: NetworkPlan) -> list[int]:
+    """One user per subnet for the inter-subnet measurements: the first
+    user of each subnet (in the reference network, subnet A's first user
+    carries the 1 km fiber)."""
+    return [plan.subnet_users(s)[0] for s in range(plan.num_subnets)]
+
+
+def intra_subnet_links(plan: NetworkPlan, subnet: int) -> list[tuple[int, int]]:
+    """All user pairs of one subnet, in lexicographic order (the reference
+    labeling 1..28 for an 8-user subnet)."""
+    return list(combinations(plan.subnet_users(subnet), 2))
+
+
+def inter_rep_links(plan: NetworkPlan) -> list[tuple[int, int]]:
+    """The representative inter-subnet pairs, lexicographic: AB, AC, ..."""
+    return list(combinations(representative_users(plan), 2))
+
+
+def first_pair_links(plan: NetworkPlan) -> list[tuple[int, int]]:
+    """One intra pair per subnet: its first two users."""
+    return [(plan.subnet_users(s)[0], plan.subnet_users(s)[1])
+            for s in range(plan.num_subnets)]
+
+
+# Each figure's links, as report.emit_figure_data describes them.
+FIGURE_LINKS = {"fig3a": first_pair_links, "fig3b": inter_rep_links,
+                "fig4a": lambda plan: intra_subnet_links(plan, 0),
+                "fig4b": inter_rep_links}
+FIGURES = tuple(FIGURE_LINKS)
+
+
+# A link set is its figures' links (FIGURE_LINKS) in order, each once:
+# default and fig4 are the first subnet's intra links and the representative
+# inter links; fig3 one intra pair per subnet and the same inter links.
+# None (all) is every pair of users.
+LINK_SETS = {"default": ("fig4a", "fig4b"), "all": None,
+             "fig3": ("fig3a", "fig3b"), "fig4": ("fig4a", "fig4b"),
+             "figures": ("fig4a", "fig4b", "fig3a", "fig3b")}
+
+
+def resolve_links(plan: NetworkPlan, selector: str) -> list[tuple[int, int]]:
+    """A link-set name (LINK_SETS) or an explicit list (parse_link_list) as
+    ordered user pairs; ValueError for a selector that is neither."""
+    if selector not in LINK_SETS:
+        return parse_link_list(selector)
+    figures = LINK_SETS[selector]
+    if figures is None:
+        return list(combinations(plan.users(), 2))
+    return list(dict.fromkeys(link for figure in figures
+                              for link in FIGURE_LINKS[figure](plan)))
+
+
+def override_map(seed=None, duration_s=None, links=None,
+                 direct_detection=False) -> dict[str, object]:
+    """The config key -> value map of the run-level overrides given."""
+    overrides = {}
+    if seed is not None:
+        overrides["run.seed"] = int(seed)
+    if duration_s is not None:
+        overrides["run.duration_s"] = float(duration_s)
+    if links is not None:
+        overrides["run.links"] = str(links)
+    if direct_detection:
+        overrides["detector.dispersion_ps_per_nm"] = 0.0
+    return overrides
+
+
+def _resolve(values: dict, overrides: dict) -> ScenarioConfig:
+    """The run of a copy of values with overrides applied."""
+    values = {section: dict(body) for section, body in values.items()}
+    for path, value in overrides.items():
+        section, key = path.split(".")
+        values[section][key] = value
     return ScenarioConfig(values=values)
 
 
-def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
+def default_config() -> ScenarioConfig:
+    return parse_config_text("")
+
+
+def parse_config_text(text: str, source: str = "<string>",
+                      overrides: dict | None = None) -> ScenarioConfig:
+    """The run of config text with overrides (override_map) applied."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
@@ -302,33 +372,19 @@ def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
                 raise ConfigError(f"unknown key {section}.{key}")
             kind = SCHEMA[section][key][0]
             values[section][key] = _parse_value(section, key, kind, raw)
-    cfg = ScenarioConfig(values=values)
-    _validate(cfg)
-    return cfg
+    return _resolve(values, overrides or {})
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Load and validate a config file; every default resolved."""
+def parse_config(path, overrides: dict | None = None) -> ScenarioConfig:
+    """Load a config file as parse_config_text does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), overrides=overrides)
 
 
 def with_overrides(cfg: ScenarioConfig, **run_overrides) -> ScenarioConfig:
-    """A copy with run-level overrides applied (seed, duration_s, links,
-    direct_detection)."""
-    values = {section: dict(body) for section, body in cfg.values.items()}
-    if run_overrides.get("seed") is not None:
-        values["run"]["seed"] = int(run_overrides["seed"])
-    if run_overrides.get("duration_s") is not None:
-        values["run"]["duration_s"] = float(run_overrides["duration_s"])
-    if run_overrides.get("links") is not None:
-        values["run"]["links"] = str(run_overrides["links"])
-    if run_overrides.get("direct_detection"):
-        values["detector"]["dispersion_ps_per_nm"] = 0.0
-    new = ScenarioConfig(values=values)
-    _validate(new)
-    return new
+    """The run of cfg with override_map(**run_overrides) applied."""
+    return _resolve(cfg.values, override_map(**run_overrides))

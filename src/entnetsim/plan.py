@@ -23,6 +23,8 @@ GRID_STEP_THZ = 0.1
 SPEED_OF_LIGHT_NM_THZ = 299792.458  # c in nm*THz
 
 DEFAULT_CHANNEL_RANGE = (21, 59)
+# Grid slots reserved on each side of the pump (build_plan).
+DEFAULT_PUMP_GUARD = 4
 
 
 class ParameterError(ValueError):
@@ -190,7 +192,7 @@ def naive_channel_count(num_users: int) -> int:
 
 def build_plan(num_subnets: int, subnet_size: int, pump: ItuChannel,
                valid_range: tuple[int, int] = DEFAULT_CHANNEL_RANGE,
-               pump_guard: int = 4) -> NetworkPlan:
+               pump_guard: int = DEFAULT_PUMP_GUARD) -> NetworkPlan:
     """Construct the deterministic two-layer allocation.
 
     The pump_guard innermost grid slots on each side of the pump are

@@ -18,12 +18,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import islice
 
 from . import __version__
 from .analysis import (CorrelationHistogram, LinkReport, link_matrix,
                        write_histograms_csv, write_links_csv)
-from .config import ConfigError, ScenarioConfig, parse_link_list
+from .config import FIGURE_LINKS, FIGURES, ConfigError, ScenarioConfig, provenance
+from .config import resolve_links  # noqa: F401  (public as report.resolve_links)
 from .doqkd import KeyRateReport, analyze_link
 from .plan import NetworkPlan, subnet_label, write_plan_csv
 from .rates import expected_singles_rate, monitor_expected_iqr_ps
@@ -49,64 +50,9 @@ class FigureDataError(ValueError):
     give."""
 
 
-def representative_users(plan: NetworkPlan) -> list[int]:
-    """One user per subnet for the inter-subnet measurements: the first
-    user of each subnet (in the reference network, subnet A's first user
-    carries the 1 km fiber)."""
-    return [plan.subnet_users(s)[0] for s in range(plan.num_subnets)]
-
-
-def intra_subnet_links(plan: NetworkPlan, subnet: int) -> list[tuple[int, int]]:
-    """All user pairs of one subnet, in lexicographic order (the reference
-    labeling 1..28 for an 8-user subnet)."""
-    return list(combinations(plan.subnet_users(subnet), 2))
-
-
-def inter_rep_links(plan: NetworkPlan) -> list[tuple[int, int]]:
-    """The representative inter-subnet pairs, lexicographic: AB, AC, ..."""
-    return list(combinations(representative_users(plan), 2))
-
-
-def first_pair_links(plan: NetworkPlan) -> list[tuple[int, int]]:
-    """One intra pair per subnet: its first two users."""
-    return [(plan.subnet_users(s)[0], plan.subnet_users(s)[1])
-            for s in range(plan.num_subnets)]
-
-
-# Each figure's links, as emit_figure_data describes them.
-FIGURE_LINKS = {"fig3a": first_pair_links, "fig3b": inter_rep_links,
-                "fig4a": lambda plan: intra_subnet_links(plan, 0),
-                "fig4b": inter_rep_links}
-FIGURES = tuple(FIGURE_LINKS)
-
-
-def resolve_links(plan: NetworkPlan, selector: str) -> list[tuple[int, int]]:
-    """Expand a link-set name or explicit list into ordered user pairs.
-
-    default: the reference measurement set (all intra links of the first
-    subnet plus the representative inter links). fig3: one intra pair per
-    subnet plus the representative inter links. fig4: same as default.
-    figures: union of the fig3 and fig4 sets. all: every user pair.
-    """
-    if selector == "all":
-        return list(combinations(plan.users(), 2))
-    if selector in ("default", "fig4"):
-        return intra_subnet_links(plan, 0) + inter_rep_links(plan)
-    if selector == "fig3":
-        return first_pair_links(plan) + inter_rep_links(plan)
-    if selector == "figures":
-        base = intra_subnet_links(plan, 0) + inter_rep_links(plan)
-        extra = [l for l in first_pair_links(plan) if l not in base]
-        return base + extra
-    # config._validate has checked the list's users against the plan
-    return parse_link_list(selector)
-
-
 @dataclass
 class ReportBundle:
     config: ScenarioConfig
-    plan: NetworkPlan
-    links: list[tuple[int, int]]
     link_reports: list[LinkReport]
     key_reports: dict[tuple[int, int], KeyRateReport]
     histograms: dict[tuple[int, int], CorrelationHistogram]
@@ -117,6 +63,14 @@ class ReportBundle:
     def __post_init__(self):
         self._by_link = {(rep.user_a, rep.user_b): rep
                          for rep in self.link_reports}
+
+    @property
+    def plan(self) -> NetworkPlan:
+        return self.config.network_plan()
+
+    @property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        return self.config.selected_links
 
     @property
     def singles_counts(self) -> dict[tuple[int, int], int]:
@@ -142,13 +96,13 @@ def expected_tags(plan: NetworkPlan, sys_cfg: SystemConfig, users,
                             for u in users)
 
 
-def check_memory(plan: NetworkPlan, sys_cfg: SystemConfig, users,
-                 duration_s: float, collect_truth: bool = False) -> None:
+def check_memory(cfg: ScenarioConfig, collect_truth: bool = False) -> None:
     """Raise ConfigError naming run.duration_s when the run's
     expected_tags would need more than the host's physical memory at
     BYTES_PER_TAG a tag, or at BYTES_PER_TRUTH_TAG when the run collects
     the ground-truth log."""
-    tags = expected_tags(plan, sys_cfg, users, duration_s)
+    users, duration_s = cfg.selected_users, cfg.duration_s
+    tags = expected_tags(cfg.network_plan(), cfg.system(), users, duration_s)
     per_tag = BYTES_PER_TRUTH_TAG if collect_truth else BYTES_PER_TAG
     need, have = tags * per_tag, physical_memory_bytes()
     if need > have:
@@ -160,17 +114,14 @@ def check_memory(plan: NetworkPlan, sys_cfg: SystemConfig, users,
 
 
 def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle:
-    """Execute the full pipeline for the configured link set.
+    """Execute the full pipeline for the run's selected links.
 
     Raises ConfigError before any simulation when the run would not fit
     in physical memory (check_memory).
     """
-    plan = cfg.network_plan()
-    links = resolve_links(plan, cfg.links)
-    users = sorted({u for link in links for u in link})
-    sys_cfg = cfg.system()
-    qkd_cfg = cfg.qkd()
-    check_memory(plan, sys_cfg, users, cfg.duration_s, collect_truth)
+    plan, sys_cfg, qkd_cfg = cfg.network_plan(), cfg.system(), cfg.qkd()
+    links, users = cfg.selected_links, cfg.selected_users
+    check_memory(cfg, collect_truth)
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)
@@ -189,9 +140,9 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
                 windows[(ua, ub)], delays[ua], delays[ub], qkd_cfg,
                 cfg.duration_s, monitor_expected_ps=expected)
 
-    return ReportBundle(config=cfg, plan=plan, links=links,
-                        link_reports=link_reports, key_reports=key_reports,
-                        histograms=histograms, result=result)
+    return ReportBundle(config=cfg, link_reports=link_reports,
+                        key_reports=key_reports, histograms=histograms,
+                        result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +155,20 @@ def _figure_links(plan: NetworkPlan, figure: str) -> list[tuple[int, int]]:
     return FIGURE_LINKS[figure](plan)
 
 
-def check_figures(plan: NetworkPlan, links, duration_s: float, figures) -> None:
+def check_figures(cfg: ScenarioConfig, figures) -> None:
     """Raise FigureDataError unless each figure's links (FIGURE_LINKS) are
-    among the run's links, and a key-rate figure (fig4a, fig4b) has a run
-    duration above 0, without which no link has a key report."""
-    have = set(links)
+    among the run's selected links, and a key-rate figure (fig4a, fig4b)
+    has a run duration above 0, without which no link has a key report."""
+    have = set(cfg.selected_links)
     for figure in figures:
-        missing = [f"{ua}-{ub}" for (ua, ub) in _figure_links(plan, figure)
+        missing = [f"{ua}-{ub}" for (ua, ub) in
+                   _figure_links(cfg.network_plan(), figure)
                    if (ua, ub) not in have]
         if missing:
             raise FigureDataError(
                 f"{figure} needs links absent from this run: {', '.join(missing)}"
                 " (run with --links figures or --links all)")
-        if figure.startswith("fig4") and duration_s <= 0:
+        if figure.startswith("fig4") and cfg.duration_s <= 0:
             raise FigureDataError(
                 f"{figure} needs key rates, which a run.duration_s of 0 does"
                 " not give")
@@ -286,7 +238,6 @@ def _keyrates_payload(bundle: ReportBundle) -> dict:
 
 
 def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
-    from .config import provenance
     cfg = bundle.config
     return {
         "schema": "entnetsim-run-metadata/1",
@@ -295,7 +246,7 @@ def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
         "duration_s": cfg.duration_s,
         "links_requested": cfg.links,
         "n_links": len(bundle.links),
-        "n_users_selected": len({u for link in bundle.links for u in link}),
+        "n_users_selected": len(cfg.selected_users),
         "config_hash": cfg.config_hash(),
         "resolved_config": cfg.as_dict(),
         "parameter_provenance": provenance(),
@@ -317,7 +268,7 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     holds wall_time_s and, under write_s, the seconds each other file took
     to write, keyed by its relative path.
     """
-    check_figures(bundle.plan, bundle.links, bundle.config.duration_s, figures)
+    check_figures(bundle.config, figures)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     write_s = {}

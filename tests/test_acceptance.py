@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from entnetsim import ItuChannel, build_plan, naive_channel_count
-from entnetsim.config import default_config, with_overrides
+from entnetsim.config import (default_config, first_pair_links,
+                              inter_rep_links, intra_subnet_links,
+                              with_overrides)
 from entnetsim.doqkd import monitor_broadening, secure_key_rate
 from entnetsim.plan import verify_full_connectivity
 from entnetsim.rates import jitter_floor_iqr_ps
-from entnetsim.report import (first_pair_links, inter_rep_links,
-                              intra_subnet_links, run_bundle)
+from entnetsim.report import run_bundle
 from entnetsim._kernels import correlation_histogram, greedy_match
 
 import helpers

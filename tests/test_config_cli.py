@@ -1,6 +1,9 @@
 """Configuration parsing, CLI behavior, bundle outputs, reproducibility."""
 
+import collections
 import csv
+import inspect
+import itertools
 import json
 import os
 import re
@@ -12,15 +15,17 @@ from pathlib import Path
 import pytest
 
 from entnetsim.cli import main
-from entnetsim.config import (ConfigError, ScenarioConfig, default_config,
-                              parse_config, parse_config_text, provenance,
-                              with_overrides, SCHEMA)
-from entnetsim import report
+from entnetsim.config import (LINK_SETS, ConfigError, ScenarioConfig,
+                              default_config, parse_config, parse_config_text,
+                              provenance, with_overrides, SCHEMA)
+from entnetsim import cli, config, report
+from entnetsim import plan as plan_module
 from entnetsim.doqkd import QkdConfig
+from entnetsim.plan import DEFAULT_CHANNEL_RANGE, DEFAULT_PUMP_GUARD, build_plan
 from entnetsim.rates import expected_singles_rate
 from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
                               resolve_links, run_bundle, write_bundle)
-from entnetsim.sim import SystemConfig
+from entnetsim.sim import LossBudget, SystemConfig
 
 import helpers
 
@@ -104,6 +109,8 @@ class TestParseConfig:
     def test_explicit_link_list_accepted(self):
         cfg = parse_config_text("[run]\nlinks = 0-1, 3-2\n")
         assert resolve_links(cfg.network_plan(), cfg.links) == [(0, 1), (2, 3)]
+        assert cfg.selected_links == ((0, 1), (2, 3))
+        assert cfg.selected_users == (0, 1, 2, 3)
 
     def test_fiber_map_parsing(self):
         cfg = parse_config_text("[network]\nfiber_km = 0:1.5, 5:0.25\n")
@@ -135,6 +142,27 @@ class TestParseConfig:
                            match=r"^network\.fiber_km: user 0 listed twice"):
             parse_config_text("[network]\nfiber_km = 0:1.0, 0:3.0\n")
 
+    def test_network_defaults_from_their_owners(self):
+        """The channel range, pump guard and fiber lengths are the defaults
+        of build_plan and LossBudget; subnets, subnet size and pump channel
+        are the reference network's own values."""
+        net = default_config().values["network"]
+        plan_args = inspect.signature(build_plan).parameters
+        assert set(net) == {"subnets", "subnet_size", "pump_channel",
+                            "channel_min", "channel_max", "pump_guard",
+                            "fiber_km"}
+        assert ((net["channel_min"], net["channel_max"])
+                == DEFAULT_CHANNEL_RANGE == plan_args["valid_range"].default)
+        assert net["pump_guard"] == DEFAULT_PUMP_GUARD == plan_args[
+            "pump_guard"].default
+        assert dict(net["fiber_km"]) == LossBudget().fiber_km
+        assert (net["subnets"], net["subnet_size"], net["pump_channel"]) == (
+            5, 8, 40)
+
+    def test_default_config_hash(self):
+        assert default_config().config_hash() == (
+            "c593666e960c851754e168a5d3c85091809e93b083f05c41966beb767f711087")
+
     def test_provenance_covers_every_key(self):
         tags = provenance()
         for section, body in SCHEMA.items():
@@ -157,13 +185,24 @@ class TestParseConfig:
         assert cfg.get("detector", "dispersion_ps_per_nm") == 0.0
 
 
+INTRA_A = list(itertools.combinations(range(8), 2))
+INTER_REP = [(0, 8), (0, 16), (0, 24), (0, 32), (8, 16), (8, 24), (8, 32),
+             (16, 24), (16, 32), (24, 32)]
+FIRST_PAIRS = [(0, 1), (8, 9), (16, 17), (24, 25), (32, 33)]
+
+
 class TestResolveLinks:
     def test_named_sets(self, reference_plan):
-        assert len(resolve_links(reference_plan, "default")) == 38
-        assert len(resolve_links(reference_plan, "fig4")) == 38
-        assert len(resolve_links(reference_plan, "fig3")) == 15
-        assert len(resolve_links(reference_plan, "figures")) == 42
-        assert len(resolve_links(reference_plan, "all")) == 780
+        """Each named set's links, in order, as the reference network has
+        always resolved them."""
+        pinned = {"default": INTRA_A + INTER_REP, "fig4": INTRA_A + INTER_REP,
+                  "fig3": FIRST_PAIRS + INTER_REP,
+                  "figures": INTRA_A + INTER_REP + FIRST_PAIRS[1:],
+                  "all": list(itertools.combinations(range(40), 2))}
+        assert set(LINK_SETS) == set(pinned)
+        for name, links in pinned.items():
+            assert resolve_links(reference_plan, name) == links, name
+        assert [len(pinned[name]) for name in LINK_SETS] == [38, 780, 15, 38, 42]
 
     def test_default_set_composition(self, reference_plan):
         links = resolve_links(reference_plan, "default")
@@ -310,6 +349,38 @@ class TestCliRun:
         assert all(isinstance(s, float) and s >= 0 for s in write_s.values())
 
 
+class TestOneResolution:
+    """A CLI run builds the plan, the system and the QKD settings, and
+    resolves its links, once: in the one ScenarioConfig it makes."""
+
+    @pytest.mark.parametrize("ini", [None, "[run]\nseed = 3\n"])
+    def test_cli_run_builds_each_once(self, tmp_path, monkeypatch, ini):
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (plan_module, config, report, cli):
+            for name in ("build_plan", "resolve_links"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        for cls in (SystemConfig, QkdConfig):
+            monkeypatch.setattr(cls, "__init__",
+                                counted(cls.__name__, cls.__init__))
+        args = ["--out", str(tmp_path / "o"), "--duration", "0.02",
+                "--links", "figures", "--emit", "fig3a"]
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            args += ["--config", str(tmp_path / "run.ini")]
+        assert run_cli(*args) == 0
+        assert counts == {"build_plan": 1, "SystemConfig": 1, "QkdConfig": 1,
+                          "resolve_links": 1}
+
+
 class TestCliErrors:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -424,17 +495,16 @@ class TestCliErrors:
         assert "run.duration_s" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_memory_estimate(self, reference_plan, monkeypatch):
+    def test_memory_estimate(self, monkeypatch):
         """Only the estimate is computed here: no run is started."""
         monkeypatch.setattr(report, "physical_memory_bytes", lambda: 7 * 2**30)
-        sys_cfg = default_config().system()
         with pytest.raises(ConfigError, match="run.duration_s"):
-            check_memory(reference_plan, sys_cfg, [0, 1], 9007.19)
+            check_memory(with_overrides(default_config(), links="0-1",
+                                        duration_s=9007.19))
         for links, duration in (("figures", 1.5), ("all", 0.2),
                                 ("figures", 0.25), ("default", 60.0)):
-            users = {u for link in resolve_links(reference_plan, links)
-                     for u in link}
-            check_memory(reference_plan, sys_cfg, sorted(users), duration)
+            check_memory(with_overrides(default_config(), links=links,
+                                        duration_s=duration))
 
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "file"
@@ -540,6 +610,13 @@ class TestFigureEmission:
 
 
 class TestLinkReport:
+    def test_bundle_reads_its_run(self):
+        cfg = with_overrides(default_config(), duration_s=0.05,
+                             links="0-8,1-0")
+        bundle = run_bundle(cfg)
+        assert bundle.plan is cfg.network_plan()
+        assert bundle.links == cfg.selected_links == ((0, 8), (0, 1))
+
     def test_lookup_and_missing_link(self):
         cfg = with_overrides(default_config(), duration_s=0.05,
                              links="0-1,0-8")

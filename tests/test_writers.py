@@ -268,7 +268,7 @@ def test_histograms_csv_round_trip(tmp_path, monkeypatch):
     and gives the bytes of its old per-link file; a reversed link and a
     repeated one included."""
     links = [(0, 1), (5, 2), (0, 8), (0, 1), (9, 16)]
-    monkeypatch.setattr(report, "resolve_links", lambda plan, selector: links)
+    monkeypatch.setattr(config, "resolve_links", lambda plan, selector: links)
     cfg = config.with_overrides(config.default_config(), seed=5,
                                 duration_s=0.05)
     bundle = report.run_bundle(cfg)
