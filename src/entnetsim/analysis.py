@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from ._columns import CHUNK_ROWS, TextTable, encode_rows
-from .photonics import ContractViolation
+from .photonics import PS_PER_SECOND, ContractViolation
 from .plan import NetworkPlan, resource_for_link
 
 CAR_CAP = 1e9  # reported CAR when the accidental floor is exactly zero
@@ -448,7 +448,7 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
             for u in users}
     cands = _pool_candidates({u: full[u][0] for u in users}, offsets_ps, reach,
                              links)
-    duration_ps = int(round(duration_s * 1e12))
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
     reports = []
     histograms = {}
     windows = {}

@@ -93,8 +93,9 @@ def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
 
     Applies, in order: efficiency thinning, Gaussian timing jitter,
     rounding to integer picoseconds, dark-count injection (independent
-    Poisson process), clipping to [0, duration), dead-time pruning, and
-    removal of exact duplicate timestamps (ps-resolution merge).
+    Poisson process), a stable sort, clipping to [0, duration), and
+    dead-time pruning with a floor of 1 ps, which also merges tags that
+    share a picosecond into the first of them.
 
     Returns (tags, origin) where origin[k] is the index into arrivals_ps
     that produced tags[k], or -1 for a dark count.
@@ -120,14 +121,10 @@ def detector_response_traced(arrivals_ps: np.ndarray, cfg: DetectorConfig,
         tags = np.concatenate([tags, dark])
         origin = np.concatenate([origin, np.full(n_dark, -1, dtype=np.int64)])
 
-    in_range = (tags >= 0) & (tags < duration_ps)
-    tags, origin = tags[in_range], origin[in_range]
     order = np.argsort(tags, kind="stable")
+    lo, hi = np.searchsorted(tags, (0, duration_ps), sorter=order)
+    order = order[lo:hi]
     tags, origin = tags[order], origin[order]
 
-    keep_idx = _kernels.dead_time_prune(tags, cfg.dead_time_ps)
-    tags, origin = tags[keep_idx], origin[keep_idx]
-    if tags.size > 1:
-        distinct = np.concatenate([[True], np.diff(tags) > 0])
-        tags, origin = tags[distinct], origin[distinct]
-    return tags, origin
+    keep_idx = _kernels.dead_time_prune(tags, max(cfg.dead_time_ps, 1))
+    return tags[keep_idx], origin[keep_idx]

@@ -106,11 +106,15 @@ def correlated_channel(channel: ItuChannel, pump: ItuChannel,
 @dataclass(frozen=True)
 class ChannelPair:
     """One entanglement resource: a signal/idler channel pair, mirror-symmetric
-    about the pump. Canonical orientation puts the higher index on the signal."""
+    about the pump, and the subnets its two channels are multiplexed toward
+    (equal for an intra resource). Canonical orientation puts the higher
+    index on the signal."""
 
     signal: ItuChannel
     idler: ItuChannel
     resource_id: int
+    signal_subnet: int
+    idler_subnet: int
 
     def __post_init__(self):
         if self.signal.index <= self.idler.index:
@@ -130,15 +134,16 @@ def subnet_label(subnet_id: int) -> str:
 @dataclass(frozen=True)
 class NetworkPlan:
     """Full allocation: which resource serves which subnet or subnet pair,
-    and which channels each user receives."""
+    and which channels each user receives. resources is in id order
+    (resource k at index k - 1): the intra pairs first, then one pair per
+    subnet pair."""
 
     pump: ItuChannel
     num_subnets: int
     subnet_size: int
     valid_range: tuple[int, int]
     pump_guard: int
-    intra_resources: tuple[tuple[int, ChannelPair], ...]
-    inter_resources: tuple[tuple[int, int, ChannelPair], ...]
+    resources: tuple[ChannelPair, ...]
     user_manifests: tuple[tuple[ItuChannel, ...], ...] = field(repr=False)
 
     @property
@@ -158,29 +163,13 @@ class NetworkPlan:
             raise ValueError(f"subnet {subnet_id} not in plan")
         return range(subnet_id * self.subnet_size, (subnet_id + 1) * self.subnet_size)
 
-    def resources(self) -> list[ChannelPair]:
-        out = [pair for _, pair in self.intra_resources]
-        out.extend(pair for _, _, pair in self.inter_resources)
-        return out
-
     def resource_by_id(self, resource_id: int) -> ChannelPair:
-        for pair in self.resources():
-            if pair.resource_id == resource_id:
-                return pair
-        raise KeyError(f"resource {resource_id} not in plan")
-
-    def resource_endpoints(self, resource_id: int) -> tuple[int, int]:
-        """(signal subnet, idler subnet); equal for an intra resource."""
-        for subnet, pair in self.intra_resources:
-            if pair.resource_id == resource_id:
-                return (subnet, subnet)
-        for a, b, pair in self.inter_resources:
-            if pair.resource_id == resource_id:
-                return (a, b)
-        raise KeyError(f"resource {resource_id} not in plan")
+        if not 1 <= resource_id <= len(self.resources):
+            raise KeyError(f"resource {resource_id} not in plan")
+        return self.resources[resource_id - 1]
 
     def distinct_channels(self) -> set[ItuChannel]:
-        return {ch for pair in self.resources() for ch in pair.channels()}
+        return {ch for pair in self.resources for ch in pair.channels()}
 
 
 def naive_channel_count(num_users: int) -> int:
@@ -223,30 +212,20 @@ def build_plan(num_subnets: int, subnet_size: int, pump: ItuChannel,
             f" guard need grid indices C{pump.index - reach}.."
             f"C{pump.index + reach}, but the valid range is C{lo}..C{hi}")
 
-    def pair_at(resource_id: int) -> ChannelPair:
-        offset = pump_guard + resource_id
-        signal = check_channel_range(ItuChannel(pump.index + offset), valid_range)
-        idler = check_channel_range(ItuChannel(pump.index - offset), valid_range)
-        return ChannelPair(signal=signal, idler=idler, resource_id=resource_id)
-
-    intra = tuple((subnet, pair_at(subnet + 1))
-                  for subnet in range(num_subnets))
-
-    inter = []
-    next_id = num_subnets + 1
-    for a, b in combinations(range(num_subnets), 2):
-        inter.append((a, b, pair_at(next_id)))
-        next_id += 1
+    ends = [(subnet, subnet) for subnet in range(num_subnets)]
+    ends.extend(combinations(range(num_subnets), 2))
+    resources = tuple(
+        ChannelPair(ItuChannel(pump.index + pump_guard + rid),
+                    ItuChannel(pump.index - pump_guard - rid), rid, a, b)
+        for rid, (a, b) in enumerate(ends, 1))
 
     manifests = []
     for subnet in range(num_subnets):
-        channels = list(intra[subnet][1].channels())
-        for a, b, pair in inter:
-            if subnet == a:
-                channels.append(pair.signal)
-            elif subnet == b:
-                channels.append(pair.idler)
-        manifest = tuple(channels)
+        manifest = tuple(
+            ch for pair in resources
+            for ch, end in zip(pair.channels(),
+                               (pair.signal_subnet, pair.idler_subnet))
+            if end == subnet)
         manifests.extend([manifest] * subnet_size)
 
     return NetworkPlan(
@@ -255,8 +234,7 @@ def build_plan(num_subnets: int, subnet_size: int, pump: ItuChannel,
         subnet_size=subnet_size,
         valid_range=valid_range,
         pump_guard=pump_guard,
-        intra_resources=intra,
-        inter_resources=tuple(inter),
+        resources=resources,
         user_manifests=tuple(manifests),
     )
 
@@ -266,15 +244,10 @@ def resource_for_link(plan: NetworkPlan, user_a: int, user_b: int
     """The unique resource shared by two distinct users: (id, pair, kind)."""
     if user_a == user_b:
         raise UnknownUserError(f"link endpoints must differ (got user {user_a} twice)")
-    sa, sb = plan.subnet_of(user_a), plan.subnet_of(user_b)
-    if sa == sb:
-        pair = plan.intra_resources[sa][1]
-        return (pair.resource_id, pair, "intra")
-    lo, hi = min(sa, sb), max(sa, sb)
-    for a, b, pair in plan.inter_resources:
-        if (a, b) == (lo, hi):
-            return (pair.resource_id, pair, "inter")
-    raise KeyError(f"no resource connects subnets {lo} and {hi}")
+    ends = tuple(sorted((plan.subnet_of(user_a), plan.subnet_of(user_b))))
+    pair = next(p for p in plan.resources
+                if (p.signal_subnet, p.idler_subnet) == ends)
+    return (pair.resource_id, pair, "intra" if ends[0] == ends[1] else "inter")
 
 
 @dataclass(frozen=True)
@@ -294,14 +267,13 @@ def verify_full_connectivity(plan: NetworkPlan) -> ConnectivityReport:
     channel and the other its idler channel.
     """
     manifest_sets = [frozenset(m) for m in plan.user_manifests]
-    resources = plan.resources()
 
     uncovered = []
     multiple = []
     link_resources: dict[tuple[int, int], int] = {}
     for u, v in combinations(plan.users(), 2):
         mu, mv = manifest_sets[u], manifest_sets[v]
-        sharing = [p.resource_id for p in resources
+        sharing = [p.resource_id for p in plan.resources
                    if (p.signal in mu and p.idler in mv)
                    or (p.idler in mu and p.signal in mv)]
         if not sharing:
@@ -338,11 +310,9 @@ def write_plan_csv(plan: NetworkPlan, path) -> None:
             channels = "+".join(ch.label() for ch in plan.user_manifests[user])
             writer.writerow(["user", user, subnet_label(plan.subnet_of(user)),
                              channels, "", "", "", "", "", ""])
-        for subnet, pair in plan.intra_resources:
+        for pair in plan.resources:
             writer.writerow(["resource", "", "", "", pair.resource_id,
-                             pair.signal.label(), pair.idler.label(), "intra",
-                             subnet_label(subnet), subnet_label(subnet)])
-        for a, b, pair in plan.inter_resources:
-            writer.writerow(["resource", "", "", "", pair.resource_id,
-                             pair.signal.label(), pair.idler.label(), "inter",
-                             subnet_label(a), subnet_label(b)])
+                             pair.signal.label(), pair.idler.label(),
+                             "intra" if pair.signal_subnet == pair.idler_subnet
+                             else "inter", subnet_label(pair.signal_subnet),
+                             subnet_label(pair.idler_subnet)])

@@ -24,9 +24,9 @@ def expected_singles_rate(plan: NetworkPlan, sys_cfg: SystemConfig,
     """
     subnet = plan.subnet_of(user)
     rate = 0.0
-    for pair in plan.resources():
-        sig_subnet, idl_subnet = plan.resource_endpoints(pair.resource_id)
-        for role, res_subnet in (("signal", sig_subnet), ("idler", idl_subnet)):
+    for pair in plan.resources:
+        for role, res_subnet in (("signal", pair.signal_subnet),
+                                 ("idler", pair.idler_subnet)):
             if res_subnet == subnet:
                 rate += (sys_cfg.source.pair_rate_hz
                          * arrival_probability(plan, sys_cfg, pair.resource_id,
@@ -83,7 +83,7 @@ def expected_coincidence_rate(plan: NetworkPlan, sys_cfg: SystemConfig,
     wavelength routing. window_ps, when given, applies the jitter capture
     fraction of a full-width coincidence window.
     """
-    rid, _pair, kind = resource_for_link(plan, user_a, user_b)
+    rid, pair, kind = resource_for_link(plan, user_a, user_b)
     eff = sys_cfg.detector.efficiency
     rate = sys_cfg.source.pair_rate_hz * eff * eff
 
@@ -93,12 +93,10 @@ def expected_coincidence_rate(plan: NetworkPlan, sys_cfg: SystemConfig,
     if kind == "intra":
         both = p("signal", user_a) * p("idler", user_b) \
             + p("signal", user_b) * p("idler", user_a)
+    elif plan.subnet_of(user_a) == pair.signal_subnet:
+        both = p("signal", user_a) * p("idler", user_b)
     else:
-        sig_subnet, _ = plan.resource_endpoints(rid)
-        if plan.subnet_of(user_a) == sig_subnet:
-            both = p("signal", user_a) * p("idler", user_b)
-        else:
-            both = p("signal", user_b) * p("idler", user_a)
+        both = p("signal", user_b) * p("idler", user_a)
     rate *= both
     if window_ps is not None:
         rate *= window_capture_fraction(window_ps, pair_delta_sigma_ps(sys_cfg))

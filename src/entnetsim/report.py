@@ -211,13 +211,6 @@ def _pair_label(plan: NetworkPlan, ua: int, ub: int) -> str:
 # ---------------------------------------------------------------------------
 # bundle writing
 
-def _atomic_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _atomic_via(path: str, writer_fn) -> None:
     tmp = f"{path}.tmp"
     writer_fn(tmp)
@@ -304,10 +297,14 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
             raise ValueError("truth log was not collected for this run")
         emit("truth.csv", lambda p: write_truth_csv(bundle.result.truth, p))
 
+    def write_timing(path: str) -> None:
+        with open(path, "w", newline="") as fh:
+            json.dump({"wall_time_s": wall_time_s, "write_s": write_s}, fh,
+                      indent=2)
+            fh.write("\n")
+
     # wall times live outside the reproducible bundle on purpose
-    _atomic_text(os.path.join(out_dir, "timing.json"),
-                 json.dumps({"wall_time_s": wall_time_s, "write_s": write_s},
-                            indent=2) + "\n")
+    _atomic_via(os.path.join(out_dir, "timing.json"), write_timing)
     written.append("timing.json")
     return written
 

@@ -132,8 +132,8 @@ def route_loss_db(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int,
              + splitter_excess_db(losses, plan.subnet_size)
              + sys_cfg.dispersion.insertion_loss_db
              + losses.fiber_db_per_km * losses.user_fiber_km(user))
-    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
-    if sig_subnet != idl_subnet and role == "signal":
+    pair = plan.resource_by_id(resource_id)
+    if pair.signal_subnet != pair.idler_subnet and role == "signal":
         total += losses.inter_extra_wdm_db
     return total
 
@@ -272,9 +272,8 @@ def _outcome_counts(sys_cfg: SystemConfig, plan: NetworkPlan,
     positioned for the outcome's event draws (_draw_events).
     """
     rid = pair.resource_id
-    sig_subnet, idl_subnet = plan.resource_endpoints(rid)
-    sig_users = list(plan.subnet_users(sig_subnet))
-    idl_users = list(plan.subnet_users(idl_subnet))
+    sig_users = list(plan.subnet_users(pair.signal_subnet))
+    idl_users = list(plan.subnet_users(pair.idler_subnet))
     p_sig = {u: arrival_probability(plan, sys_cfg, rid, "signal", u)
              for u in sig_users}
     p_idl = {u: arrival_probability(plan, sys_cfg, rid, "idler", u)
@@ -656,7 +655,7 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     outcomes = []  # (pair, signal user, idler user, n, rng, first row)
     arrivals = dict.fromkeys(selected, 0)
     n_rows = 0
-    for pair in sorted(plan.resources(), key=lambda p: p.resource_id):
+    for pair in plan.resources:
         emitted[pair.resource_id] = 0
         for u, v, n, rng in _outcome_counts(sys_cfg, plan, pair, duration_ps,
                                             seed):

@@ -164,9 +164,10 @@ def route_pair(resource_id: int, plan: NetworkPlan, sys_cfg: SystemConfig,
     """Routing fate of a single emitted pair, photon by photon:
     (signal_user, idler_user, signal_path, idler_path), a user LOST when
     its photon does not survive the route."""
-    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
+    pair = plan.resource_by_id(resource_id)
     users = []
-    for role, subnet in (("signal", sig_subnet), ("idler", idl_subnet)):
+    for role, subnet in (("signal", pair.signal_subnet),
+                         ("idler", pair.idler_subnet)):
         user = plan.subnet_users(subnet)[int(rng.integers(0, plan.subnet_size))]
         survives = rng.random() < db_to_transmittance(
             route_loss_db(plan, sys_cfg, resource_id, role, user))
@@ -188,7 +189,7 @@ def reference_engine(plan: NetworkPlan, sys_cfg: SystemConfig,
     src = sys_cfg.source
     duration_ps = int(round(duration_s * PS_PER_SECOND))
     arrivals: dict[tuple[int, int], list[float]] = {}
-    for pair in plan.resources():
+    for pair in plan.resources:
         n = (int(rng.poisson(src.pair_rate_hz * duration_s))
              if duration_s > 0 else 0)
         times = np.sort(rng.uniform(0.0, duration_ps, size=n))
@@ -257,9 +258,8 @@ def resource_arrivals(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int
     """
     pair = plan.resource_by_id(resource_id)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
-    sig_subnet, idl_subnet = plan.resource_endpoints(resource_id)
-    sig_users = list(plan.subnet_users(sig_subnet))
-    idl_users = list(plan.subnet_users(idl_subnet))
+    sig_users = list(plan.subnet_users(pair.signal_subnet))
+    idl_users = list(plan.subnet_users(pair.idler_subnet))
     p_sig = {u: arrival_probability(plan, sys_cfg, resource_id, "signal", u)
              for u in sig_users}
     p_idl = {u: arrival_probability(plan, sys_cfg, resource_id, "idler", u)

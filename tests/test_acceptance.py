@@ -89,7 +89,7 @@ def test_criterion_1_planner_exactness():
     connectivity = verify_full_connectivity(plan)
     elapsed = time.perf_counter() - t0
 
-    pairs = len(plan.resources())
+    pairs = len(plan.resources)
     channels = len(plan.distinct_channels())
     per_user = {len(m) for m in plan.user_manifests}
     each_once = (connectivity.passed

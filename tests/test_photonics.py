@@ -88,7 +88,7 @@ class TestPairStream:
                                            sim._Scratch(n, truth=False))
                  if n and (u in materialize or v in materialize) else None)
                 for u, v, n, rng in sim._outcome_counts(
-                    sys_cfg, plan, plan.resources()[0], duration_ps, seed)]
+                    sys_cfg, plan, plan.resources[0], duration_ps, seed)]
 
     def test_poisson_count_within_5_sigma(self):
         # counted only: the outcome counts of a resource sum to its
@@ -188,10 +188,24 @@ class TestDetectorResponse:
     def test_out_of_range_tags_dropped(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=0.0,
                              dead_time_ps=0)
-        arrivals = np.array([-5.0, 10.0, 2e6])
-        tags, _ = detector_response_traced(arrivals, cfg, 1e-9,
-                                           np.random.default_rng(0))
-        np.testing.assert_array_equal(tags, np.array([10]))
+        # the window is [0, 1000) ps: a tag at exactly 0 stays, one at
+        # exactly the duration goes
+        arrivals = np.array([-5.0, 0.0, 10.0, 1000.0, 2e6])
+        tags, origin = detector_response_traced(arrivals, cfg, 1e-9,
+                                                np.random.default_rng(0))
+        np.testing.assert_array_equal(tags, np.array([0, 10]))
+        np.testing.assert_array_equal(origin, np.array([1, 2]))
+
+    def test_equal_picoseconds_keep_earlier_arrival(self):
+        # with no dead time, two arrivals that round to one picosecond
+        # still give one tag, traced to the earlier arrival
+        cfg = DetectorConfig(efficiency=1.0, dark_rate_hz=0.0, jitter_ps=0.0,
+                             dead_time_ps=0)
+        arrivals = np.array([10.2, 10.4, 20.0])
+        tags, origin = detector_response_traced(arrivals, cfg, 1e-9,
+                                                np.random.default_rng(0))
+        np.testing.assert_array_equal(tags, np.array([10, 20]))
+        np.testing.assert_array_equal(origin, np.array([0, 2]))
 
 
 class TestConfigValidation:

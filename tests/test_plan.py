@@ -56,31 +56,31 @@ class TestCorrelatedChannel:
 
 class TestBuildPlan:
     def test_reference_network(self, reference_plan):
-        assert len(reference_plan.resources()) == 15
+        assert len(reference_plan.resources) == 15
         assert len(reference_plan.distinct_channels()) == 30
         assert reference_plan.num_users == 40
         assert all(len(m) == 6 for m in reference_plan.user_manifests)
 
     def test_single_subnet_degenerate(self):
         plan = build_plan(1, 8, ItuChannel(40))
-        assert len(plan.resources()) == 1
+        assert len(plan.resources) == 1
         assert all(len(m) == 2 for m in plan.user_manifests)
 
     def test_two_subnets(self):
         plan = build_plan(2, 8, ItuChannel(40))
-        assert len(plan.resources()) == 3
+        assert len(plan.resources) == 3
         # the inter resource is the next pair outward from the intra block
-        _, _, pair = plan.inter_resources[0]
+        pair = plan.resources[2]
+        assert (pair.signal_subnet, pair.idler_subnet) == (0, 1)
         assert pair.resource_id == 3
         assert (pair.signal.index, pair.idler.index) == (47, 33)
 
-    def test_intra_resources_are_innermost_extracted(self, reference_plan):
+    def test_intra_pairs_are_innermost_extracted(self, reference_plan):
         # extraction starts outside the 4-channel pump guard: C35/C45 first
-        subnet_a, pair = reference_plan.intra_resources[0]
-        assert subnet_a == 0
-        assert (pair.signal.index, pair.idler.index) == (45, 35)
-        labels = [(p.signal.index, p.idler.index)
-                  for _, p in reference_plan.intra_resources]
+        intra = reference_plan.resources[:5]
+        assert [(p.signal_subnet, p.idler_subnet) for p in intra] == [
+            (s, s) for s in range(5)]
+        labels = [(p.signal.index, p.idler.index) for p in intra]
         assert labels == [(45, 35), (46, 34), (47, 33), (48, 32), (49, 31)]
 
     def test_outermost_pair_is_c21_c59(self, reference_plan):
@@ -92,7 +92,8 @@ class TestBuildPlan:
             build_plan(6, 8, ItuChannel(40))  # needs C19/C61 on a 21..59 grid
 
     def test_signal_to_lower_subnet(self, reference_plan):
-        for a, b, pair in reference_plan.inter_resources:
+        for pair in reference_plan.resources[5:]:
+            a, b = pair.signal_subnet, pair.idler_subnet
             assert a < b
             # user in subnet a holds the signal channel, subnet b the idler
             user_a = reference_plan.subnet_users(a)[0]
@@ -102,7 +103,8 @@ class TestBuildPlan:
 
     def test_channel_pair_orientation_enforced(self):
         with pytest.raises(ValueError):
-            ChannelPair(signal=ItuChannel(35), idler=ItuChannel(45), resource_id=1)
+            ChannelPair(signal=ItuChannel(35), idler=ItuChannel(45), resource_id=1,
+                        signal_subnet=0, idler_subnet=0)
 
 
 class TestConnectivity:
@@ -180,18 +182,29 @@ def test_plan_properties(num_subnets, subnet_size):
     plan = build_plan(num_subnets, subnet_size, ItuChannel(100), valid_range=WIDE)
     k, m = num_subnets, subnet_size
 
-    assert len(plan.resources()) == k * (k + 1) // 2
+    assert len(plan.resources) == k * (k + 1) // 2
     assert len(plan.distinct_channels()) == k * (k + 1)
     assert all(len(manifest) == k + 1 for manifest in plan.user_manifests)
 
-    for pair in plan.resources():
+    for pair in plan.resources:
         assert pair.signal.index + pair.idler.index == 2 * plan.pump.index
         assert pair.signal.index > pair.idler.index
+
+    for rid in range(1, len(plan.resources) + 1):
+        assert plan.resource_by_id(rid).resource_id == rid
+    for rid in (0, len(plan.resources) + 1):
+        with pytest.raises(KeyError):
+            plan.resource_by_id(rid)
 
     report = verify_full_connectivity(plan)
     assert report.passed
     assert report.link_count == (k * m) * (k * m - 1) // 2
     assert len(report.link_resources) == report.link_count
+    # link_resources comes from the manifests alone, so it checks the table
+    for (u, v), manifest_rid in report.link_resources.items():
+        rid, _pair, kind = resource_for_link(plan, u, v)
+        assert rid == manifest_rid
+        assert (kind == "intra") == (plan.subnet_of(u) == plan.subnet_of(v))
 
     naive = naive_channel_count(k * m)
     assert naive >= len(plan.distinct_channels())

@@ -57,7 +57,7 @@ class TestRoutePair:
         plan = build_plan(2, 4, ItuChannel(40))
         sys_cfg = helpers.lossless_variant(SystemConfig())
         rng = np.random.default_rng(1)
-        rid = plan.inter_resources[0][2].resource_id
+        rid = plan.resources[plan.num_subnets].resource_id  # first inter pair
         for _ in range(500):
             sig, idl, _, _ = helpers.route_pair(rid, plan, sys_cfg, rng)
             assert plan.subnet_of(sig) == 0
@@ -77,7 +77,7 @@ class TestRoutePair:
         n = 40_000
         intra_hits = 0
         inter_hits = 0
-        inter_rid = plan.inter_resources[0][2].resource_id
+        inter_rid = plan.resources[plan.num_subnets].resource_id  # first inter pair
         for _ in range(n):
             sig, idl, _, _ = helpers.route_pair(1, plan, sys_cfg, rng)
             if {sig, idl} == {0, 1}:
@@ -119,7 +119,7 @@ class TestSeedDerivation:
 
     def test_distinct_across_resources_and_kinds(self, reference_plan):
         keys = set()
-        for pair in reference_plan.resources():
+        for pair in reference_plan.resources:
             for u in list(reference_plan.users()) + [LOST]:
                 keys.add(derive_stream_seed(
                     7, "pairs", pair.resource_id, u, LOST).spawn_key)
@@ -236,7 +236,7 @@ class TestRunScenario:
     def test_inter_subnet_separation_in_truth(self):
         plan = build_plan(2, 2, ItuChannel(40))
         res = run_scenario(plan, light_system(pair_rate=5e4), 0.1, seed=8)
-        rid = plan.inter_resources[0][2].resource_id
+        rid = plan.resources[plan.num_subnets].resource_id  # first inter pair
         rows = res.truth.resource_id == rid
         sig = res.truth.signal_user[rows]
         idl = res.truth.idler_user[rows]
@@ -250,10 +250,10 @@ class TestRunScenario:
         plan = build_plan(2, 2, ItuChannel(40))
         sys_cfg = light_system(pair_rate=4e4)
         alone = {}
-        for pair in plan.resources():
+        for pair in plan.resources:
             rid = pair.resource_id
             alone[rid] = helpers.resource_arrivals(plan, sys_cfg, rid, 0.1, seed=17)
-            reached = {u for s in plan.resource_endpoints(rid)
+            reached = {u for s in (pair.signal_subnet, pair.idler_subnet)
                        for u in plan.subnet_users(s)}
             assert set(alone[rid]) == {(u, p) for u in reached for p in (0, 1)}
         keys = set().union(*alone.values())
