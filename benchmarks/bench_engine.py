@@ -102,7 +102,11 @@ def main():
             [sys.executable, __file__, "--child", str(seconds),
              "--seed", str(args.seed), "--repeat", str(repeat)]
             + (["--truth"] if args.truth else []),
-            capture_output=True, text=True, check=True, env=env)
+            capture_output=True, text=True, env=env)
+        if proc.returncode:
+            sys.stderr.write(proc.stderr)
+            sys.exit(f"bench_engine: the {seconds:g} s run exited with"
+                     f" status {proc.returncode}")
         r = json.loads(proc.stdout.strip().splitlines()[-1])
         peak_kb = r["parent_kb"] + r["worker_kb"]
         per_tag = (f"{peak_kb * 1024 / r['expected_tags']:6.1f}"

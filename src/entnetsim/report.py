@@ -32,16 +32,17 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
 
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
-# figures CLI run (87.45M expected tags) peaked at 1051456 kB ru_maxrss
-# in the process that runs run_scenario and 597484 kB in its pass-2
-# worker, 1648936 kB together at most in three runs, 19.3 bytes a tag.
-# The sum bounds the host total: it counts twice the pages the two
-# share.
+# figures CLI run (87.45M expected tags) peaked at 836852 kB ru_maxrss
+# in the process that runs run_scenario and 680660 kB in its pass-2
+# worker, 1517512 kB together at most in three runs, 17.8 bytes a tag
+# (NUMPY_MADVISE_HUGEPAGE=0, 2 CPUs). The sum bounds the host total: it
+# counts twice the pages the two share.
 BYTES_PER_TAG = 20
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 410724 + 234736 kB, 645460 kB at most in
-# three runs, 56.7 bytes a tag.
-BYTES_PER_TRUTH_TAG = 57
+# expected tags) peaked at 407820 + 260768 kB, 668588 kB at most in
+# three runs, 58.7 bytes a tag. Both processes write the shared
+# detected flags, so each holds the pages of its users' rows.
+BYTES_PER_TRUTH_TAG = 59
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 

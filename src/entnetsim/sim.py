@@ -33,17 +33,18 @@ into one scratch set per group, sized to the group's largest outcome
 block.
 
 The second pass is split by user into one group per CPU: this process
-fills one group and a forked worker each other. Every buffer a worker
-fills (a user's arrivals, packed rows and normal-path count, the truth
-log's emission times) lives in an anonymous shared mapping made before
-the fork, so the parent reads what the worker wrote; a user's mappings
-are unmapped once the parent has detected that user. Detection stays in
-the parent: each region is sorted once before its detector, in place,
-or through a stable argsort when a truth run needs the permutation.
-Right after a user's second path the two paths' tags are merged into
-the user's one time-sorted stream with a path label per tag, and the
-per-path arrays are freed. The parent reaps every worker before
-run_scenario returns or raises.
+runs one group and a forked worker each other. The process that runs a
+group allocates its users' buffers, fills them and detects each user:
+each region is sorted once before its detector, in place, or through a
+stable argsort when a truth run needs the permutation. Right after a
+user's second path the two paths' tags are merged into the user's one
+time-sorted stream with a path label per tag, and the user's buffers
+and per-path arrays are freed. A worker then sends its users' streams
+(and a truth run's tag rows) to the parent through a pipe. The only
+arrays a worker writes for the parent in place are a truth run's
+emission-time column and detected flags, anonymous shared mappings made
+before the fork. The parent reaps every worker before run_scenario
+returns or raises.
 """
 
 from __future__ import annotations
@@ -239,12 +240,14 @@ class ScenarioResult:
     time and the uint8 path of each (0 normal, 1 anomalous); on equal
     times path 0's tags come first. A truth run's tag_pair_rows[user]
     holds each tag's truth-log row (-1 for a dark count), aligned with
-    the user's times."""
+    the user's times. arrival_counts[(user, path)] is the number of
+    photons that reached that detector, before any detector loss."""
 
     duration_ps: int
     seed: int
     streams: dict[int, tuple[np.ndarray, np.ndarray]]
     emitted_pairs: dict[int, int]
+    arrival_counts: dict[tuple[int, int], int]
     truth: TruthLog | None
     tag_pair_rows: dict[int, np.ndarray] | None = None
 
@@ -412,27 +415,28 @@ def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
 
 
 def _tag_truth_rows(packed: np.ndarray, origin: np.ndarray,
-                    truth: TruthLog) -> np.ndarray:
+                    flags: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Truth-log row of each tag of one detector (-1 for a dark count),
     from the packed rows of its input photons; marks the photons that
-    made a tag detected in the truth log."""
+    made a tag in flags, the truth log's (signal, idler) detected
+    columns."""
     tag_rows = np.full(origin.size, -1, dtype=np.int64)
     photon = origin >= 0
     if origin.size:
         hit = packed[origin[photon]]
         tag_rows[photon] = hit // 2
-        truth.signal_detected[hit[hit % 2 == 0] // 2] = True
-        truth.idler_detected[hit[hit % 2 == 1] // 2] = True
+        for role_bit, detected in enumerate(flags):
+            detected[hit[hit % 2 == role_bit] // 2] = True
     return tag_rows
 
 
-def _shared_empty(n: int, dtype) -> np.ndarray:
-    """An array of n items in its own anonymous shared mapping: what a
+def _shared_zeros(n: int, dtype) -> np.ndarray:
+    """An array of n zeros in its own anonymous shared mapping: what a
     forked worker writes to it, the parent reads, and dropping the last
     reference unmaps it."""
     dtype = np.dtype(dtype)
     if n == 0:  # mmap refuses an empty mapping
-        return np.empty(0, dtype=dtype)
+        return np.zeros(0, dtype=dtype)
     return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype=dtype)
 
 
@@ -460,23 +464,24 @@ def _groups(selected: list[int], arrivals: dict[int, int],
 
 
 def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
-                sys_cfg: SystemConfig, duration_ps: int,
-                times_buf: dict[int, np.ndarray],
-                rows_buf: dict[int, np.ndarray] | None,
-                t_emit: np.ndarray | None,
-                front: np.ndarray, slot: dict[int, int]) -> None:
+                arrivals: dict[int, int], sys_cfg: SystemConfig,
+                duration_ps: int, t_emit: np.ndarray | None):
     """Pass 2 for one group of users: draw every outcome that reaches one
     of them and write their arrivals (and a truth run's packed rows)
-    into their buffers. A truth run's one shared truth column, t_emit,
-    takes an outcome's emission times from the group of its signal
-    user, or of its idler user when the signal user is not selected.
-    Each user's normal-path count goes to front[slot[user]]."""
+    into new buffers of arrivals[user] items. A truth run's one shared
+    truth column, t_emit, takes an outcome's emission times from the
+    group of its signal user, or of its idler user when the signal user
+    is not selected. Return each user's arrivals, packed rows (None
+    without truth) and normal-path count."""
     mine = set(users)
     todo = [o for o in outcomes if o[1] in mine or o[2] in mine]
     scratch = _Scratch(max((o[3] for o in todo), default=0),
                        t_emit is not None)
+    times_buf = {u: np.empty(arrivals[u]) for u in users}
+    rows_buf = ({u: np.empty(arrivals[u], dtype=np.int64) for u in users}
+                if t_emit is not None else None)
     fronts = dict.fromkeys(users, 0)
-    backs = {u: times_buf[u].size for u in users}
+    backs = dict(arrivals)
     for pair, u, v, n, rng, row in todo:
         block = _draw_events(rng, n, sys_cfg.source, duration_ps, v in mine,
                              scratch)
@@ -497,13 +502,13 @@ def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
                 packed = np.add(scratch.steps[:n], 2 * row + role_bit,
                                 out=scratch.packed[:n])
                 _place(rows_buf[dest], f, b, packed, anomalous, normal)
-    for user in users:
-        front[slot[user]] = fronts[user]
+    return times_buf, rows_buf, fronts
 
 
 def _fork(work) -> tuple[int, int]:
     """Run work() in a forked worker; return its pid and the read end of
-    a pipe on which it leaves its traceback if it fails.
+    a pipe on which it sends a 0 byte and the raw items of each array
+    work returns, or a 1 byte and its traceback if it fails.
 
     The worker leaves through os._exit whatever happens, so it never
     returns into the caller's stack or runs exit handlers and flushes
@@ -511,7 +516,8 @@ def _fork(work) -> tuple[int, int]:
     with other threads, such as NumPy's BLAS pool; under an "error"
     filter that warning would be raised in the parent after the fork and
     orphan the worker, so it is ignored here: the worker calls no BLAS
-    routine, and only draws and writes arrays.
+    routine. The arrays are written from their own buffers, with no
+    copy; the worker blocks until the parent reads them.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -526,37 +532,57 @@ def _fork(work) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_fd)
-            work()
+            arrays = work()
+            with open(write_fd, "wb", closefd=False) as pipe:
+                pipe.write(b"\0")
+                for array in arrays:
+                    pipe.write(array)
             code = 0
         except BaseException:
-            os.write(write_fd, traceback.format_exc().encode()[-4096:])
+            os.write(write_fd, b"\1" + traceback.format_exc().encode()[-4096:])
         finally:
             os._exit(code)
     os.close(write_fd)
     return pid, read_fd
 
 
-def _check_worker(name: str, pid: int, status: int, fd: int) -> None:
-    """Raise, naming the worker and quoting its traceback, if a reaped
-    worker failed; close its pipe either way."""
-    try:
-        chunks = []
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        raise RuntimeError(f"{name} (pid {pid}) exited with status {code}:\n"
-                           + b"".join(chunks).decode(errors="replace"))
+def _wire(results: dict) -> list[np.ndarray]:
+    """A group's results, {user: (stream, tag rows or None, (normal,
+    anomalous) arrival counts)}, as the arrays a worker sends: a header
+    row per user of its tag count and arrival counts, then each user's
+    times, labels and, in a truth run, tag rows."""
+    arrays = [np.array([(stream[0].size, *counts) for stream, _, counts
+                        in results.values()], dtype=np.int64)]
+    for stream, rows, _ in results.values():
+        arrays += [*stream, rows] if rows is not None else stream
+    return arrays
+
+
+def _receive(pipe, users: list[int], truth: bool) -> dict | None:
+    """The results _wire sent for users, read from pipe into new arrays,
+    or None if the worker sent its traceback or the payload ended
+    short."""
+    header = np.empty((len(users), 3), dtype=np.int64)
+    if pipe.read(1) != b"\0" or pipe.readinto(header) != header.nbytes:
+        return None
+    results = {}
+    for user, (n_tags, *counts) in zip(users, header.tolist()):
+        arrays = [np.empty(n_tags, dtype=dtype)
+                  for dtype in (np.int64, np.uint8, np.int64)[:2 + truth]]
+        if any(pipe.readinto(a) != a.nbytes for a in arrays):
+            return None
+        results[user] = (tuple(arrays[:2]), arrays[2] if truth else None,
+                         tuple(counts))
+    return results
 
 
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                  rows_buf: dict[int, np.ndarray] | None, n_normal: int,
-                 truth: TruthLog | None, seed: int, sys_cfg: SystemConfig,
-                 duration_s: float):
-    """One user's (times, labels) and, in a truth run, tag rows (else
-    None), from its filled buffers, which are popped and freed on the way.
+                 flags: tuple[np.ndarray, np.ndarray] | None, seed: int,
+                 sys_cfg: SystemConfig, duration_s: float):
+    """One user's (times, labels) and, in a truth run (flags, the truth
+    log's detected columns, given), tag rows (else None), from its
+    filled buffers, which are popped and freed on the way.
 
     Each path goes through its own detector, seeded per (user, path).
     The two tag arrays are then merged by a stable argsort of their
@@ -571,11 +597,11 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
     whichever order the region was filled in.
     """
     user_times = times_buf.pop(user)
-    user_rows = rows_buf.pop(user) if truth is not None else None
+    user_rows = rows_buf.pop(user) if flags is not None else None
     path_tags, path_rows = [], []
     for path, region in ((0, slice(None, n_normal)), (1, slice(n_normal, None))):
         times = user_times[region]
-        if truth is None:
+        if flags is None:
             times.sort()
         else:
             packed = user_rows[region]
@@ -590,8 +616,8 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                                                 duration_s, rng)
         del times
         path_tags.append(tags)
-        if truth is not None:
-            path_rows.append(_tag_truth_rows(packed, origin, truth))
+        if flags is not None:
+            path_rows.append(_tag_truth_rows(packed, origin, flags))
             del packed
         del tags, origin  # path_tags keeps the only reference
     del user_times, user_rows  # unmaps the user's buffers
@@ -602,7 +628,7 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
     labels = (order >= n_normal_tags).view(np.uint8)  # 1 where from path 1
     stream = (merged[order], labels)
     del merged
-    rows = np.concatenate(path_rows)[order] if truth is not None else None
+    rows = np.concatenate(path_rows)[order] if flags is not None else None
     return stream, rows
 
 
@@ -625,21 +651,21 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     process; each other group runs in a worker forked before group 0
     starts, which inherits every pass-1 generator where pass 1 left it,
     so an outcome that reaches two groups is drawn in both with
-    identical events. Every buffer a worker writes lives in its own
-    anonymous shared mapping: each user's arrivals and packed rows, the
-    truth log's emission times, and the int64 array that takes each
-    user's normal-path count. A worker writes only its own users' buffers
-    and the emission times of the outcomes its group owns (_fill_group).
-    The truth log's run table (each outcome's first row, resource and
-    users, from pass 1) and its detected flags are made after the forks
-    and written here only, so no worker holds their pages. This process
-    detects group 0's users while the workers run, then reaps the
-    workers in order and detects each one's users after it exits: the
-    detectors, the merge and the truth log's detected flags all stay
-    here (_detect_user). Each user's mappings are unmapped after its
-    detection. A worker that fails makes this call raise, naming it; on
-    any exit every worker still running is killed and every worker is
-    reaped, so none outlives the call.
+    identical events. Each process fills, detects and merges its own
+    group's users in buffers of its own (_fill_group, _detect_user). A
+    truth run's emission-time column and detected flags are anonymous
+    shared mappings made before the forks: a process writes only the
+    emission times of the outcomes its group owns and the flags of its
+    own users' photons, so no two processes write the same byte. The
+    truth log's run table (each outcome's first row, resource and users,
+    from pass 1) is made after the forks, so no worker holds its pages.
+    Each worker sends its users' streams, tag rows and arrival counts
+    through its pipe (_wire); once group 0 is done, this process reads
+    the workers' results in order, each array into its own new array
+    (_receive), and reaps each worker. A worker that fails, or whose
+    results end short, makes this call raise, naming it; on any exit
+    every worker still running is killed and every worker is reaped, so
+    none outlives the call.
     """
     ScenarioConfigError.check("duration_s", duration_s, 0)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
@@ -668,56 +694,55 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
                         arrivals[dest] += n
 
     groups = _groups(selected, arrivals, _workers())
-    times_buf = {u: _shared_empty(arrivals[u], np.float64) for u in selected}
     if collect_truth:
-        rows_buf = {u: _shared_empty(arrivals[u], np.int64) for u in selected}
-        t_emit = _shared_empty(n_rows, np.float64)
+        t_emit = _shared_zeros(n_rows, np.float64)
+        flags = (_shared_zeros(n_rows, bool), _shared_zeros(n_rows, bool))
     else:
-        rows_buf = t_emit = truth = None
-    front = _shared_empty(len(selected), np.int64)
-    slot = {u: k for k, u in enumerate(selected)}
+        t_emit = flags = truth = None
 
-    def fill(users):
-        _fill_group(users, outcomes, sel_set, sys_cfg, duration_ps, times_buf,
-                    rows_buf, t_emit, front, slot)
-
-    # keyed in user order up front: users are detected group by group
-    streams = dict.fromkeys(selected)
-    tag_pair_rows = dict.fromkeys(selected) if collect_truth else None
-
-    def detect(users):
-        for user in users:
-            streams[user], rows = _detect_user(
-                user, times_buf, rows_buf, int(front[slot[user]]), truth,
-                seed, sys_cfg, duration_s)
-            if truth is not None:
-                tag_pair_rows[user] = rows
+    def run_group(users):
+        """{user: (stream, tag rows or None, (normal, anomalous) arrivals)}"""
+        times_buf, rows_buf, n_normal = _fill_group(
+            users, outcomes, sel_set, arrivals, sys_cfg, duration_ps, t_emit)
+        outcomes.clear()  # and with them this process's generators
+        return {user: (*_detect_user(user, times_buf, rows_buf,
+                                     n_normal[user], flags, seed, sys_cfg,
+                                     duration_s),
+                       (n_normal[user], arrivals[user] - n_normal[user]))
+                for user in users}
 
     workers = []  # (group, pid, pipe) of the workers not yet reaped
     try:
         for g in range(1, len(groups)):
-            workers.append((g, *_fork(lambda g=g: fill(groups[g]))))
+            workers.append(
+                (g, *_fork(lambda g=g: _wire(run_group(groups[g])))))
         if collect_truth:
             # made after the forks, so no worker holds their pages
             truth = TruthLog(
                 t_emit_ps=t_emit,
-                signal_detected=np.zeros(n_rows, dtype=bool),
-                idler_detected=np.zeros(n_rows, dtype=bool),
+                signal_detected=flags[0], idler_detected=flags[1],
                 first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
                 resource_id=np.array([o[0].resource_id for o in outcomes],
                                      dtype=np.int32),
                 signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
                 idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
-        fill(groups[0])
-        outcomes.clear()  # and with them this process's generators
-        detect(groups[0])
+        results = run_group(groups[0])
         while workers:
             g, pid, fd = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                got = _receive(pipe, groups[g], collect_truth)
+                text = pipe.read() if got is None else b""
             _, status = os.waitpid(pid, 0)
             del workers[0]
-            _check_worker(f"pass-2 worker {g} of {len(groups) - 1}"
-                          f" (users {groups[g]})", pid, status, fd)
-            detect(groups[g])
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(status)
+            if got is None or code:
+                reason = (f"exited with status {code}" if code
+                          else "sent a short payload")
+                raise RuntimeError(f"pass-2 worker {g} of {len(groups) - 1}"
+                                   f" (users {groups[g]}, pid {pid}) {reason}:"
+                                   "\n" + text.decode(errors="replace"))
+            results.update(got)
     finally:
         for _, pid, fd in workers:
             os.kill(pid, signal.SIGKILL)
@@ -727,10 +752,13 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     return ScenarioResult(
         duration_ps=duration_ps,
         seed=seed,
-        streams=streams,
+        streams={u: results[u][0] for u in selected},
         emitted_pairs=emitted,
+        arrival_counts={(u, path): results[u][2][path] for u in selected
+                        for path in (0, 1)},
         truth=truth,
-        tag_pair_rows=tag_pair_rows,
+        tag_pair_rows=({u: results[u][1] for u in selected}
+                       if collect_truth else None),
     )
 
 

@@ -503,6 +503,62 @@ class TestPass2Workers:
         assert "injected draw failure" in str(err.value)
         _assert_no_child()
 
+    def test_failing_detection_in_worker_is_named(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        parent = os.getpid()
+        detect = sim.detector_response_traced
+
+        def failing_in_worker(*args):
+            if os.getpid() != parent:
+                raise ValueError("injected detector failure")
+            return detect(*args)
+
+        monkeypatch.setattr(sim, "detector_response_traced", failing_in_worker)
+        with pytest.raises(RuntimeError, match="pass-2 worker 1 of 1") as err:
+            TestEngineBytes.run()
+        assert "injected detector failure" in str(err.value)
+        assert "Traceback" in str(err.value)
+        _assert_no_child()
+
+    @pytest.mark.parametrize("cut", [
+        lambda arrays: arrays[:-1],                     # the last array
+        lambda arrays: arrays[:-1] + [arrays[-1][:-1]],  # its last item
+        lambda arrays: [arrays[0][:-1]],                # the header's last row
+    ])
+    @pytest.mark.parametrize("truth", [True, False])
+    def test_short_payload_is_named(self, monkeypatch, cut, truth):
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        fork = sim._fork
+        monkeypatch.setattr(sim, "_fork",
+                            lambda work: fork(lambda: cut(work())))
+        with pytest.raises(RuntimeError,
+                           match=r"pass-2 worker 1 of 1 \(users \[.*\], pid"
+                                 r" \d+\) sent a short payload"):
+            TestEngineBytes.run(collect_truth=truth)
+        _assert_no_child()
+
+    def test_arrival_counts_for_any_worker_count(self, monkeypatch):
+        sizes = []
+        detect = sim.detector_response_traced
+
+        def recording(arrivals_ps, *args):
+            sizes.append(arrivals_ps.size)
+            return detect(arrivals_ps, *args)
+
+        monkeypatch.setattr(sim, "detector_response_traced", recording)
+        counts = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim, "_workers", lambda: workers)
+            counts[workers] = TestEngineBytes.run().arrival_counts
+            if workers == 1:
+                # one process: every detector call is recorded here, in
+                # user order, path 0 first
+                assert sorted(counts[1]) == list(counts[1])
+                assert list(counts[1].values()) == sizes
+                assert sum(counts[1].values()) == sum(sizes) > 0
+        assert counts[1] == counts[2] == counts[3]
+        _assert_no_child()
+
     def test_workers_reaped_when_this_process_fails(self, monkeypatch):
         monkeypatch.setattr(sim, "_workers", lambda: 3)
         parent = os.getpid()
