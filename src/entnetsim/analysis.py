@@ -31,6 +31,7 @@ their own inputs.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .photonics import PS_PER_SECOND, ContractViolation
 from .plan import NetworkPlan, resource_for_link
 
-CAR_CAP = 1e9  # reported CAR when the accidental floor is exactly zero
+CAR_CAP = 1e9  # reported CAR of a non-zero peak on an accidental floor of 0
+GUARD_WINDOWS = 3  # peak widths left out of the floor on each side of the peak
 # Most core tags pooled into one slab of the candidate sweep
 # (_pool_candidates), which holds about 17 bytes per pooled tag at its
 # peak. 1 << 18 raised the peak RSS of the 780-link, 0.2 s run (seed 7) by
@@ -171,14 +173,14 @@ class CarEstimate:
     capped: bool
 
 
-def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
-                guard_windows: int = 3) -> CarEstimate:
+def compute_car(hist: CorrelationHistogram, peak_window_ps: int) -> CarEstimate:
     """Coincidence-to-accidental ratio of a correlation histogram.
 
     Peak counts are summed over a peak_window_ps-wide group of bins
     centered on the maximum bin; the accidental floor is the mean of the
-    off-peak bins, excluding guard_windows peak-widths on each side of the
-    peak, scaled to the peak window width.
+    off-peak bins, excluding GUARD_WINDOWS peak-widths on each side of the
+    peak, scaled to the peak window width. On a floor of 0 the CAR is
+    CAR_CAP (capped) under a non-zero peak and nan under an empty one.
     """
     if peak_window_ps < hist.bin_width_ps:
         raise ValueError("peak_window_ps must be at least one bin wide")
@@ -191,7 +193,7 @@ def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
     hi = min(n, lo + nwin)
     peak_counts = int(counts[lo:hi].sum())
 
-    guard = guard_windows * nwin
+    guard = GUARD_WINDOWS * nwin
     off_mask = np.ones(n, dtype=bool)
     off_mask[max(0, lo - guard):min(n, hi + guard)] = False
     if not np.any(off_mask):
@@ -199,9 +201,9 @@ def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
     acc_per_bin = float(counts[off_mask].mean())
     acc_per_window = acc_per_bin * nwin
     if acc_per_window == 0:
-        return CarEstimate(car=CAR_CAP, peak_counts=peak_counts,
-                           peak_bin=peak_bin, accidental_per_window=0.0,
-                           capped=True)
+        return CarEstimate(car=CAR_CAP if peak_counts else float("nan"),
+                           peak_counts=peak_counts, peak_bin=peak_bin,
+                           accidental_per_window=0.0, capped=peak_counts > 0)
     return CarEstimate(car=peak_counts / acc_per_window,
                        peak_counts=peak_counts, peak_bin=peak_bin,
                        accidental_per_window=acc_per_window, capped=False)
@@ -211,16 +213,18 @@ def compute_car(hist: CorrelationHistogram, peak_window_ps: int,
 class LinkWindow:
     """The tags of one link that can pair, and their narrow-window match.
 
-    Candidates are the tags of each stream with a partner in the other at
-    |t_b - t_a - offset| <= reach_ps; index_a and index_b are their
-    positions in the full streams, singles_a and singles_b the full stream
-    sizes. matches indexes the candidate arrays, so index_a[matches.index_a]
-    are positions in the full stream a. Any window or histogram of at most
-    reach_ps half-width gives the same result on the candidates as on the
-    full streams.
+    offset_ps is delay_b_ps - delay_a_ps, the difference of the users'
+    propagation delays. Candidates are the tags of each stream with a
+    partner in the other at |t_b - t_a - offset| <= reach_ps; index_a and
+    index_b are their positions in the full streams, singles_a and
+    singles_b the full stream sizes. matches indexes the candidate arrays,
+    so index_a[matches.index_a] are positions in the full stream a. Any
+    window or histogram of at most reach_ps half-width gives the same
+    result on the candidates as on the full streams.
     """
 
-    offset_ps: int
+    delay_a_ps: int
+    delay_b_ps: int
     reach_ps: int
     index_a: np.ndarray
     index_b: np.ndarray
@@ -232,18 +236,24 @@ class LinkWindow:
     singles_b: int
     matches: CoincidenceSet
 
+    @property
+    def offset_ps(self) -> int:
+        return self.delay_b_ps - self.delay_a_ps
+
 
 def _link_window(stream_a: tuple[np.ndarray, np.ndarray],
                  stream_b: tuple[np.ndarray, np.ndarray],
-                 index_a: np.ndarray, index_b: np.ndarray, offset_ps: int,
-                 window_ps: int, reach_ps: int) -> LinkWindow:
+                 index_a: np.ndarray, index_b: np.ndarray, delay_a_ps: int,
+                 delay_b_ps: int, window_ps: int, reach_ps: int) -> LinkWindow:
     """LinkWindow of two full (times, path_labels) streams from the
     positions of their candidate tags."""
     times_a, paths_a = stream_a
     times_b, paths_b = stream_b
     cand_a, cand_b = times_a[index_a], times_b[index_b]
-    matches = match_coincidences(cand_a, cand_b, window_ps, offset_ps=offset_ps)
-    return LinkWindow(offset_ps=int(offset_ps), reach_ps=int(reach_ps),
+    matches = match_coincidences(cand_a, cand_b, window_ps,
+                                 offset_ps=delay_b_ps - delay_a_ps)
+    return LinkWindow(delay_a_ps=int(delay_a_ps), delay_b_ps=int(delay_b_ps),
+                      reach_ps=int(reach_ps),
                       index_a=index_a, index_b=index_b,
                       times_a=cand_a, times_b=cand_b,
                       paths_a=np.asarray(paths_a)[index_a],
@@ -253,20 +263,21 @@ def _link_window(stream_a: tuple[np.ndarray, np.ndarray],
 
 
 def link_window(stream_a: tuple[np.ndarray, np.ndarray],
-                stream_b: tuple[np.ndarray, np.ndarray], offset_ps: int,
-                window_ps: int, reach_ps: int) -> LinkWindow:
+                stream_b: tuple[np.ndarray, np.ndarray], delay_a_ps: int,
+                delay_b_ps: int, window_ps: int, reach_ps: int) -> LinkWindow:
     """Candidate tags of one link and their match_coincidences at window_ps.
 
     stream_a and stream_b are (times, path_labels) with times sorted
     ascending int64; they are not checked here (link_matrix checks each
-    user stream once).
+    user stream once). The window keeps the users' propagation delays
+    delay_a_ps and delay_b_ps, whose difference is the link's offset.
     """
     if reach_ps < window_ps // 2:
         raise ValueError("reach_ps must cover the coincidence half-window")
     cands = _pool_candidates({0: stream_a[0], 1: stream_b[0]},
-                             {1: offset_ps}, reach_ps, [(0, 1)])
+                             {0: delay_a_ps, 1: delay_b_ps}, reach_ps, [(0, 1)])
     return _link_window(stream_a, stream_b, cands[(0, 1)], cands[(1, 0)],
-                        offset_ps, window_ps, reach_ps)
+                        delay_a_ps, delay_b_ps, window_ps, reach_ps)
 
 
 def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
@@ -424,50 +435,52 @@ class LinkReport:
 
 def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
                 plan: NetworkPlan, links, window_ps: int,
-                offsets_ps: dict[int, int], duration_s: float,
+                delays_ps: dict[int, int], duration_s: float,
                 monitor_window_ps: int, hist_range_ps: int | None = None
-                ) -> tuple[list[LinkReport],
+                ) -> tuple[dict[tuple[int, int], LinkReport],
                            dict[tuple[int, int], CorrelationHistogram],
                            dict[tuple[int, int], LinkWindow]]:
     """Coincidence count and CAR for each requested user pair.
 
     streams maps user id to its merged (times, path_labels); each times
-    array is checked sorted once here. offsets_ps maps user id to its
-    configured propagation delay, whose pairwise difference centers each
-    link's window. Also returns each link's LinkWindow, whose reach covers
-    the histogram, the coincidence window and monitor_window_ps, for
-    analyze_link.
+    array is checked sorted once here. delays_ps maps user id to its
+    configured propagation delay (0 when absent), whose pairwise
+    difference centers each link's window. Returns three dicts keyed by
+    link (ua, ub), each in the order of links with a link listed twice
+    kept once, at its first place: the LinkReports, the histograms, and
+    the LinkWindows, whose reach covers the histogram, the coincidence
+    window and monitor_window_ps, for analyze_link.
     """
     if hist_range_ps is None:
         hist_range_ps = 33 * window_ps
     span = _histogram_bins(window_ps, hist_range_ps) * window_ps
     lo = -(span // 2)  # histogram delays run from lo to lo + span - 1
     reach = max(-lo, lo + span - 1, window_ps // 2, monitor_window_ps // 2)
+    links = list(dict.fromkeys(links))
     users = sorted({u for link in links for u in link})
     full = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
             for u in users}
-    cands = _pool_candidates({u: full[u][0] for u in users}, offsets_ps, reach,
+    cands = _pool_candidates({u: full[u][0] for u in users}, delays_ps, reach,
                              links)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
-    reports = []
+    reports = {}
     histograms = {}
     windows = {}
     for (ua, ub) in links:
         rid, _pair, kind = resource_for_link(plan, ua, ub)
-        offset = offsets_ps.get(ub, 0) - offsets_ps.get(ua, 0)
         win = _link_window(full[ua], full[ub], cands[(ua, ub)],
-                           cands[(ub, ua)], offset, window_ps, reach)
+                           cands[(ub, ua)], delays_ps.get(ua, 0),
+                           delays_ps.get(ub, 0), window_ps, reach)
         counts = cross_correlate(win.times_a, win.times_b, window_ps,
-                                 hist_range_ps, offset_ps=offset).counts
+                                 hist_range_ps, offset_ps=win.offset_ps).counts
         hist = CorrelationHistogram(
-            bin_width_ps=int(window_ps), offset_ps=int(offset), counts=counts,
-            singles_a=win.singles_a, singles_b=win.singles_b,
+            bin_width_ps=int(window_ps), offset_ps=win.offset_ps,
+            counts=counts, singles_a=win.singles_a, singles_b=win.singles_b,
             duration_ps=duration_ps)
         car = compute_car(hist, window_ps)
-        reports.append(LinkReport(user_a=ua, user_b=ub, kind=kind,
-                                  resource_id=rid,
-                                  coincidences=len(win.matches),
-                                  car=car.car, duration_s=duration_s))
+        reports[(ua, ub)] = LinkReport(
+            user_a=ua, user_b=ub, kind=kind, resource_id=rid,
+            coincidences=len(win.matches), car=car.car, duration_s=duration_s)
         histograms[(ua, ub)] = hist
         windows[(ua, ub)] = win
     return reports, histograms, windows
@@ -477,7 +490,7 @@ LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",
                     "coincidences", "car", "duration_s"]
 
 
-def write_links_csv(reports: list[LinkReport], path) -> None:
+def write_links_csv(reports: Iterable[LinkReport], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LINKS_CSV_HEADER)

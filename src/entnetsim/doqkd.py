@@ -25,6 +25,8 @@ from .plan import ParameterError
 
 DISCARD_REASONS = ("basis_mismatch", "guard_band", "frame_mismatch",
                    "multi_event_frame")
+MONITOR_MIN_PAIRS = 8  # fewer monitor pairs are inconclusive
+MONITOR_ANOMALY_FACTOR = 1.25  # spread / expected above this is anomalous
 
 
 @dataclass(frozen=True)
@@ -196,20 +198,20 @@ class MonitorSpread:
     anomalous: bool
 
 
-def monitor_broadening(deltas_ps: np.ndarray, expected_ps: float,
-                       min_pairs: int = 8, anomaly_factor: float = 1.25
-                       ) -> MonitorSpread:
+def monitor_broadening(deltas_ps: np.ndarray,
+                       expected_ps: float) -> MonitorSpread:
     """IQR of same-sign pair delays, flagged against the configured
-    expectation."""
+    expectation: inconclusive under MONITOR_MIN_PAIRS pairs, anomalous
+    above MONITOR_ANOMALY_FACTOR times a positive expectation."""
     deltas = np.asarray(deltas_ps, dtype=float)
     if deltas.size < 2:
         return MonitorSpread(spread_ps=float("nan"), n_pairs=int(deltas.size),
                              expected_ps=expected_ps, inconclusive=True,
                              anomalous=False)
     spread = timing_spread_iqr_ps(deltas)
-    inconclusive = deltas.size < min_pairs
+    inconclusive = deltas.size < MONITOR_MIN_PAIRS
     anomalous = (not inconclusive and expected_ps > 0
-                 and spread > anomaly_factor * expected_ps)
+                 and spread > MONITOR_ANOMALY_FACTOR * expected_ps)
     return MonitorSpread(spread_ps=spread, n_pairs=int(deltas.size),
                          expected_ps=expected_ps, inconclusive=inconclusive,
                          anomalous=anomalous)
@@ -341,27 +343,24 @@ def monitor_deltas(link: LinkWindow, monitor_window_ps: int) -> np.ndarray:
     return np.concatenate(deltas)
 
 
-def analyze_link(link: LinkWindow, delay_a_ps: int, delay_b_ps: int,
-                 qkd: QkdConfig, duration_s: float,
+def analyze_link(link: LinkWindow, qkd: QkdConfig, duration_s: float,
                  monitor_expected_ps: float = 0.0) -> KeyRateReport:
     """Full post-processing of one link from its LinkWindow.
 
     Key pairs are the link's narrow-window matches (which must use
     qkd.window_ps) after basis sifting; monitor pairs come from
     wide-window matching of the same-path substreams. Frame clocks are
-    aligned by subtracting each user's configured propagation delay, whose
-    difference must be the link's offset.
+    aligned by subtracting each user's propagation delay, which the
+    window holds (link.delay_a_ps, link.delay_b_ps).
     """
     matches = link.matches
     if matches.window_ps != qkd.window_ps:
         raise ValueError("link window was matched with another coincidence"
                          " window than qkd.window_ps")
-    if link.offset_ps != delay_b_ps - delay_a_ps:
-        raise ValueError("link window offset differs from delay_b - delay_a")
     key_mask, mon_mask = basis_sift(link.paths_a[matches.index_a],
                                     link.paths_b[matches.index_b])
-    key_a = matches.times_a[key_mask] - delay_a_ps
-    key_b = matches.times_b[key_mask] - delay_b_ps
+    key_a = matches.times_a[key_mask] - link.delay_a_ps
+    key_b = matches.times_b[key_mask] - link.delay_b_ps
     key_spread = timing_spread_iqr_ps(matches.deltas_ps()[key_mask])
 
     material = sift_frames(key_a, key_b, qkd.frames)

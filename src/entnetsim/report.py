@@ -54,16 +54,10 @@ class FigureDataError(ValueError):
 @dataclass
 class ReportBundle:
     config: ScenarioConfig
-    link_reports: list[LinkReport]
+    link_reports: dict[tuple[int, int], LinkReport]
     key_reports: dict[tuple[int, int], KeyRateReport]
     histograms: dict[tuple[int, int], CorrelationHistogram]
     result: ScenarioResult = field(repr=False)
-    _by_link: dict[tuple[int, int], LinkReport] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._by_link = {(rep.user_a, rep.user_b): rep
-                         for rep in self.link_reports}
 
     @property
     def plan(self) -> NetworkPlan:
@@ -77,12 +71,6 @@ class ReportBundle:
     def singles_counts(self) -> dict[tuple[int, int], int]:
         """Detected tags per (user, path) of the run."""
         return self.result.singles_counts()
-
-    def link_report(self, ua: int, ub: int) -> LinkReport:
-        try:
-            return self._by_link[(ua, ub)]
-        except KeyError:
-            raise KeyError(f"link {ua}-{ub} not in bundle") from None
 
 
 def physical_memory_bytes() -> int:
@@ -134,12 +122,12 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
         monitor_window_ps=qkd_cfg.monitor_window_ps)
     key_reports = {}
     if cfg.duration_s > 0:
-        for (ua, ub), rep in zip(links, link_reports):
+        for link, rep in link_reports.items():
             pair = plan.resource_by_id(rep.resource_id)
             expected = monitor_expected_iqr_ps(pair, sys_cfg)
-            key_reports[(ua, ub)] = analyze_link(
-                windows[(ua, ub)], delays[ua], delays[ub], qkd_cfg,
-                cfg.duration_s, monitor_expected_ps=expected)
+            key_reports[link] = analyze_link(
+                windows[link], qkd_cfg, cfg.duration_s,
+                monitor_expected_ps=expected)
 
     return ReportBundle(config=cfg, link_reports=link_reports,
                         key_reports=key_reports, histograms=histograms,
@@ -220,13 +208,11 @@ def _atomic_via(path: str, writer_fn) -> None:
 
 def _keyrates_payload(bundle: ReportBundle) -> dict:
     links = []
-    for (ua, ub) in bundle.links:
-        if (ua, ub) not in bundle.key_reports:
-            continue
-        rep = bundle.link_report(ua, ub)
-        body = {"user_a": ua, "user_b": ub, "kind": rep.kind,
+    for link, key in bundle.key_reports.items():
+        rep = bundle.link_reports[link]
+        body = {"user_a": rep.user_a, "user_b": rep.user_b, "kind": rep.kind,
                 "resource_id": rep.resource_id}
-        body.update(bundle.key_reports[(ua, ub)].to_dict())
+        body.update(key.to_dict())
         links.append(body)
     return {"schema": "entnetsim-keyrates/1", "links": links}
 
@@ -274,7 +260,8 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
         written.append(relpath)
 
     emit("plan.csv", lambda p: write_plan_csv(bundle.plan, p))
-    emit("links.csv", lambda p: write_links_csv(bundle.link_reports, p))
+    emit("links.csv",
+         lambda p: write_links_csv(bundle.link_reports.values(), p))
     emit("histograms.csv",
          lambda p: write_histograms_csv(bundle.histograms, p))
     emit("keyrates.json", lambda p: _write_json(p, _keyrates_payload(bundle)))

@@ -44,13 +44,13 @@ def direct_metrics():
     plan = bundle.plan
     metrics = {
         "wall_s": wall,
-        "intra_peak_cars": [bundle.link_report(*l).car
+        "intra_peak_cars": [bundle.link_reports[l].car
                             for l in first_pair_links(plan)],
-        "inter_cars": [bundle.link_report(*l).car
+        "inter_cars": [bundle.link_reports[l].car
                        for l in inter_rep_links(plan)],
-        "intra_counts": [bundle.link_report(*l).coincidences
+        "intra_counts": [bundle.link_reports[l].coincidences
                          for l in intra_subnet_links(plan, 0)],
-        "inter_counts": [bundle.link_report(*l).coincidences
+        "inter_counts": [bundle.link_reports[l].coincidences
                          for l in inter_rep_links(plan)],
     }
     return metrics

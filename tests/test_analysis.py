@@ -155,6 +155,13 @@ class TestComputeCar:
         est = compute_car(hist, 128)
         assert est.capped and est.car == CAR_CAP
 
+    def test_empty_histogram_car_nan(self):
+        """No peak on no floor is 0/0: nan, not a capped CAR."""
+        empty = np.empty(0, dtype=np.int64)
+        est = compute_car(cross_correlate(empty, empty, 128, 33 * 128), 128)
+        assert np.isnan(est.car) and not est.capped
+        assert (est.peak_counts, est.accidental_per_window) == (0, 0.0)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(12)
         a = poisson_stream(rng, 3e5, 0.05)
@@ -239,11 +246,11 @@ class TestLinkMatrix:
         links = [(0, 1), (0, 8)]
         reports, hists, _ = link_matrix(streams, reference_plan, links, 128,
                                         delays, 1.0, monitor_window_ps=4096)
-        assert [r.kind for r in reports] == ["intra", "inter"]
-        assert reports[0].resource_id == 1
-        assert reports[1].resource_id == 6
-        assert all(r.coincidences > 0 for r in reports)
-        assert set(hists) == set(links)
+        assert list(reports) == list(hists) == links
+        assert [r.kind for r in reports.values()] == ["intra", "inter"]
+        assert reports[(0, 1)].resource_id == 1
+        assert reports[(0, 8)].resource_id == 6
+        assert all(r.coincidences > 0 for r in reports.values())
 
     def test_links_csv_format(self, tmp_path, reference_plan):
         sys_cfg = SystemConfig()
@@ -254,7 +261,7 @@ class TestLinkMatrix:
         reports, _, _ = link_matrix(streams, reference_plan, [(0, 1)], 128,
                                     delays, 0.2, monitor_window_ps=4096)
         out = tmp_path / "links.csv"
-        write_links_csv(reports, out)
+        write_links_csv(reports.values(), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "user_a,user_b,kind,resource_id,coincidences,car,duration_s"
         assert lines[1].startswith("0,1,intra,1,")
@@ -342,7 +349,7 @@ def test_link_window_equals_full_streams(case):
             == (ref_hist.singles_a, ref_hist.singles_b, ref_hist.duration_ps))
 
     ref = match_coincidences(a, b, window, offset_ps=offset)
-    assert reports[0].coincidences == len(ref)
+    assert reports[(0, 1)].coincidences == len(ref)
     np.testing.assert_array_equal(win.index_a[win.matches.index_a], ref.index_a)
     np.testing.assert_array_equal(win.index_b[win.matches.index_b], ref.index_b)
 
@@ -354,7 +361,7 @@ def test_link_window_equals_full_streams(case):
     key = pa[ref.index_a] != pb[ref.index_b]
     material = sift_frames(ref.times_a[key], ref.times_b[key] - offset,
                            qkd.frames)
-    rep = analyze_link(win, 0, offset, qkd, 1.0)
+    rep = analyze_link(win, qkd, 1.0)
     assert rep.counts == {"matched_pairs": len(ref),
                           "key_pairs": int(np.count_nonzero(key)),
                           "monitor_pairs": int(ref_mon.size),
@@ -430,10 +437,11 @@ def test_pooled_filter_equals_full_streams(case):
     duration_ps = 10**12
     expected = {}
     for ua, ub in links:
-        offset = delays[ub] - delays[ua]
-        win = link_window(streams[ua], streams[ub], offset, window, reach)
+        win = link_window(streams[ua], streams[ub], delays[ua], delays[ub],
+                          window, reach)
         hist = cross_correlate(streams[ua][0], streams[ub][0], window, span,
-                               offset_ps=offset, duration_ps=duration_ps)
+                               offset_ps=delays[ub] - delays[ua],
+                               duration_ps=duration_ps)
         expected[(ua, ub)] = win, hist
     for slab in (1, 2, 3, analysis.POOL_TAGS):
         with pytest.MonkeyPatch.context() as mp:
@@ -441,16 +449,20 @@ def test_pooled_filter_equals_full_streams(case):
             reports, hists, windows = link_matrix(
                 streams, NETWORK_PLAN, links, window, delays, 1.0,
                 monitor_window_ps=monitor_window, hist_range_ps=span)
-        for rep, (ua, ub) in zip(reports, links):
-            ref_win, ref_hist = expected[(ua, ub)]
-            win, hist = windows[(ua, ub)], hists[(ua, ub)]
+        assert (list(reports) == list(hists) == list(windows)
+                == list(dict.fromkeys(links)))
+        for link in links:
+            ref_win, ref_hist = expected[link]
+            rep, win, hist = reports[link], windows[link], hists[link]
             np.testing.assert_array_equal(hist.counts, ref_hist.counts)
             assert ((hist.singles_a, hist.singles_b, hist.offset_ps)
                     == (ref_hist.singles_a, ref_hist.singles_b,
                         ref_hist.offset_ps))
             assert rep.coincidences == len(ref_win.matches)
-            assert rep.car == compute_car(ref_hist, window).car
-            for name in ("offset_ps", "reach_ps", "singles_a", "singles_b"):
+            # nan (an empty histogram) equals nan here
+            np.testing.assert_equal(rep.car, compute_car(ref_hist, window).car)
+            for name in ("delay_a_ps", "delay_b_ps", "offset_ps", "reach_ps",
+                         "singles_a", "singles_b"):
                 assert getattr(win, name) == getattr(ref_win, name)
             for name in ("index_a", "index_b", "times_a", "times_b",
                          "paths_a", "paths_b"):

@@ -265,6 +265,18 @@ class TestCliRun:
         assert list(helpers.read_histograms_csv(out / "histograms.csv")) == [
             (0, 1), (0, 8)]
 
+    def test_zero_duration_bundle(self, tmp_path):
+        """A 0 s run has no tags: no key report, and an empty histogram's
+        CAR is nan."""
+        out = tmp_path / "o"
+        assert run_cli("--out", str(out), "--duration", "0",
+                       "--links", "0-1") == 0
+        assert json.loads((out / "keyrates.json").read_text())["links"] == []
+        with open(out / "links.csv", newline="") as fh:
+            rows = [(r["user_a"], r["user_b"], r["coincidences"], r["car"])
+                    for r in csv.DictReader(fh)]
+        assert rows == [("0", "1", "0", "nan")]
+
     def test_low_symbol_warnings_summarised(self, tmp_path, capsys):
         """One stderr line counts the links whose mutual information is a
         low-sample estimate, in place of one warning per link."""
@@ -621,8 +633,8 @@ class TestLinkReport:
         cfg = with_overrides(default_config(), duration_s=0.05,
                              links="0-1,0-8")
         bundle = run_bundle(cfg)
-        assert len(bundle.link_reports) == 2
-        for rep in bundle.link_reports:
-            assert bundle.link_report(rep.user_a, rep.user_b) is rep
-        with pytest.raises(KeyError, match="link 1-0 not in bundle"):
-            bundle.link_report(1, 0)
+        assert list(bundle.link_reports) == [(0, 1), (0, 8)]
+        for (ua, ub), rep in bundle.link_reports.items():
+            assert (rep.user_a, rep.user_b) == (ua, ub)
+        with pytest.raises(KeyError):
+            bundle.link_reports[(1, 0)]

@@ -113,8 +113,9 @@ class TestBasisSift:
         res = run_scenario(plan, sys_cfg, 1.0, seed=6, collect_truth=False)
         qkd = QkdConfig()
         rep = analyze_link(link_window(res.user_stream(0),
-                                       res.user_stream(1), 0, qkd.window_ps,
-                                       qkd.monitor_window_ps // 2), 0, 0,
+                                       res.user_stream(1), 0, 0,
+                                       qkd.window_ps,
+                                       qkd.monitor_window_ps // 2),
                            qkd, 1.0, monitor_expected_ps=1576.0)
         key = rep.counts["key_pairs"]
         mon = rep.counts["monitor_pairs"]
@@ -332,8 +333,9 @@ class TestDispersionCancellation:
         qkd = QkdConfig(frames=FRAMES16, window_ps=512, monitor_window_ps=8192)
         pair = plan.resource_by_id(1)
         rep = analyze_link(link_window(res.user_stream(0),
-                                       res.user_stream(1), 0, qkd.window_ps,
-                                       qkd.monitor_window_ps // 2), 0, 0,
+                                       res.user_stream(1), 0, 0,
+                                       qkd.window_ps,
+                                       qkd.monitor_window_ps // 2),
                            qkd, 1.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
@@ -424,8 +426,9 @@ class TestAnalyzeLinkSmoke:
         qkd = QkdConfig()
         pair = reference_plan.resource_by_id(1)
         rep = analyze_link(link_window(res.user_stream(2),
-                                       res.user_stream(3), 0, qkd.window_ps,
-                                       qkd.monitor_window_ps // 2), 0, 0,
+                                       res.user_stream(3), 0, 0,
+                                       qkd.window_ps,
+                                       qkd.monitor_window_ps // 2),
                            qkd, 5.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
