@@ -39,9 +39,9 @@ from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
 # counts twice the pages the two share.
 BYTES_PER_TAG = 20
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 407820 + 260768 kB, 668588 kB at most in
-# three runs, 58.7 bytes a tag. Both processes write the shared
-# detected flags, so each holds the pages of its users' rows.
+# expected tags) peaked at 405288 + 258080 kB, 663368 kB at most in
+# three runs, 58.3 bytes a tag. The parent holds the whole log; the
+# worker, the emission times of the outcomes it drew.
 BYTES_PER_TRUTH_TAG = 59
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 

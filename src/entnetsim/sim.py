@@ -25,12 +25,11 @@ outcomes' events and writes each user's arrivals straight into one
 preallocated float64 buffer: normal-path photons fill it from the front
 in outcome order, anomalous-path photons from the back in reverse, so
 the two regions meet exactly and each, read in its own direction, is in
-outcome order. A truth run keeps the photons' truth rows in a matching
-int64 buffer and fills the preallocated emission-time column of the
-truth log; the log's resource and users are one run per outcome, taken
-from pass 1. Each draw and each step of the arrival transform writes
-into one scratch set per group, sized to the group's largest outcome
-block.
+outcome order. A truth run keeps the photons' packed truth rows in a
+matching int64 buffer and fills the emission-time column of the truth
+log; the log's resource and users are one run per outcome, taken from
+pass 1. Each draw and each step of the arrival transform writes into one
+scratch set per group, sized to the group's largest outcome block.
 
 The second pass is split by user into one group per CPU: this process
 runs one group and a forked worker each other. The process that runs a
@@ -40,17 +39,16 @@ stable argsort when a truth run needs the permutation. Right after a
 user's second path the two paths' tags are merged into the user's one
 time-sorted stream with a path label per tag, and the user's buffers
 and per-path arrays are freed. A worker then sends its users' streams
-(and a truth run's tag rows) to the parent through a pipe. The only
-arrays a worker writes for the parent in place are a truth run's
-emission-time column and detected flags, anonymous shared mappings made
-before the fork. The parent reaps every worker before run_scenario
+(and a truth run's packed tag rows and the emission times of the
+outcomes it drew) to the parent through a pipe, its only output. Once
+every group is in, the parent marks the truth log's detected flags from
+the packed tag rows. The parent reaps every worker before run_scenario
 returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import signal
 import traceback
@@ -414,32 +412,6 @@ def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
     return front + n_normal, back - n_anomalous
 
 
-def _tag_truth_rows(packed: np.ndarray, origin: np.ndarray,
-                    flags: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Truth-log row of each tag of one detector (-1 for a dark count),
-    from the packed rows of its input photons; marks the photons that
-    made a tag in flags, the truth log's (signal, idler) detected
-    columns."""
-    tag_rows = np.full(origin.size, -1, dtype=np.int64)
-    photon = origin >= 0
-    if origin.size:
-        hit = packed[origin[photon]]
-        tag_rows[photon] = hit // 2
-        for role_bit, detected in enumerate(flags):
-            detected[hit[hit % 2 == role_bit] // 2] = True
-    return tag_rows
-
-
-def _shared_zeros(n: int, dtype) -> np.ndarray:
-    """An array of n zeros in its own anonymous shared mapping: what a
-    forked worker writes to it, the parent reads, and dropping the last
-    reference unmaps it."""
-    dtype = np.dtype(dtype)
-    if n == 0:  # mmap refuses an empty mapping
-        return np.zeros(0, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype=dtype)
-
-
 def _workers() -> int:
     """Processes that share pass 2: one per CPU this process may run on,
     the parent included, or only the parent where os.fork is missing."""
@@ -463,29 +435,27 @@ def _groups(selected: list[int], arrivals: dict[int, int],
     return [sorted(group) for group in groups]
 
 
-def _fill_group(users: list[int], outcomes: list, sel_set: set[int],
-                arrivals: dict[int, int], sys_cfg: SystemConfig,
-                duration_ps: int, t_emit: np.ndarray | None):
-    """Pass 2 for one group of users: draw every outcome that reaches one
-    of them and write their arrivals (and a truth run's packed rows)
-    into new buffers of arrivals[user] items. A truth run's one shared
-    truth column, t_emit, takes an outcome's emission times from the
-    group of its signal user, or of its idler user when the signal user
-    is not selected. Return each user's arrivals, packed rows (None
-    without truth) and normal-path count."""
+def _fill_group(users: list[int], outcomes: list, arrivals: dict[int, int],
+                sys_cfg: SystemConfig, duration_ps: int,
+                t_emit: np.ndarray | None):
+    """Pass 2 for one group of users: draw outcomes, the outcomes that
+    reach one of them, and write their arrivals (and a truth run's packed
+    rows) into new buffers of arrivals[user] items. A truth run writes
+    each outcome's emission times into its rows of t_emit. Return each
+    user's arrivals, packed rows (None without truth) and normal-path
+    count."""
     mine = set(users)
-    todo = [o for o in outcomes if o[1] in mine or o[2] in mine]
-    scratch = _Scratch(max((o[3] for o in todo), default=0),
+    scratch = _Scratch(max((o[3] for o in outcomes), default=0),
                        t_emit is not None)
     times_buf = {u: np.empty(arrivals[u]) for u in users}
     rows_buf = ({u: np.empty(arrivals[u], dtype=np.int64) for u in users}
                 if t_emit is not None else None)
     fronts = dict.fromkeys(users, 0)
     backs = dict(arrivals)
-    for pair, u, v, n, rng, row in todo:
+    for pair, u, v, n, rng, row in outcomes:
         block = _draw_events(rng, n, sys_cfg.source, duration_ps, v in mine,
                              scratch)
-        if t_emit is not None and (u in mine or u not in sel_set):
+        if t_emit is not None:
             t_emit[row:row + n] = block[0]
         for role_bit, (role, dest, paths) in enumerate(
                 (("signal", u, block[2]), ("idler", v, block[3]))):
@@ -546,22 +516,26 @@ def _fork(work) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _wire(results: dict) -> list[np.ndarray]:
-    """A group's results, {user: (stream, tag rows or None, (normal,
-    anomalous) arrival counts)}, as the arrays a worker sends: a header
-    row per user of its tag count and arrival counts, then each user's
-    times, labels and, in a truth run, tag rows."""
+def _wire(results: dict, emit_times) -> list[np.ndarray]:
+    """A group's results, {user: (stream, packed tag rows or None,
+    (normal, anomalous) arrival counts)}, as the arrays a worker sends: a
+    header row per user of its tag count and arrival counts, then each
+    user's times, labels and, in a truth run, packed tag rows, then a
+    truth run's emit_times, the t_emit slice of each outcome the group
+    drew."""
     arrays = [np.array([(stream[0].size, *counts) for stream, _, counts
                         in results.values()], dtype=np.int64)]
     for stream, rows, _ in results.values():
         arrays += [*stream, rows] if rows is not None else stream
-    return arrays
+    return arrays + list(emit_times or ())
 
 
-def _receive(pipe, users: list[int], truth: bool) -> dict | None:
+def _receive(pipe, users: list[int], emit_times) -> dict | None:
     """The results _wire sent for users, read from pipe into new arrays,
-    or None if the worker sent its traceback or the payload ended
-    short."""
+    and in a truth run (emit_times given) the emission times read into
+    the slices emit_times yields; None if the worker sent its traceback
+    or the payload ended short."""
+    truth = emit_times is not None
     header = np.empty((len(users), 3), dtype=np.int64)
     if pipe.read(1) != b"\0" or pipe.readinto(header) != header.nbytes:
         return None
@@ -573,21 +547,24 @@ def _receive(pipe, users: list[int], truth: bool) -> dict | None:
             return None
         results[user] = (tuple(arrays[:2]), arrays[2] if truth else None,
                          tuple(counts))
+    if any(pipe.readinto(a) != a.nbytes for a in emit_times or ()):
+        return None
     return results
 
 
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                  rows_buf: dict[int, np.ndarray] | None, n_normal: int,
-                 flags: tuple[np.ndarray, np.ndarray] | None, seed: int,
-                 sys_cfg: SystemConfig, duration_s: float):
-    """One user's (times, labels) and, in a truth run (flags, the truth
-    log's detected columns, given), tag rows (else None), from its
-    filled buffers, which are popped and freed on the way.
+                 seed: int, sys_cfg: SystemConfig, duration_s: float):
+    """One user's (times, labels) and, in a truth run (rows_buf given),
+    packed tag rows (else None), from its filled buffers, which are
+    popped and freed on the way.
 
     Each path goes through its own detector, seeded per (user, path).
     The two tag arrays are then merged by a stable argsort of their
     concatenation, path 0 first, which puts path 0's tag first on equal
-    times. A truth run's tag rows follow the same permutation.
+    times. A truth run's tag rows follow the same permutation: each is
+    the packed row of the photon that made the tag, or -1 for a dark
+    count.
 
     A truth run reads the anomalous region reversed, which restores
     outcome order, and sorts each region with a stable argsort, because
@@ -597,11 +574,12 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
     whichever order the region was filled in.
     """
     user_times = times_buf.pop(user)
-    user_rows = rows_buf.pop(user) if flags is not None else None
+    user_rows = rows_buf.pop(user) if rows_buf is not None else None
+    truth = user_rows is not None
     path_tags, path_rows = [], []
     for path, region in ((0, slice(None, n_normal)), (1, slice(n_normal, None))):
         times = user_times[region]
-        if flags is None:
+        if not truth:
             times.sort()
         else:
             packed = user_rows[region]
@@ -616,9 +594,11 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                                                 duration_s, rng)
         del times
         path_tags.append(tags)
-        if flags is not None:
-            path_rows.append(_tag_truth_rows(packed, origin, flags))
-            del packed
+        if truth:
+            path_rows.append(np.full(origin.size, -1, dtype=np.int64))
+            photon = origin >= 0
+            path_rows[-1][photon] = packed[origin[photon]]
+            del packed, photon
         del tags, origin  # path_tags keeps the only reference
     del user_times, user_rows  # unmaps the user's buffers
     n_normal_tags = path_tags[0].size
@@ -628,7 +608,7 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
     labels = (order >= n_normal_tags).view(np.uint8)  # 1 where from path 1
     stream = (merged[order], labels)
     del merged
-    rows = np.concatenate(path_rows)[order] if flags is not None else None
+    rows = np.concatenate(path_rows)[order] if truth else None
     return stream, rows
 
 
@@ -652,20 +632,19 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     starts, which inherits every pass-1 generator where pass 1 left it,
     so an outcome that reaches two groups is drawn in both with
     identical events. Each process fills, detects and merges its own
-    group's users in buffers of its own (_fill_group, _detect_user). A
-    truth run's emission-time column and detected flags are anonymous
-    shared mappings made before the forks: a process writes only the
-    emission times of the outcomes its group owns and the flags of its
-    own users' photons, so no two processes write the same byte. The
-    truth log's run table (each outcome's first row, resource and users,
-    from pass 1) is made after the forks, so no worker holds its pages.
-    Each worker sends its users' streams, tag rows and arrival counts
-    through its pipe (_wire); once group 0 is done, this process reads
-    the workers' results in order, each array into its own new array
-    (_receive), and reaps each worker. A worker that fails, or whose
-    results end short, makes this call raise, naming it; on any exit
-    every worker still running is killed and every worker is reaped, so
-    none outlives the call.
+    group's users in buffers of its own (_fill_group, _detect_user), and
+    writes the emission times of every outcome it draws into its own
+    copy of the truth log's emission-time column. Each worker sends its
+    users' streams, packed tag rows and arrival counts, then the
+    emission times of its outcomes, through its pipe (_wire); once group
+    0 is done, this process reads the workers' results in order, each
+    array into its own new array and each outcome's emission times into
+    its rows of the column (_receive), and reaps each worker. A worker
+    that fails, or whose results end short, makes this call raise,
+    naming it; on any exit every worker still running is killed and
+    every worker is reaped, so none outlives the call. With every group
+    in, the packed tag rows mark the truth log's detected flags in one
+    scatter and are then halved in place into truth rows.
     """
     ScenarioConfigError.check("duration_s", duration_s, 0)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
@@ -694,19 +673,39 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
                         arrivals[dest] += n
 
     groups = _groups(selected, arrivals, _workers())
+    # each group draws the outcomes that reach one of its users
+    drawn = [[o for o in outcomes if o[1] in users or o[2] in users]
+             for users in map(set, groups)]
+    t_emit = spans = None
     if collect_truth:
-        t_emit = _shared_zeros(n_rows, np.float64)
-        flags = (_shared_zeros(n_rows, bool), _shared_zeros(n_rows, bool))
-    else:
-        t_emit = flags = truth = None
+        t_emit = np.empty(n_rows)
+        # (first row, count) of each group's outcomes: their emission
+        # times are what a worker sends after its users
+        spans = [np.array([(o[5], o[3]) for o in todo],
+                          dtype=np.int64).reshape(-1, 2) for todo in drawn]
+        runs = dict(
+            first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
+            resource_id=np.array([o[0].resource_id for o in outcomes],
+                                 dtype=np.int32),
+            signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
+            idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
+    del outcomes  # drawn holds the generators
 
-    def run_group(users):
-        """{user: (stream, tag rows or None, (normal, anomalous) arrivals)}"""
+    def emit_times(g):
+        """A truth run's t_emit slice of each outcome of group g, in
+        outcome order, made one at a time; None without truth."""
+        return None if spans is None else (t_emit[row:row + n]
+                                           for row, n in spans[g])
+
+    def run_group(g):
+        """{user: (stream, packed tag rows or None, (normal, anomalous)
+        arrivals)}"""
+        users = groups[g]
         times_buf, rows_buf, n_normal = _fill_group(
-            users, outcomes, sel_set, arrivals, sys_cfg, duration_ps, t_emit)
-        outcomes.clear()  # and with them this process's generators
+            users, drawn[g], arrivals, sys_cfg, duration_ps, t_emit)
+        drawn.clear()  # and with them this process's generators
         return {user: (*_detect_user(user, times_buf, rows_buf,
-                                     n_normal[user], flags, seed, sys_cfg,
+                                     n_normal[user], seed, sys_cfg,
                                      duration_s),
                        (n_normal[user], arrivals[user] - n_normal[user]))
                 for user in users}
@@ -714,23 +713,13 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     workers = []  # (group, pid, pipe) of the workers not yet reaped
     try:
         for g in range(1, len(groups)):
-            workers.append(
-                (g, *_fork(lambda g=g: _wire(run_group(groups[g])))))
-        if collect_truth:
-            # made after the forks, so no worker holds their pages
-            truth = TruthLog(
-                t_emit_ps=t_emit,
-                signal_detected=flags[0], idler_detected=flags[1],
-                first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
-                resource_id=np.array([o[0].resource_id for o in outcomes],
-                                     dtype=np.int32),
-                signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
-                idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
-        results = run_group(groups[0])
+            workers.append((g, *_fork(
+                lambda g=g: _wire(run_group(g), emit_times(g)))))
+        results = run_group(0)
         while workers:
             g, pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
-                got = _receive(pipe, groups[g], collect_truth)
+                got = _receive(pipe, groups[g], emit_times(g))
                 text = pipe.read() if got is None else b""
             _, status = os.waitpid(pid, 0)
             del workers[0]
@@ -748,6 +737,15 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
+
+    truth = None
+    if collect_truth:
+        detected = np.zeros((n_rows, 2), dtype=bool)
+        for _, rows, _ in results.values():
+            detected.reshape(-1)[rows[rows >= 0]] = True
+            rows //= 2  # packed rows to truth rows; -1 stays -1
+        truth = TruthLog(t_emit_ps=t_emit, signal_detected=detected[:, 0],
+                         idler_detected=detected[:, 1], **runs)
 
     return ScenarioResult(
         duration_ps=duration_ps,

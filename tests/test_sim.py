@@ -431,6 +431,25 @@ class TestEngineEdgeCases:
             np.testing.assert_array_equal(plain.streams[user][0], times)
             np.testing.assert_array_equal(plain.streams[user][1], labels)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dark_counts_and_no_photon(self, monkeypatch, workers):
+        """A truth run whose users get dark counts but no photon: every
+        tag's row is -1, though its paths hold no packed row to index."""
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        plan = build_plan(1, 2, ItuChannel(40))
+        sys_cfg = light_system(pair_rate=1.0, dark=1e5)
+        res = run_scenario(plan, sys_cfg, 0.001, seed=3)
+        assert sum(res.arrival_counts.values()) == 0
+        assert all(rows.size > 0 and np.all(rows == -1)
+                   for rows in res.tag_pair_rows.values())
+        assert not res.truth.signal_detected.any()
+        assert not res.truth.idler_detected.any()
+        plain = run_scenario(plan, sys_cfg, 0.001, seed=3, collect_truth=False)
+        for user, (times, labels) in res.streams.items():
+            np.testing.assert_array_equal(plain.streams[user][0], times)
+            np.testing.assert_array_equal(plain.streams[user][1], labels)
+        _assert_no_child()
+
 
 def _assert_no_child():
     """No child of this process is left, running or unreaped."""
