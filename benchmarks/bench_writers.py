@@ -6,12 +6,9 @@ like those of a calibrated run, and times the bulk writers of the report
 bundle on them (`sim.write_truth_csv`, `sim.write_tag_stream`,
 `analysis.write_histograms_csv`). The truth log is in run form, as the
 engine makes it: runs of rows that share a resource and users, one per
-joint routing outcome. For comparison it also writes the same
-histograms as one file per link, the layout of earlier bundles (through
-the per-link oracle in tests/helpers.py), and creates as many empty files.
-Every repeat writes into a new directory, so each file is created as in a
-new bundle. Prints the best time of the repeats, the bytes written per
-second and the cost of creating one file.
+joint routing outcome. Every repeat writes into a new directory, so each
+file is created as in a new bundle. Prints the best time of the repeats
+and the bytes written per second.
 
 Before timing anything it writes the truth log, the tag stream and the
 histogram table once more through their byte oracles in tests/helpers.py
@@ -36,8 +33,8 @@ from entnetsim.analysis import CorrelationHistogram, write_histograms_csv
 from entnetsim.sim import LOST, TruthLog, write_tag_stream, write_truth_csv
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import (ref_write_histogram_csv, ref_write_histograms_csv,  # noqa: E402
-                     ref_write_tag_stream, ref_write_truth_csv)
+from helpers import (ref_write_histograms_csv, ref_write_tag_stream,  # noqa: E402
+                     ref_write_truth_csv)
 
 DURATION_PS = 250_000_000_000
 
@@ -110,19 +107,6 @@ def main():
         write_histograms_csv(hists, path)
         return [path]
 
-    def histogram_files(out):
-        paths = []
-        for (ua, ub), hist in hists.items():
-            paths.append(os.path.join(out, f"link_{ua}-{ub}.csv"))
-            ref_write_histogram_csv(hist, paths[-1], user_a=ua, user_b=ub)
-        return paths
-
-    def empty_files(out):
-        paths = [os.path.join(out, f"f{k}") for k in range(len(hists))]
-        for path in paths:
-            open(path, "w").close()
-        return paths
-
     # (writer, its byte oracle)
     checks = [
         (truth_csv, lambda path: ref_write_truth_csv(truth, path)),
@@ -142,13 +126,10 @@ def main():
                              f" oracle's ({os.path.basename(path)});"
                              " nothing timed")
 
-    # (name, call, files the call creates)
     cases = [
-        (f"write_truth_csv ({args.rows:,} rows)", truth_csv, 1),
-        (f"write_tag_stream ({args.tags:,} tags)", tag_stream, 1),
-        (f"write_histograms_csv ({len(hists)} links)", histogram_table, 1),
-        (f"per-link histogram files ({len(hists)})", histogram_files, len(hists)),
-        (f"empty files ({len(hists)})", empty_files, len(hists)),
+        (f"write_truth_csv ({args.rows:,} rows)", truth_csv),
+        (f"write_tag_stream ({args.tags:,} tags)", tag_stream),
+        (f"write_histograms_csv ({len(hists)} links)", histogram_table),
     ]
 
     with tempfile.TemporaryDirectory() as root:
@@ -159,16 +140,13 @@ def main():
             os.mkdir(path)
             return path
 
-        header = (f"{'writer':38s} {'time':>10s} {'MB':>7s} {'MB/s':>7s}"
-                  f" {'ms/file':>8s}")
+        header = f"{'writer':38s} {'time':>10s} {'MB':>7s} {'MB/s':>7s}"
         print(header)
         print("-" * len(header))
-        for name, call, n_files in cases:
+        for name, call in cases:
             t, paths = best_time(call, args.repeat, new_dir)
             mb = sum(os.path.getsize(p) for p in paths) / 1e6
-            rate = f"{mb / t:7.1f}" if mb else f"{'-':>7s}"
-            per_file = f"{t * 1e3 / n_files:8.3f}" if n_files > 1 else ""
-            print(f"{name:38s} {t * 1e3:8.1f}ms {mb:7.2f} {rate} {per_file}")
+            print(f"{name:38s} {t * 1e3:8.1f}ms {mb:7.2f} {mb / t:7.1f}")
 
 
 if __name__ == "__main__":

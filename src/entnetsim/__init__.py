@@ -9,7 +9,7 @@ from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance)
 from .sim import LossBudget, SystemConfig, derive_stream_seed, run_scenario
 from .analysis import (compute_car, cross_correlate, link_matrix,
-                       link_window, match_coincidences)
+                       match_coincidences)
 from .doqkd import (FrameConfig, QkdConfig, analyze_link, basis_sift,
                     bin_encode, estimate_qber, monitor_broadening,
                     mutual_information, secure_key_rate, sift_frames)
@@ -27,8 +27,7 @@ __all__ = [
     "DetectorConfig", "DispersionConfig", "SourceConfig",
     "db_to_transmittance",
     "LossBudget", "SystemConfig", "derive_stream_seed", "run_scenario",
-    "compute_car", "cross_correlate", "link_matrix", "link_window",
-    "match_coincidences",
+    "compute_car", "cross_correlate", "link_matrix", "match_coincidences",
     "FrameConfig", "QkdConfig", "analyze_link", "basis_sift", "bin_encode",
     "estimate_qber", "monitor_broadening", "mutual_information",
     "secure_key_rate", "sift_frames",

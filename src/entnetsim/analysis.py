@@ -1,5 +1,5 @@
 """Coincidence analysis between users: correlation histograms, one-to-one
-coincidence matching, CAR estimation and whole-network link matrices.
+coincidence matching, CAR estimation and whole-network link windows.
 
 The heavy sweeps run on the kernels in _kernels; both sweep algorithms
 are linear two-pointer passes over the sorted streams, never all-pairs
@@ -7,20 +7,22 @@ enumeration.
 
 link_matrix finds the candidate tags of every link in one sweep over all
 user streams (_pool_candidates). A candidate of link (a, b) is a tag of
-one user with a tag of the other within the reach: the widest delay any
-histogram bin, coincidence window or monitor window of the link can
-accept. The sweep removes each user's delay, s = t - delay. Since the
-link's offset is delay_b - delay_a, |t_b - t_a - offset| <= reach holds
-exactly when |s_b - s_a| <= reach, so one pass over the shifted times of
-all users finds the pairs within reach of every link at once, and the
-search is exact. The sweep pools tags in time slabs of at most POOL_TAGS
-core tags plus the tags within reach of the slab edges, so its memory is
-set by POOL_TAGS and by the candidates found, not by the stream lengths.
-A link's candidates are about 70 tags per stream on the 780-link network,
-so the per-link work costs only its candidates.
+one user with a tag of the other within the reach the caller gives: the
+widest delay any histogram bin, coincidence window or monitor window of
+the link will accept. The sweep removes each user's delay, s = t - delay.
+Since the link's offset is delay_b - delay_a, |t_b - t_a - offset| <=
+reach holds exactly when |s_b - s_a| <= reach, so one pass over the
+shifted times of all users finds the pairs within reach of every link at
+once, and the search is exact. The sweep pools tags in time slabs of at
+most POOL_TAGS core tags plus the tags within reach of the slab edges, so
+its memory is set by POOL_TAGS and by the candidates found, not by the
+stream lengths. A link's candidates are about 70 tags per stream on the
+780-link network, so the per-link work costs only its candidates.
 
-Per link, the histogram and matching kernels run on the candidates only;
-a tag with no partner within reach falls in no bin and is never matched,
+link_matrix returns each link's candidates and their narrow-window
+match as a LinkWindow. The per-link steps run on that window alone:
+link_histogram (HIST_BINS bins), compute_car, and doqkd's analyze_link.
+A tag with no partner within reach falls in no bin and is never matched,
 so the results are exactly those of the full streams.
 
 Sortedness is checked at the boundary: link_matrix checks each user
@@ -32,17 +34,19 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from ._columns import CHUNK_ROWS, TextTable, encode_rows
-from .photonics import PS_PER_SECOND, ContractViolation
-from .plan import NetworkPlan, resource_for_link
+from .photonics import ContractViolation
 
 CAR_CAP = 1e9  # reported CAR of a non-zero peak on an accidental floor of 0
 GUARD_WINDOWS = 3  # peak widths left out of the floor on each side of the peak
+# Bins of a link's delay histogram, each one coincidence window wide; odd,
+# so the histogram spans HIST_BINS * window_ps // 2 either side of zero.
+HIST_BINS = 33
 # Most core tags pooled into one slab of the candidate sweep
 # (_pool_candidates), which holds about 17 bytes per pooled tag at its
 # peak. 1 << 18 raised the peak RSS of the 780-link, 0.2 s run (seed 7) by
@@ -241,45 +245,6 @@ class LinkWindow:
         return self.delay_b_ps - self.delay_a_ps
 
 
-def _link_window(stream_a: tuple[np.ndarray, np.ndarray],
-                 stream_b: tuple[np.ndarray, np.ndarray],
-                 index_a: np.ndarray, index_b: np.ndarray, delay_a_ps: int,
-                 delay_b_ps: int, window_ps: int, reach_ps: int) -> LinkWindow:
-    """LinkWindow of two full (times, path_labels) streams from the
-    positions of their candidate tags."""
-    times_a, paths_a = stream_a
-    times_b, paths_b = stream_b
-    cand_a, cand_b = times_a[index_a], times_b[index_b]
-    matches = match_coincidences(cand_a, cand_b, window_ps,
-                                 offset_ps=delay_b_ps - delay_a_ps)
-    return LinkWindow(delay_a_ps=int(delay_a_ps), delay_b_ps=int(delay_b_ps),
-                      reach_ps=int(reach_ps),
-                      index_a=index_a, index_b=index_b,
-                      times_a=cand_a, times_b=cand_b,
-                      paths_a=np.asarray(paths_a)[index_a],
-                      paths_b=np.asarray(paths_b)[index_b],
-                      singles_a=int(times_a.size), singles_b=int(times_b.size),
-                      matches=matches)
-
-
-def link_window(stream_a: tuple[np.ndarray, np.ndarray],
-                stream_b: tuple[np.ndarray, np.ndarray], delay_a_ps: int,
-                delay_b_ps: int, window_ps: int, reach_ps: int) -> LinkWindow:
-    """Candidate tags of one link and their match_coincidences at window_ps.
-
-    stream_a and stream_b are (times, path_labels) with times sorted
-    ascending int64; they are not checked here (link_matrix checks each
-    user stream once). The window keeps the users' propagation delays
-    delay_a_ps and delay_b_ps, whose difference is the link's offset.
-    """
-    if reach_ps < window_ps // 2:
-        raise ValueError("reach_ps must cover the coincidence half-window")
-    cands = _pool_candidates({0: stream_a[0], 1: stream_b[0]},
-                             {0: delay_a_ps, 1: delay_b_ps}, reach_ps, [(0, 1)])
-    return _link_window(stream_a, stream_b, cands[(0, 1)], cands[(1, 0)],
-                        delay_a_ps, delay_b_ps, window_ps, reach_ps)
-
-
 def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
                      reach_ps: int, pairs) -> dict[tuple[int, int], np.ndarray]:
     """Candidate positions of every requested user pair, from one sweep.
@@ -433,57 +398,56 @@ class LinkReport:
     duration_s: float
 
 
-def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]],
-                plan: NetworkPlan, links, window_ps: int,
-                delays_ps: dict[int, int], duration_s: float,
-                monitor_window_ps: int, hist_range_ps: int | None = None
-                ) -> tuple[dict[tuple[int, int], LinkReport],
-                           dict[tuple[int, int], CorrelationHistogram],
-                           dict[tuple[int, int], LinkWindow]]:
-    """Coincidence count and CAR for each requested user pair.
+def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]], links,
+                delays_ps: dict[int, int], window_ps: int, reach_ps: int
+                ) -> dict[tuple[int, int], LinkWindow]:
+    """The LinkWindow of each requested user pair, from one candidate sweep.
 
     streams maps user id to its merged (times, path_labels); each times
     array is checked sorted once here. delays_ps maps user id to its
     configured propagation delay (0 when absent), whose pairwise
-    difference centers each link's window. Returns three dicts keyed by
-    link (ua, ub), each in the order of links with a link listed twice
-    kept once, at its first place: the LinkReports, the histograms, and
-    the LinkWindows, whose reach covers the histogram, the coincidence
-    window and monitor_window_ps, for analyze_link.
+    difference centers each link's window. Each window holds the link's
+    tags within reach_ps and their match_coincidences at window_ps.
+    Returns the windows keyed by link (ua, ub), in the order of links,
+    with a link listed twice kept once, at its first place.
     """
-    if hist_range_ps is None:
-        hist_range_ps = 33 * window_ps
-    span = _histogram_bins(window_ps, hist_range_ps) * window_ps
-    lo = -(span // 2)  # histogram delays run from lo to lo + span - 1
-    reach = max(-lo, lo + span - 1, window_ps // 2, monitor_window_ps // 2)
+    if reach_ps < window_ps // 2:
+        raise ValueError("reach_ps must cover the coincidence half-window")
     links = list(dict.fromkeys(links))
     users = sorted({u for link in links for u in link})
     full = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
             for u in users}
-    cands = _pool_candidates({u: full[u][0] for u in users}, delays_ps, reach,
-                             links)
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
-    reports = {}
-    histograms = {}
+    cands = _pool_candidates({u: full[u][0] for u in users}, delays_ps,
+                             reach_ps, links)
     windows = {}
     for (ua, ub) in links:
-        rid, _pair, kind = resource_for_link(plan, ua, ub)
-        win = _link_window(full[ua], full[ub], cands[(ua, ub)],
-                           cands[(ub, ua)], delays_ps.get(ua, 0),
-                           delays_ps.get(ub, 0), window_ps, reach)
-        counts = cross_correlate(win.times_a, win.times_b, window_ps,
-                                 hist_range_ps, offset_ps=win.offset_ps).counts
-        hist = CorrelationHistogram(
-            bin_width_ps=int(window_ps), offset_ps=win.offset_ps,
-            counts=counts, singles_a=win.singles_a, singles_b=win.singles_b,
-            duration_ps=duration_ps)
-        car = compute_car(hist, window_ps)
-        reports[(ua, ub)] = LinkReport(
-            user_a=ua, user_b=ub, kind=kind, resource_id=rid,
-            coincidences=len(win.matches), car=car.car, duration_s=duration_s)
-        histograms[(ua, ub)] = hist
-        windows[(ua, ub)] = win
-    return reports, histograms, windows
+        (times_a, paths_a), (times_b, paths_b) = full[ua], full[ub]
+        index_a, index_b = cands[(ua, ub)], cands[(ub, ua)]
+        delay_a, delay_b = int(delays_ps.get(ua, 0)), int(delays_ps.get(ub, 0))
+        cand_a, cand_b = times_a[index_a], times_b[index_b]
+        windows[(ua, ub)] = LinkWindow(
+            delay_a_ps=delay_a, delay_b_ps=delay_b, reach_ps=int(reach_ps),
+            index_a=index_a, index_b=index_b, times_a=cand_a, times_b=cand_b,
+            paths_a=np.asarray(paths_a)[index_a],
+            paths_b=np.asarray(paths_b)[index_b],
+            singles_a=int(times_a.size), singles_b=int(times_b.size),
+            matches=match_coincidences(cand_a, cand_b, window_ps,
+                                       offset_ps=delay_b - delay_a))
+    return windows
+
+
+def link_histogram(win: LinkWindow, window_ps: int,
+                   duration_ps: int) -> CorrelationHistogram:
+    """Delay histogram of one link, HIST_BINS bins of window_ps, from its
+    candidate tags: the cross_correlate of its two full streams, whose
+    sizes it carries as singles. The window's reach must cover the
+    histogram's span."""
+    if win.reach_ps < HIST_BINS * window_ps // 2:
+        raise ValueError("link window reach is narrower than the histogram")
+    hist = cross_correlate(win.times_a, win.times_b, window_ps,
+                           HIST_BINS * window_ps, offset_ps=win.offset_ps,
+                           duration_ps=duration_ps)
+    return replace(hist, singles_a=win.singles_a, singles_b=win.singles_b)
 
 
 LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",

@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import __version__
-from .analysis import (CorrelationHistogram, LinkReport, link_matrix,
+from .analysis import (HIST_BINS, CorrelationHistogram, LinkReport,
+                       compute_car, link_histogram, link_matrix,
                        write_histograms_csv, write_links_csv)
 from .config import FIGURE_LINKS, FIGURES, ConfigError, ScenarioConfig, provenance
 from .config import resolve_links  # noqa: F401  (public as report.resolve_links)
 from .doqkd import KeyRateReport, analyze_link
-from .plan import NetworkPlan, subnet_label, write_plan_csv
+from .plan import (NetworkPlan, resource_for_link, subnet_label,
+                   write_plan_csv)
 from .rates import expected_singles_rate, monitor_expected_iqr_ps
 from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
                   write_tag_stream, write_truth_csv, PATH_NAMES)
@@ -105,33 +107,38 @@ def check_memory(cfg: ScenarioConfig, collect_truth: bool = False) -> None:
 def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle:
     """Execute the full pipeline for the run's selected links.
 
-    Raises ConfigError before any simulation when the run would not fit
-    in physical memory (check_memory).
+    One pass over link_matrix's windows makes each link's report,
+    histogram and, for a run longer than 0 s, key report. Raises
+    ConfigError before any simulation when the run would not fit in
+    physical memory (check_memory).
     """
     plan, sys_cfg, qkd_cfg = cfg.network_plan(), cfg.system(), cfg.qkd()
-    links, users = cfg.selected_links, cfg.selected_users
+    users, window = cfg.selected_users, qkd_cfg.window_ps
     check_memory(cfg, collect_truth)
 
     result = run_scenario(plan, sys_cfg, cfg.duration_s, cfg.seed,
                           selected_users=users, collect_truth=collect_truth)
     streams = {u: result.user_stream(u) for u in users}
     delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
+    # the reach covers the histogram and the monitor window
+    reach = max(HIST_BINS * window // 2, qkd_cfg.monitor_window_ps // 2)
 
-    link_reports, histograms, windows = link_matrix(
-        streams, plan, links, qkd_cfg.window_ps, delays, cfg.duration_s,
-        monitor_window_ps=qkd_cfg.monitor_window_ps)
-    key_reports = {}
-    if cfg.duration_s > 0:
-        for link, rep in link_reports.items():
-            pair = plan.resource_by_id(rep.resource_id)
-            expected = monitor_expected_iqr_ps(pair, sys_cfg)
-            key_reports[link] = analyze_link(
-                windows[link], qkd_cfg, cfg.duration_s,
-                monitor_expected_ps=expected)
-
-    return ReportBundle(config=cfg, link_reports=link_reports,
-                        key_reports=key_reports, histograms=histograms,
-                        result=result)
+    bundle = ReportBundle(config=cfg, link_reports={}, key_reports={},
+                          histograms={}, result=result)
+    windows = link_matrix(streams, cfg.selected_links, delays, window, reach)
+    for (ua, ub), win in windows.items():
+        rid, pair, kind = resource_for_link(plan, ua, ub)
+        hist = link_histogram(win, window, result.duration_ps)
+        bundle.histograms[(ua, ub)] = hist
+        bundle.link_reports[(ua, ub)] = LinkReport(
+            user_a=ua, user_b=ub, kind=kind, resource_id=rid,
+            coincidences=len(win.matches), car=compute_car(hist, window).car,
+            duration_s=cfg.duration_s)
+        if cfg.duration_s > 0:
+            bundle.key_reports[(ua, ub)] = analyze_link(
+                win, qkd_cfg, cfg.duration_s,
+                monitor_expected_ps=monitor_expected_iqr_ps(pair, sys_cfg))
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from scipy import stats
 
 from entnetsim import ItuChannel, analysis, build_plan
 from entnetsim.analysis import (CAR_CAP, CorrelationHistogram, compute_car,
-                                cross_correlate, link_matrix, link_window,
+                                cross_correlate, link_histogram, link_matrix,
                                 match_coincidences, write_histograms_csv,
                                 write_links_csv)
 from entnetsim.config import default_config, with_overrides
@@ -273,37 +273,50 @@ class TestLinkMatrix:
         streams = {u: res.user_stream(u) for u in users}
         delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in users}
         links = [(0, 1), (0, 8)]
-        reports, hists, _ = link_matrix(streams, reference_plan, links, 128,
-                                        delays, 1.0, monitor_window_ps=4096)
-        assert list(reports) == list(hists) == links
+        windows = link_matrix(streams, links, delays, 128, 2112)
+        assert list(windows) == links
+        assert all(len(win.matches) > 0 for win in windows.values())
+
+    def test_bundle_reports(self):
+        cfg = with_overrides(default_config(), duration_s=1.0, seed=9,
+                             links="0-1,0-8")
+        reports = run_bundle(cfg).link_reports
         assert [r.kind for r in reports.values()] == ["intra", "inter"]
         assert reports[(0, 1)].resource_id == 1
         assert reports[(0, 8)].resource_id == 6
         assert all(r.coincidences > 0 for r in reports.values())
 
-    def test_links_csv_format(self, tmp_path, reference_plan):
-        sys_cfg = SystemConfig()
-        res = run_scenario(reference_plan, sys_cfg, 0.2, seed=2,
-                           selected_users=[0, 1], collect_truth=False)
-        streams = {u: res.user_stream(u) for u in (0, 1)}
-        delays = {u: fiber_delay_ps(sys_cfg.losses, u) for u in (0, 1)}
-        reports, _, _ = link_matrix(streams, reference_plan, [(0, 1)], 128,
-                                    delays, 0.2, monitor_window_ps=4096)
+    def test_links_csv_format(self, tmp_path):
+        cfg = with_overrides(default_config(), duration_s=0.2, seed=2,
+                             links="0-1")
         out = tmp_path / "links.csv"
-        write_links_csv(reports.values(), out)
+        write_links_csv(run_bundle(cfg).link_reports.values(), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "user_a,user_b,kind,resource_id,coincidences,car,duration_s"
         assert lines[1].startswith("0,1,intra,1,")
 
-    def test_unsorted_user_stream_rejected(self, reference_plan):
+    def test_unsorted_user_stream_rejected(self):
         streams = {0: (np.array([5, 1]), np.array([0, 0], dtype=np.uint8)),
                    1: (np.array([1]), np.array([0], dtype=np.uint8))}
         with pytest.raises(ContractViolation, match="user 0"):
-            link_matrix(streams, reference_plan, [(0, 1)], 128, {}, 1.0,
-                        monitor_window_ps=4096)
+            link_matrix(streams, [(0, 1)], {}, 128, 2112)
 
+    def test_reach_below_half_window_rejected(self):
+        streams = {u: (np.array([1]), np.array([0], dtype=np.uint8))
+                   for u in (0, 1)}
+        link_matrix(streams, [(0, 1)], {}, 128, 64)
+        with pytest.raises(ValueError, match="reach_ps"):
+            link_matrix(streams, [(0, 1)], {}, 128, 63)
 
-TWO_USER_PLAN = build_plan(1, 2, ItuChannel(40))
+    def test_histogram_needs_its_span_within_reach(self):
+        streams = {u: (np.array([1]), np.array([0], dtype=np.uint8))
+                   for u in (0, 1)}
+        half_span = analysis.HIST_BINS * 128 // 2
+        win = link_matrix(streams, [(0, 1)], {}, 128, half_span)[(0, 1)]
+        assert link_histogram(win, 128, 10**12).counts.sum() == 1
+        win = link_matrix(streams, [(0, 1)], {}, 128, half_span - 1)[(0, 1)]
+        with pytest.raises(ValueError, match="histogram"):
+            link_histogram(win, 128, 10**12)
 
 
 @st.composite
@@ -317,7 +330,6 @@ def link_case(draw):
     """
     window = draw(st.integers(2, 40))
     n_bins = draw(st.sampled_from([9, 11, 13]))
-    hist_range = n_bins * window - draw(st.integers(0, window - 1))
     span = n_bins * window
     lo = -(span // 2)
     hi = lo + span - 1
@@ -353,7 +365,7 @@ def link_case(draw):
     one_path = draw(st.sampled_from(["none", "a", "b"]))
     pa = labels(a.size, one_path == "a")
     pb = labels(b.size, one_path == "b")
-    return a, pa, b, pb, offset, window, hist_range, monitor_window
+    return a, pa, b, pb, offset, window, n_bins, monitor_window
 
 
 @pytest.mark.filterwarnings("ignore:only .* symbol pairs")
@@ -362,23 +374,23 @@ def link_case(draw):
 def test_link_window_equals_full_streams(case):
     """Histogram, narrow matches, monitor pairs and key counts of a link
     computed on its candidate tags equal those of the full streams."""
-    a, pa, b, pb, offset, window, hist_range, monitor_window = case
+    a, pa, b, pb, offset, window, n_bins, monitor_window = case
     qkd = QkdConfig(window_ps=window, monitor_window_ps=monitor_window)
-    reports, hists, windows = link_matrix(
-        {0: (a, pa), 1: (b, pb)}, TWO_USER_PLAN, [(0, 1)], window,
-        {0: 0, 1: offset}, 1.0, monitor_window_ps=monitor_window,
-        hist_range_ps=hist_range)
-    win = windows[(0, 1)]
+    reach = max(n_bins * window // 2, monitor_window // 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "HIST_BINS", n_bins)
+        win = link_matrix({0: (a, pa), 1: (b, pb)}, [(0, 1)],
+                          {0: 0, 1: offset}, window, reach)[(0, 1)]
+        hist = link_histogram(win, window, 10**12)
 
-    hist = hists[(0, 1)]
-    ref_hist = cross_correlate(a, b, window, hist_range, offset_ps=offset,
+    ref_hist = cross_correlate(a, b, window, n_bins * window, offset_ps=offset,
                                duration_ps=10**12)
     np.testing.assert_array_equal(hist.counts, ref_hist.counts)
     assert ((hist.singles_a, hist.singles_b, hist.duration_ps)
             == (ref_hist.singles_a, ref_hist.singles_b, ref_hist.duration_ps))
 
     ref = match_coincidences(a, b, window, offset_ps=offset)
-    assert reports[(0, 1)].coincidences == len(ref)
+    assert len(win.matches) == len(ref)
     np.testing.assert_array_equal(win.index_a[win.matches.index_a], ref.index_a)
     np.testing.assert_array_equal(win.index_b[win.matches.index_b], ref.index_b)
 
@@ -397,9 +409,6 @@ def test_link_window_equals_full_streams(case):
                           "sifted_pairs": len(material)}
     assert rep.discards == {**material.discards,
                             "basis_mismatch": int(np.count_nonzero(~key))}
-
-
-NETWORK_PLAN = build_plan(2, 3, ItuChannel(40))
 
 
 @st.composite
@@ -451,7 +460,7 @@ def network_case(draw):
     links = [(ub, ua) if draw(st.booleans()) else (ua, ub)
              for ua, ub in links]
     links += draw(st.lists(st.sampled_from(links), max_size=2))
-    return (streams, dict(zip(users, delays)), links, window, span,
+    return (streams, dict(zip(users, delays)), links, window, n_bins,
             monitor_window, reach)
 
 
@@ -460,36 +469,39 @@ def network_case(draw):
 @given(network_case())
 def test_pooled_filter_equals_full_streams(case):
     """link_matrix pre-filters all user streams in pooled time slabs; for
-    every slab size each link's report, histogram and LinkWindow equal
-    link_window and cross_correlate run on the two full streams."""
-    streams, delays, links, window, span, monitor_window, reach = case
+    every slab size each link's LinkWindow and histogram equal those of
+    link_matrix on the link's two streams alone, and its histogram that
+    of cross_correlate on the two full streams."""
+    streams, delays, links, window, n_bins, _monitor, reach = case
     duration_ps = 10**12
     expected = {}
     for ua, ub in links:
-        win = link_window(streams[ua], streams[ub], delays[ua], delays[ub],
-                          window, reach)
-        hist = cross_correlate(streams[ua][0], streams[ub][0], window, span,
+        two = {u: streams[u] for u in (ua, ub)}
+        win = link_matrix(two, [(ua, ub)], delays, window, reach)[(ua, ub)]
+        hist = cross_correlate(streams[ua][0], streams[ub][0], window,
+                               n_bins * window,
                                offset_ps=delays[ub] - delays[ua],
                                duration_ps=duration_ps)
         expected[(ua, ub)] = win, hist
     for slab in (1, 2, 3, analysis.POOL_TAGS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "POOL_TAGS", slab)
-            reports, hists, windows = link_matrix(
-                streams, NETWORK_PLAN, links, window, delays, 1.0,
-                monitor_window_ps=monitor_window, hist_range_ps=span)
-        assert (list(reports) == list(hists) == list(windows)
-                == list(dict.fromkeys(links)))
+            mp.setattr(analysis, "HIST_BINS", n_bins)
+            windows = link_matrix(streams, links, delays, window, reach)
+            hists = {link: link_histogram(win, window, duration_ps)
+                     for link, win in windows.items()}
+        assert list(windows) == list(dict.fromkeys(links))
         for link in links:
             ref_win, ref_hist = expected[link]
-            rep, win, hist = reports[link], windows[link], hists[link]
+            win, hist = windows[link], hists[link]
             np.testing.assert_array_equal(hist.counts, ref_hist.counts)
             assert ((hist.singles_a, hist.singles_b, hist.offset_ps)
                     == (ref_hist.singles_a, ref_hist.singles_b,
                         ref_hist.offset_ps))
-            assert rep.coincidences == len(ref_win.matches)
+            assert len(win.matches) == len(ref_win.matches)
             # nan (an empty histogram) equals nan here
-            np.testing.assert_equal(rep.car, compute_car(ref_hist, window).car)
+            np.testing.assert_equal(compute_car(hist, window).car,
+                                    compute_car(ref_hist, window).car)
             for name in ("delay_a_ps", "delay_b_ps", "offset_ps", "reach_ps",
                          "singles_a", "singles_b"):
                 assert getattr(win, name) == getattr(ref_win, name)
@@ -508,7 +520,7 @@ def test_candidate_sweep_matches_brute_force(case):
     """For every slab size the one sweep gives each side of each link,
     reversed and repeated links too, exactly the tags with a partner
     within reach in the other stream."""
-    streams, delays, links, _window, _span, _monitor, reach = case
+    streams, delays, links, _window, _n_bins, _monitor, reach = case
     times = {u: t for u, (t, _paths) in streams.items()}
     for slab in (1, 2, 3, analysis.POOL_TAGS):
         with pytest.MonkeyPatch.context() as mp:

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import hashlib
 import inspect
 import itertools
 import json
@@ -554,6 +555,35 @@ class TestDumps:
 
 
 class TestReproducibility:
+    # sha256 of each analysis file of one short run: `--links figures
+    # --duration 0.05 --seed 42 --emit all`, default physics
+    BUNDLE_PINS = {
+        "links.csv":
+            "fda61205b9b597d9b0240032ffc21bb006c81e5d7409c99a023826a64f71f485",
+        "histograms.csv":
+            "c3dbf94278d11041e8c8006614237a466c2e933512eff23cb130d77cbf5e9074",
+        "keyrates.json":
+            "81587e51fa82ebdce36e01d6caea896564ef4bbe9689924751ecd31d3cd08d14",
+        "fig3a.csv":
+            "f138fd1b22a90bbbf4e943b52fc27a6ca9e1852fa5c5c3bc7d323616668b5ccf",
+        "fig3b.csv":
+            "f149d6657a23fd0b58d45c02f0a0d410d06f0bc85cfa3954cfb36d2525ccd868",
+        "fig4a.csv":
+            "1cd501d297968997cd689dc9ffe031ebb5539715622623a47583c014770cb383",
+        "fig4b.csv":
+            "d8185fdff94bd2cb0e1ca4484bd2aeb235f0a297a73a88dbc2b5f85300dbb005",
+    }
+
+    def test_bundle_bytes_pinned(self, tmp_path):
+        """The analysis half's output bytes: links, histograms, key rates
+        and the four figure tables of one short run."""
+        out = tmp_path / "o"
+        assert run_cli("--out", str(out), "--links", "figures", "--duration",
+                       "0.05", "--seed", "42", "--emit", "all") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.BUNDLE_PINS}
+        assert digests == self.BUNDLE_PINS
+
     def test_same_seed_byte_identical_bundles(self, tmp_path):
         env = dict(os.environ)
         outs = []
@@ -634,6 +664,8 @@ class TestLinkReport:
                              links="0-1,0-8")
         bundle = run_bundle(cfg)
         assert list(bundle.link_reports) == [(0, 1), (0, 8)]
+        assert (list(bundle.histograms) == list(bundle.key_reports)
+                == list(bundle.link_reports))
         for (ua, ub), rep in bundle.link_reports.items():
             assert (rep.user_a, rep.user_b) == (ua, ub)
         with pytest.raises(KeyError):

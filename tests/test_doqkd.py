@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entnetsim import ItuChannel, build_plan
-from entnetsim.analysis import link_window
+from entnetsim.analysis import link_matrix
 from entnetsim.doqkd import (FrameConfig, QkdConfig, SiftedKeyMaterial,
                              analyze_link, basis_sift, bin_encode,
                              binary_entropy, estimate_qber,
@@ -22,6 +22,14 @@ import helpers
 from test_sim import light_system
 
 FRAMES16 = FrameConfig(frame_length_ps=1024, bins_per_frame=8, guard_band_ps=16)
+
+
+def monitor_reach_window(res, ua, ub, qkd):
+    """The LinkWindow of users ua and ub of a run at zero delays, matched
+    at qkd.window_ps and reaching qkd's monitor half-window."""
+    streams = {u: res.user_stream(u) for u in (ua, ub)}
+    return link_matrix(streams, [(ua, ub)], {}, qkd.window_ps,
+                       qkd.monitor_window_ps // 2)[(ua, ub)]
 
 
 def material_from(symbols_a, symbols_b, d=8, discards=None):
@@ -112,10 +120,7 @@ class TestBasisSift:
                                corr=2.0)
         res = run_scenario(plan, sys_cfg, 1.0, seed=6, collect_truth=False)
         qkd = QkdConfig()
-        rep = analyze_link(link_window(res.user_stream(0),
-                                       res.user_stream(1), 0, 0,
-                                       qkd.window_ps,
-                                       qkd.monitor_window_ps // 2),
+        rep = analyze_link(monitor_reach_window(res, 0, 1, qkd),
                            qkd, 1.0, monitor_expected_ps=1576.0)
         key = rep.counts["key_pairs"]
         mon = rep.counts["monitor_pairs"]
@@ -332,10 +337,7 @@ class TestDispersionCancellation:
         res = run_scenario(plan, sys_cfg, 1.0, seed=seed, collect_truth=False)
         qkd = QkdConfig(frames=FRAMES16, window_ps=512, monitor_window_ps=8192)
         pair = plan.resource_by_id(1)
-        rep = analyze_link(link_window(res.user_stream(0),
-                                       res.user_stream(1), 0, 0,
-                                       qkd.window_ps,
-                                       qkd.monitor_window_ps // 2),
+        rep = analyze_link(monitor_reach_window(res, 0, 1, qkd),
                            qkd, 1.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
@@ -425,10 +427,7 @@ class TestAnalyzeLinkSmoke:
                            selected_users=[2, 3], collect_truth=False)
         qkd = QkdConfig()
         pair = reference_plan.resource_by_id(1)
-        rep = analyze_link(link_window(res.user_stream(2),
-                                       res.user_stream(3), 0, 0,
-                                       qkd.window_ps,
-                                       qkd.monitor_window_ps // 2),
+        rep = analyze_link(monitor_reach_window(res, 2, 3, qkd),
                            qkd, 5.0,
                            monitor_expected_ps=monitor_expected_iqr_ps(
                                pair, sys_cfg))
