@@ -555,8 +555,9 @@ class TestDumps:
 
 
 class TestReproducibility:
-    # sha256 of each analysis file of one short run: `--links figures
-    # --duration 0.05 --seed 42 --emit all`, default physics
+    # sha256 of each bundle file of one short run but run-metadata.json
+    # and timing.json: `--links figures --duration 0.05 --seed 42 --emit
+    # all --dump-tags --dump-truth`, default physics
     BUNDLE_PINS = {
         "links.csv":
             "fda61205b9b597d9b0240032ffc21bb006c81e5d7409c99a023826a64f71f485",
@@ -572,17 +573,89 @@ class TestReproducibility:
             "1cd501d297968997cd689dc9ffe031ebb5539715622623a47583c014770cb383",
         "fig4b.csv":
             "d8185fdff94bd2cb0e1ca4484bd2aeb235f0a297a73a88dbc2b5f85300dbb005",
+        "plan.csv":
+            "328ebfebc319f8d258eb27f78f08e256d2b3990e317d38c7b51eb64c0d8644f8",
+        "truth.csv":
+            "2121a8b5f158d597d25a418a3fc90fda4a6ce98a2fc9a971eb64aa00e609553b",
+        "tags/user0_anomalous.txt":
+            "da2aaf5b8ab689f46e754d1e470dc755add5107fa175fd436ce1381a0e27b860",
+        "tags/user0_normal.txt":
+            "766ef9c87e7ed0f1e5c6a55f7e497d24634c02d08c9edd1689ad32674e1d5621",
+        "tags/user16_anomalous.txt":
+            "8c3ea5caef691d3128e217d98e82269691a973a5b92d958e25489fd46b7d3fc1",
+        "tags/user16_normal.txt":
+            "0945e8f13f61b751e474c1c81013b37af118d9ef5faab57f6c0a44d7d6e01870",
+        "tags/user17_anomalous.txt":
+            "f453d163bfd2cfc30e58c620bbf5f7c9eaba5c659d5e297b12e6d4fbf9400d0f",
+        "tags/user17_normal.txt":
+            "7a4ca64f23bff44f51ff3da7c2946e39f2edc5848996b229ef9f35258a3db9a5",
+        "tags/user1_anomalous.txt":
+            "5d154d81fb46bdab0e7ca5ab9d87466cf9af88dde8c747330465dea34998e763",
+        "tags/user1_normal.txt":
+            "5fb2255dd8897306ed3239d68e61fc97d85d3c308c3fed4eaa0a84cb83a1585f",
+        "tags/user24_anomalous.txt":
+            "6dab42e52aafee676a6d80783482b24a925da58b7bab7796e16c5274555c2a6f",
+        "tags/user24_normal.txt":
+            "98468a210b84810d78b5cda03549bdaf492e94559666233dacfe81fdb60b203c",
+        "tags/user25_anomalous.txt":
+            "f320762ed9fe289aa6087665c860f290817270616850f2db4a6da0a4755edf26",
+        "tags/user25_normal.txt":
+            "f2287ce11ca06627860d8ebb0866a18069b99b469c724d5cf2511e2dd064979f",
+        "tags/user2_anomalous.txt":
+            "6a22b97af9432f1f39f5163484612f49988a3ff1d0dbe348481e04a408cee05c",
+        "tags/user2_normal.txt":
+            "6a51a09e5825a96affc3e331395c509393e97846cb274d95c885b0c1e0ecf8f8",
+        "tags/user32_anomalous.txt":
+            "38ad4fb77166254bed1f448c773be01818ccba45921183c79464d741b08249a1",
+        "tags/user32_normal.txt":
+            "60b973af784d5e0ef3eae93eb0b83d0314b01cf7ba235a518d5dafdaadd0d5b8",
+        "tags/user33_anomalous.txt":
+            "8d88a7d30f4b1c2a8e1aba423409ad108deb9b69dc946ea5f48e12c458dabc58",
+        "tags/user33_normal.txt":
+            "b7b82e669705a88ad073e7e8df5edbf371dbc075fad61d5fc55371a09f4d1c28",
+        "tags/user3_anomalous.txt":
+            "a00d2b2a8296266f499b153c3c061b4fde05d314c7b3e15617368a06dcefb2b0",
+        "tags/user3_normal.txt":
+            "40e38f7c6b7bf1f6e8ab33b67641c893f26187d0f4d7eb20f6b14a7f0fccf9c5",
+        "tags/user4_anomalous.txt":
+            "1f1c5eb6001d39a731a19e88f1b43464ecc60cb00c150f3c2e11fd785b3794a0",
+        "tags/user4_normal.txt":
+            "7f0ed53ff46997cb0b56b7242e7727ece01d79ea5650fb7155c4e224ed605c91",
+        "tags/user5_anomalous.txt":
+            "faf8b66f3f6767ab9ac6070987d73d2e0009dba94e7a1fb608716624ff510aa9",
+        "tags/user5_normal.txt":
+            "2b7a674a59721212b0dfa0e756979bd3f05688c453c4bb905ece7d8d0460c3c8",
+        "tags/user6_anomalous.txt":
+            "52d1d84be78616de68eaa820deffd5e080d98f26c69dce0c5b04dfb7c1734d34",
+        "tags/user6_normal.txt":
+            "e15f1f8d4b2998b13f30b7c3c707d9eee94a3c36f191fdaff6762f7a02bd480b",
+        "tags/user7_anomalous.txt":
+            "5b835ac551d620ab604449005f65a983cdb6baf8d2698157970b847c24f04660",
+        "tags/user7_normal.txt":
+            "bee16dba439bd081fbd6bc0b1ab3da6dccfb9af131f9cdb3ad276b7284f9ffd8",
+        "tags/user8_anomalous.txt":
+            "8021ececd366234fcb9e5963f5569a2791bd2b255698dd59a4a2cb2c6e444f6f",
+        "tags/user8_normal.txt":
+            "f515ae8e8d090b2de4ce33b5148b0f5bc61d7dda43bf29269a9e6eeef7980a85",
+        "tags/user9_anomalous.txt":
+            "8a974f075111afef4980001021f954d8447b2390bfab67103f61a9ae3bccf4e6",
+        "tags/user9_normal.txt":
+            "f7638420931fadd30d1407703fb0c807f9592d5c021a62ee4d637880b0d32f50",
     }
 
     def test_bundle_bytes_pinned(self, tmp_path):
-        """The analysis half's output bytes: links, histograms, key rates
-        and the four figure tables of one short run."""
+        """The bundle's bytes: plan, links, histograms, key rates, the
+        four figure tables, the truth log and every tag dump of one short
+        run."""
         out = tmp_path / "o"
         assert run_cli("--out", str(out), "--links", "figures", "--duration",
-                       "0.05", "--seed", "42", "--emit", "all") == 0
+                       "0.05", "--seed", "42", "--emit", "all",
+                       "--dump-tags", "--dump-truth") == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.BUNDLE_PINS}
         assert digests == self.BUNDLE_PINS
+        dumped = {f"tags/{p.name}" for p in (out / "tags").iterdir()}
+        assert dumped == {n for n in self.BUNDLE_PINS if n.startswith("tags/")}
 
     def test_same_seed_byte_identical_bundles(self, tmp_path):
         env = dict(os.environ)
