@@ -3,8 +3,8 @@
 
 Builds a synthetic truth log, tag stream and set of link histograms shaped
 like those of a calibrated run, and times the bulk writers of the report
-bundle on them (`sim.write_truth_csv`, `sim.write_tag_stream`,
-`analysis.write_histograms_csv`). The truth log is in run form, as the
+bundle on them (`report.write_truth_csv`, `report.write_tag_stream`,
+`report.write_histograms_csv`). The truth log is in run form, as the
 engine makes it: runs of rows that share a resource and users, one per
 joint routing outcome. Every repeat writes into a new directory, so each
 file is created as in a new bundle. Prints the best time of the repeats
@@ -29,8 +29,10 @@ from itertools import count
 
 import numpy as np
 
-from entnetsim.analysis import CorrelationHistogram, write_histograms_csv
-from entnetsim.sim import LOST, TruthLog, write_tag_stream, write_truth_csv
+from entnetsim.analysis import CorrelationHistogram
+from entnetsim.report import (write_histograms_csv, write_tag_stream,
+                              write_truth_csv)
+from entnetsim.sim import LOST, TruthLog
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from helpers import (ref_write_histograms_csv, ref_write_tag_stream,  # noqa: E402

@@ -83,7 +83,10 @@ def _digit_units(mag: np.ndarray, low: int, top: int) -> list[np.ndarray]:
 
 
 def _int_units(x: np.ndarray) -> list:
-    """The units of one int64 column."""
+    """The units of one int64 column; none for an empty one, as in the
+    TextTable of an empty truth log."""
+    if not x.size:
+        return []
     lo, hi = int(x.min()), int(x.max())
     if lo >= 0:
         return _digit_units(x.view(np.uint64), lo, hi)

@@ -32,14 +32,11 @@ their own inputs.
 
 from __future__ import annotations
 
-import csv
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .photonics import ContractViolation
 
 CAR_CAP = 1e9  # reported CAR of a non-zero peak on an accidental floor of 0
@@ -55,7 +52,7 @@ POOL_TAGS = 1 << 17
 GAP_CHUNK = 1 << 14  # pooled tags per chunk of the slab's gap test
 
 
-def _bin_centres_ps(index, n_bins, bin_width_ps):
+def bin_centres_ps(index, n_bins, bin_width_ps):
     """Centre of bin `index` of a zero-centred histogram of n_bins bins:
     (index - n_bins // 2) * bin_width_ps. For an even n_bins the extra bin
     is on the negative side (4 bins of 10 ps: -20, -10, 0, 10)."""
@@ -85,7 +82,7 @@ class CorrelationHistogram:
 
     def delays_ps(self) -> np.ndarray:
         """Bin centers."""
-        return _bin_centres_ps(np.arange(self.n_bins, dtype=np.int64),
+        return bin_centres_ps(np.arange(self.n_bins, dtype=np.int64),
                               self.n_bins, self.bin_width_ps)
 
     def total(self) -> int:
@@ -448,66 +445,3 @@ def link_histogram(win: LinkWindow, window_ps: int,
                            HIST_BINS * window_ps, offset_ps=win.offset_ps,
                            duration_ps=duration_ps)
     return replace(hist, singles_a=win.singles_a, singles_b=win.singles_b)
-
-
-LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",
-                    "coincidences", "car", "duration_s"]
-
-
-def write_links_csv(reports: Iterable[LinkReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINKS_CSV_HEADER)
-        for r in reports:
-            writer.writerow([r.user_a, r.user_b, r.kind, r.resource_id,
-                             r.coincidences, repr(r.car), repr(r.duration_s)])
-
-
-HISTOGRAMS_CSV_HEADER = ["user_a", "user_b", "offset_ps", "singles_a",
-                         "singles_b", "delay_ps", "counts"]
-
-
-def write_histograms_csv(histograms: dict[tuple[int, int], CorrelationHistogram],
-                         path) -> None:
-    """Every link's histogram in one long-format table.
-
-    Two `# key=value` lines hold the run-wide bin_width_ps and
-    duration_ps, which every histogram must share. Then come
-    HISTOGRAMS_CSV_HEADER and one row per bin (CRLF line ends, as
-    csv.writer), one block per link in the dict's order.
-
-    All links' rows are one table, encoded by _columns.encode_rows and
-    written CHUNK_ROWS (16384) rows at a time; each link's five key
-    fields are encoded once. Besides the histograms the writer holds one
-    chunk's columns, units and text and a few numbers per link: 2.7 MB
-    at its peak (tracemalloc) for 780 links of 33 bins.
-    """
-    hists = list(histograms.values())
-    run_wide = (hists[0].bin_width_ps, hists[0].duration_ps)
-    for (ua, ub), hist in histograms.items():
-        if (hist.bin_width_ps, hist.duration_ps) != run_wide:
-            raise ValueError(
-                f"link {ua}-{ub}: bin_width_ps {hist.bin_width_ps} and"
-                f" duration_ps {hist.duration_ps} differ from the run's"
-                f" {run_wide[0]} and {run_wide[1]}")
-    keys = TextTable([
-        [ua for ua, _ in histograms], [ub for _, ub in histograms],
-        [h.offset_ps for h in hists], [h.singles_a for h in hists],
-        [h.singles_b for h in hists]])
-    sizes = np.array([h.n_bins for h in hists], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    with open(path, "wb") as fh:
-        fh.write(f"# bin_width_ps={run_wide[0]}\n"
-                 f"# duration_ps={run_wide[1]}\n".encode()
-                 + ",".join(HISTOGRAMS_CSV_HEADER).encode() + b"\r\n")
-        for start in range(0, int(ends[-1]), CHUNK_ROWS):
-            rows = np.arange(start, min(start + CHUNK_ROWS, int(ends[-1])))
-            link = np.searchsorted(ends, rows, side="right")
-            delays = _bin_centres_ps(rows - starts[link], sizes[link],
-                                    run_wide[0])
-            first, last = int(link[0]), int(link[-1])
-            counts = np.concatenate([
-                hists[k].counts[max(start - starts[k], 0):rows[-1] + 1 - starts[k]]
-                for k in range(first, last + 1)])
-            fh.write(encode_rows([(link, keys), delays, counts], b"\r\n"))

@@ -17,8 +17,8 @@ import warnings
 
 from .config import (ConfigError, ScenarioConfig, override_map, parse_config,
                      parse_config_text)
-from .report import (FIGURES, FigureDataError, check_figures, run_bundle,
-                     write_bundle)
+from .report import (FIGURES, HISTOGRAMS_CSV_HEADER, FigureDataError,
+                     check_figures, run_bundle, write_bundle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,10 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
                     " write coincidence and key-rate reports.",
         epilog="The bundle in --out: plan.csv, links.csv, histograms.csv"
                " (every link's delay histogram, one row per bin with the"
-               " columns user_a,user_b,offset_ps,singles_a,singles_b,"
-               "delay_ps,counts, after '# bin_width_ps=' and"
-               " '# duration_ps=' lines), keyrates.json, run-metadata.json"
-               " and timing.json.")
+               f" columns {','.join(HISTOGRAMS_CSV_HEADER)}, after"
+               " '# bin_width_ps=' and '# duration_ps=' lines), keyrates.json,"
+               " run-metadata.json and timing.json.")
     parser.add_argument("--config", metavar="PATH",
                         help="scenario config file (defaults apply when omitted)")
     parser.add_argument("--out", metavar="DIR", required=True,

@@ -204,11 +204,7 @@ def monitor_broadening(deltas_ps: np.ndarray,
     expectation: inconclusive under MONITOR_MIN_PAIRS pairs, anomalous
     above MONITOR_ANOMALY_FACTOR times a positive expectation."""
     deltas = np.asarray(deltas_ps, dtype=float)
-    if deltas.size < 2:
-        return MonitorSpread(spread_ps=float("nan"), n_pairs=int(deltas.size),
-                             expected_ps=expected_ps, inconclusive=True,
-                             anomalous=False)
-    spread = timing_spread_iqr_ps(deltas)
+    spread = timing_spread_iqr_ps(deltas)  # nan under 2 pairs
     inconclusive = deltas.size < MONITOR_MIN_PAIRS
     anomalous = (not inconclusive and expected_ps > 0
                  and spread > MONITOR_ANOMALY_FACTOR * expected_ps)

@@ -11,7 +11,6 @@ one-channel-pair-per-link design would burn.
 
 from __future__ import annotations
 
-import csv
 import math
 import string
 from dataclasses import dataclass, field
@@ -291,28 +290,3 @@ def verify_full_connectivity(plan: NetworkPlan) -> ConnectivityReport:
         multiply_covered=tuple(multiple),
         link_resources=link_resources,
     )
-
-
-# plan.csv layout (bit-exact, documented in README):
-#   record,user_id,subnet,channels,resource_id,signal_channel,idler_channel,role,subnet_a,subnet_b
-# User rows fill user_id/subnet/channels and leave resource fields empty;
-# resource rows do the reverse. Channel lists are +-joined C-labels in
-# manifest order (intra pair first, then inter channels by peer subnet).
-PLAN_CSV_HEADER = ["record", "user_id", "subnet", "channels", "resource_id",
-                   "signal_channel", "idler_channel", "role", "subnet_a", "subnet_b"]
-
-
-def write_plan_csv(plan: NetworkPlan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLAN_CSV_HEADER)
-        for user in plan.users():
-            channels = "+".join(ch.label() for ch in plan.user_manifests[user])
-            writer.writerow(["user", user, subnet_label(plan.subnet_of(user)),
-                             channels, "", "", "", "", "", ""])
-        for pair in plan.resources:
-            writer.writerow(["resource", "", "", "", pair.resource_id,
-                             pair.signal.label(), pair.idler.label(),
-                             "intra" if pair.signal_subnet == pair.idler_subnet
-                             else "inter", subnet_label(pair.signal_subnet),
-                             subnet_label(pair.idler_subnet)])

@@ -3,7 +3,10 @@
 Runs plan -> simulation -> coincidence analysis -> key post-processing for
 a selected link set and writes the CSV/JSON artifact bundle. Every number
 written here is produced by a module operation; this file only routes and
-formats. All files are written atomically (write-then-rename).
+formats. It alone spells the bundle's files, through three write paths:
+csv.writer rows (_write_rows), chunked NumPy-encoded int columns
+(_write_table) and sorted JSON (_write_json). All files are written
+atomically (write-then-rename).
 
 Reproducibility contract: with identical resolved configuration (which
 includes the seed), every file in the bundle is byte-identical across
@@ -17,21 +20,24 @@ import csv
 import json
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 
+import numpy as np
+
 from . import __version__
+from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .analysis import (HIST_BINS, CorrelationHistogram, LinkReport,
-                       compute_car, link_histogram, link_matrix,
-                       write_histograms_csv, write_links_csv)
+                       bin_centres_ps, compute_car, link_histogram,
+                       link_matrix)
 from .config import FIGURE_LINKS, FIGURES, ConfigError, ScenarioConfig, provenance
 from .config import resolve_links  # noqa: F401  (public as report.resolve_links)
 from .doqkd import KeyRateReport, analyze_link
-from .plan import (NetworkPlan, resource_for_link, subnet_label,
-                   write_plan_csv)
+from .plan import NetworkPlan, resource_for_link, subnet_label
 from .rates import expected_singles_rate, monitor_expected_iqr_ps
-from .sim import (ScenarioResult, SystemConfig, fiber_delay_ps, run_scenario,
-                  write_tag_stream, write_truth_csv, PATH_NAMES)
+from .sim import (ScenarioResult, SystemConfig, TruthLog, fiber_delay_ps,
+                  run_scenario, PATH_NAMES)
 
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
 # figures CLI run (87.45M expected tags) peaked at 836852 kB ru_maxrss
@@ -276,37 +282,32 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
          lambda p: _write_json(p, _metadata_payload(bundle, overrides or {})))
     for figure in figures:
         rows = emit_figure_data(bundle, figure)
-        emit(f"{figure}.csv", lambda p, r=rows: _write_rows(p, r))
+        emit(f"{figure}.csv", lambda p: _write_rows(p, rows))
+    result = bundle.result
     if dump_tags:
         os.makedirs(os.path.join(out_dir, "tags"), exist_ok=True)
-        for user in sorted(bundle.result.streams):
-            times, labels = bundle.result.user_stream(user)
+        for user in sorted(result.streams):
+            times, labels = result.user_stream(user)
             for path_idx in (0, 1):
-                tags = times[labels == path_idx]
                 emit(f"tags/user{user}_{PATH_NAMES[path_idx]}.txt",
-                     lambda p, u=user, pi=path_idx, t=tags: write_tag_stream(
-                         p, u, pi, bundle.result.duration_ps,
-                         bundle.result.seed, t))
+                     lambda p: write_tag_stream(
+                         p, user, path_idx, result.duration_ps, result.seed,
+                         times[labels == path_idx]))
     if dump_truth:
-        if bundle.result.truth is None:
+        if result.truth is None:
             raise ValueError("truth log was not collected for this run")
-        emit("truth.csv", lambda p: write_truth_csv(bundle.result.truth, p))
-
-    def write_timing(path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            json.dump({"wall_time_s": wall_time_s, "write_s": write_s}, fh,
-                      indent=2)
-            fh.write("\n")
+        emit("truth.csv", lambda p: write_truth_csv(result.truth, p))
 
     # wall times live outside the reproducible bundle on purpose
-    _atomic_via(os.path.join(out_dir, "timing.json"), write_timing)
+    _atomic_via(os.path.join(out_dir, "timing.json"), lambda p: _write_json(
+        p, {"wall_time_s": wall_time_s, "write_s": write_s}))
     written.append("timing.json")
     return written
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Sorted, indented JSON, the bytes of json.dump; emit() makes the
-    write atomic.
+    """Sorted, indented JSON, the bytes of json.dump; emit() or
+    _atomic_via makes the write atomic.
 
     json.dump makes one write per encoder chunk (about 92k for the
     780-link keyrates.json) and json.dumps holds all the chunks at once
@@ -321,6 +322,155 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_rows(path: str, rows: list[list]) -> None:
+    """csv.writer rows: the figure tables, plan.csv and links.csv."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerows(rows)
+
+
+def _write_table(path: str, head: bytes, n_rows: int, columns_of,
+                 newline: bytes) -> None:
+    """The bulk files: `head`, then the n_rows lines of a table of int
+    columns, each ended by `newline`.
+
+    The lines are encoded by _columns.encode_rows and written CHUNK_ROWS
+    (16384) at a time: columns_of(chunk) gives the columns of the rows
+    in `chunk`, a slice, so besides its input the writer holds one
+    chunk's columns, units and text however long the table is.
+    """
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for start in range(0, n_rows, CHUNK_ROWS):
+            chunk = slice(start, min(start + CHUNK_ROWS, n_rows))
+            fh.write(encode_rows(columns_of(chunk), newline))
+
+
+# ---------------------------------------------------------------------------
+# the bundle's files: each one's header and writer
+
+# plan.csv layout (bit-exact, documented in README):
+#   record,user_id,subnet,channels,resource_id,signal_channel,idler_channel,role,subnet_a,subnet_b
+# User rows fill user_id/subnet/channels and leave resource fields empty;
+# resource rows do the reverse. Channel lists are +-joined C-labels in
+# manifest order (intra pair first, then inter channels by peer subnet).
+PLAN_CSV_HEADER = ["record", "user_id", "subnet", "channels", "resource_id",
+                   "signal_channel", "idler_channel", "role", "subnet_a", "subnet_b"]
+
+
+def write_plan_csv(plan: NetworkPlan, path) -> None:
+    rows = [PLAN_CSV_HEADER]
+    for user in plan.users():
+        channels = "+".join(ch.label() for ch in plan.user_manifests[user])
+        rows.append(["user", user, subnet_label(plan.subnet_of(user)),
+                     channels, "", "", "", "", "", ""])
+    for pair in plan.resources:
+        rows.append(["resource", "", "", "", pair.resource_id,
+                     pair.signal.label(), pair.idler.label(),
+                     "intra" if pair.signal_subnet == pair.idler_subnet
+                     else "inter", subnet_label(pair.signal_subnet),
+                     subnet_label(pair.idler_subnet)])
+    _write_rows(path, rows)
+
+
+LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",
+                    "coincidences", "car", "duration_s"]
+
+
+def write_links_csv(reports: Iterable[LinkReport], path) -> None:
+    _write_rows(path, [LINKS_CSV_HEADER] + [
+        [r.user_a, r.user_b, r.kind, r.resource_id, r.coincidences,
+         repr(r.car), repr(r.duration_s)] for r in reports])
+
+
+HISTOGRAMS_CSV_HEADER = ["user_a", "user_b", "offset_ps", "singles_a",
+                         "singles_b", "delay_ps", "counts"]
+
+
+def write_histograms_csv(histograms: dict[tuple[int, int], CorrelationHistogram],
+                         path) -> None:
+    """Every link's histogram in one long-format table.
+
+    Two `# key=value` lines hold the run-wide bin_width_ps and
+    duration_ps, which every histogram must share. Then come
+    HISTOGRAMS_CSV_HEADER and one row per bin (CRLF line ends, as
+    csv.writer), one block per link in the dict's order.
+
+    All links' rows are one table (_write_table); each link's five key
+    fields are encoded once. Besides the histograms the writer holds the
+    table's link, delay and count columns and one chunk's units and
+    text: 3.1 MB at its peak (tracemalloc) for 780 links of 33 bins.
+    """
+    hists = list(histograms.values())
+    run_wide = (hists[0].bin_width_ps, hists[0].duration_ps)
+    for (ua, ub), hist in histograms.items():
+        if (hist.bin_width_ps, hist.duration_ps) != run_wide:
+            raise ValueError(
+                f"link {ua}-{ub}: bin_width_ps {hist.bin_width_ps} and"
+                f" duration_ps {hist.duration_ps} differ from the run's"
+                f" {run_wide[0]} and {run_wide[1]}")
+    keys = TextTable([
+        [ua for ua, _ in histograms], [ub for _, ub in histograms],
+        [h.offset_ps for h in hists], [h.singles_a for h in hists],
+        [h.singles_b for h in hists]])
+    sizes = np.array([h.n_bins for h in hists], dtype=np.int64)
+    link = np.repeat(np.arange(len(hists)), sizes)
+    index = np.arange(link.size) - (np.cumsum(sizes) - sizes)[link]
+    delays = bin_centres_ps(index, sizes[link], run_wide[0])
+    counts = np.concatenate([h.counts for h in hists])
+    head = (f"# bin_width_ps={run_wide[0]}\n# duration_ps={run_wide[1]}\n"
+            + ",".join(HISTOGRAMS_CSV_HEADER) + "\r\n")
+    _write_table(path, head.encode(), link.size,
+                 lambda chunk: [(link[chunk], keys), delays[chunk],
+                                counts[chunk]], b"\r\n")
+
+
+TRUTH_CSV_HEADER = ["pair_id", "resource_id", "t_emit_ps", "signal_user",
+                    "idler_user", "signal_detected", "idler_detected"]
+
+
+def write_truth_csv(truth: TruthLog, path) -> None:
+    """Truth log CSV, in the dialect csv.writer writes.
+
+    A header line of the TRUTH_CSV_HEADER names, then one line per pair
+    with those columns in order, e.g. `7,3,10505365740,2,-1,1,0`: integers
+    in decimal, t_emit_ps as whole picoseconds rounded half to even (the
+    rounding the detector applies to tags; `2.5` is written `2`), a LOST
+    user as -1 and the detected flags as 0/1. Every line, the header too,
+    ends in CRLF. The log itself keeps the float64 times.
+
+    Written by _write_table: besides the log itself the writer holds one
+    chunk's columns, units and text, 2.7 MB at the peak (tracemalloc,
+    500k rows in 1995 runs), however long the log is. A row's resource
+    and users are gathered by its run from TextTables that encode each
+    run's fields once.
+    """
+    resources = TextTable([truth.resource_id])
+    users = TextTable([truth.signal_user, truth.idler_user])
+
+    def columns_of(chunk):
+        rows = np.arange(chunk.start, chunk.stop)
+        run = np.searchsorted(truth.first_row, rows, "right") - 1
+        return [rows, (run, resources),
+                # rounded a chunk at a time: no full-size copy of the log
+                np.rint(truth.t_emit_ps[chunk]).astype(np.int64),
+                (run, users),
+                truth.signal_detected[chunk], truth.idler_detected[chunk]]
+
+    _write_table(path, (",".join(TRUTH_CSV_HEADER) + "\r\n").encode(),
+                 len(truth), columns_of, b"\r\n")
+
+
+def write_tag_stream(path, user: int, path_index: int, duration_ps: int,
+                     seed: int, tags: np.ndarray) -> None:
+    """Tag dump: a header line `user,path,duration_ps,seed` (the path by
+    name, e.g. `3,normal,250000000000,42`), then one decimal integer
+    timestamp per line. Every line ends in LF.
+
+    Written by _write_table: besides the stream itself the writer holds
+    one chunk's units and text, 0.8 MB at the peak (tracemalloc), however
+    long the stream is.
+    """
+    tags = np.asarray(tags, dtype=np.int64)
+    head = f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n"
+    _write_table(path, head.encode(), tags.size, lambda chunk: [tags[chunk]],
+                 b"\n")

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._columns import CHUNK_ROWS, TextTable, encode_rows
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -190,46 +189,6 @@ class TruthLog:
 
     def __len__(self) -> int:
         return self.t_emit_ps.size
-
-
-TRUTH_CSV_HEADER = ["pair_id", "resource_id", "t_emit_ps", "signal_user",
-                    "idler_user", "signal_detected", "idler_detected"]
-
-
-def write_truth_csv(truth: TruthLog, path) -> None:
-    """Truth log CSV, in the dialect csv.writer writes.
-
-    A header line of the TRUTH_CSV_HEADER names, then one line per pair
-    with those columns in order, e.g. `7,3,10505365740,2,-1,1,0`: integers
-    in decimal, t_emit_ps as whole picoseconds rounded half to even (the
-    rounding the detector applies to tags; `2.5` is written `2`), a LOST
-    user as -1 and the detected flags as 0/1. Every line, the header too,
-    ends in CRLF. The log itself keeps the float64 times.
-
-    Rows are encoded by _columns.encode_rows and written CHUNK_ROWS
-    (16384) at a time, so besides the log itself the writer holds one
-    chunk's columns, units and text, 2.7 MB at the peak (tracemalloc,
-    500k rows in 1995 runs), however long the log is. A row's resource
-    and users are gathered by its run from TextTables that encode each
-    run's fields once.
-    """
-    with open(path, "wb") as fh:
-        fh.write(",".join(TRUTH_CSV_HEADER).encode() + b"\r\n")
-        if not len(truth):
-            return
-        resources = TextTable([truth.resource_id])
-        users = TextTable([truth.signal_user, truth.idler_user])
-        for start in range(0, len(truth), CHUNK_ROWS):
-            rows = np.arange(start, min(start + CHUNK_ROWS, len(truth)))
-            run = np.searchsorted(truth.first_row, rows, "right") - 1
-            chunk = slice(start, start + CHUNK_ROWS)
-            fh.write(encode_rows(
-                [rows, (run, resources),
-                 # rounded a chunk at a time: no full-size copy of the log
-                 np.rint(truth.t_emit_ps[chunk]).astype(np.int64),
-                 (run, users),
-                 truth.signal_detected[chunk], truth.idler_detected[chunk]],
-                b"\r\n"))
 
 
 @dataclass
@@ -758,22 +717,3 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         tag_pair_rows=({u: results[u][1] for u in selected}
                        if collect_truth else None),
     )
-
-
-def write_tag_stream(path, user: int, path_index: int, duration_ps: int,
-                     seed: int, tags: np.ndarray) -> None:
-    """Tag dump: a header line `user,path,duration_ps,seed` (the path by
-    name, e.g. `3,normal,250000000000,42`), then one decimal integer
-    timestamp per line. Every line ends in LF.
-
-    Timestamps are encoded by _columns.encode_rows and written CHUNK_ROWS
-    (16384) at a time, so besides the stream itself the writer holds one
-    chunk's units and text, 0.8 MB at the peak (tracemalloc), however long
-    the stream is.
-    """
-    tags = np.asarray(tags, dtype=np.int64)
-    with open(path, "wb") as fh:
-        fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n"
-                 .encode())
-        for start in range(0, tags.size, CHUNK_ROWS):
-            fh.write(encode_rows([tags[start:start + CHUNK_ROWS]], b"\n"))

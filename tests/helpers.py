@@ -13,10 +13,9 @@ ref_photon_arrival_times and resource_arrivals rebuild the engine's
 arrivals the way it computed them before its arrival transform dropped
 the per-path masks. truth_rows expands a truth log's runs into one
 value per row. The ref_write_* functions are the bundle's per-row
-writers, kept as byte oracles for the column-wise writers in the package;
-ref_write_histogram_csv is the per-link histogram file that bundles held
-before histograms.csv, kept to show that the table loses nothing of it.
-read_histograms_csv parses histograms.csv back into histograms.
+writers, kept as byte oracles for the column-wise writers in
+entnetsim.report. read_histograms_csv parses histograms.csv back into
+histograms.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ from dataclasses import replace
 import numpy as np
 
 from entnetsim import sim
-from entnetsim.analysis import HISTOGRAMS_CSV_HEADER, CorrelationHistogram
+from entnetsim.analysis import CorrelationHistogram
 from entnetsim.plan import NetworkPlan
 from entnetsim.photonics import (PS_PER_SECOND, db_to_transmittance,
                                  detector_response_traced,
                                  wavelength_shift_nm_per_ghz)
-from entnetsim.sim import (LOST, PATH_NAMES, PATH_SIGNS, TRUTH_CSV_HEADER,
-                           LossBudget, SystemConfig, arrival_probability,
+from entnetsim.report import HISTOGRAMS_CSV_HEADER, TRUTH_CSV_HEADER
+from entnetsim.sim import (LOST, PATH_NAMES, PATH_SIGNS, LossBudget,
+                           SystemConfig, arrival_probability,
                            derive_stream_seed, fiber_delay_ps, route_loss_db)
 
 
@@ -341,23 +341,6 @@ def ref_write_tag_stream(path, user: int, path_index: int, duration_ps: int,
         fh.write(f"{user},{PATH_NAMES[path_index]},{duration_ps},{seed}\n")
         for t in tags:
             fh.write(f"{int(t)}\n")
-
-
-def ref_write_histogram_csv(hist, path, **metadata) -> None:
-    """The per-link histogram file: metadata lines, then one csv.writer
-    row per bin."""
-    with open(path, "w", newline="") as fh:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-        fh.write(f"# bin_width_ps={hist.bin_width_ps}\n")
-        fh.write(f"# offset_ps={hist.offset_ps}\n")
-        fh.write(f"# singles_a={hist.singles_a}\n")
-        fh.write(f"# singles_b={hist.singles_b}\n")
-        fh.write(f"# duration_ps={hist.duration_ps}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["delay_ps", "counts"])
-        for d, c in zip(hist.delays_ps(), hist.counts):
-            writer.writerow([int(d), int(c)])
 
 
 def ref_write_histograms_csv(histograms, links, path) -> None:

@@ -12,14 +12,14 @@ from scipy import stats
 from entnetsim import ItuChannel, analysis, build_plan
 from entnetsim.analysis import (CAR_CAP, CorrelationHistogram, compute_car,
                                 cross_correlate, link_histogram, link_matrix,
-                                match_coincidences, write_histograms_csv,
-                                write_links_csv)
+                                match_coincidences)
 from entnetsim.config import default_config, with_overrides
 from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
                              sift_frames)
 from entnetsim.photonics import ContractViolation
 from entnetsim.rates import expected_accidental_rate
-from entnetsim.report import run_bundle
+from entnetsim.report import (run_bundle, write_histograms_csv,
+                              write_links_csv)
 from entnetsim.sim import SystemConfig, fiber_delay_ps, run_scenario
 
 import helpers

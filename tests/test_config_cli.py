@@ -237,6 +237,11 @@ class TestCliRun:
         hists = helpers.read_histograms_csv(small_bundle_dir / "histograms.csv")
         assert len(hists) == 42
 
+    def test_help_names_histogram_columns(self):
+        """The help's histograms.csv columns are the writer's header."""
+        epilog = " ".join(cli.build_parser().epilog.split())
+        assert ",".join(report.HISTOGRAMS_CSV_HEADER) in epilog
+
     def test_file_count_does_not_grow_with_links(self, tmp_path):
         """All 780 links and the 42 figure links give the same six files."""
         names = {}

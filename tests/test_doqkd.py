@@ -268,9 +268,12 @@ class TestSecureKeyRate:
 
 
 class TestMonitorBroadening:
-    def test_too_few_pairs_inconclusive(self):
-        spread = monitor_broadening(np.array([1.0]), 100.0)
-        assert spread.inconclusive and math.isnan(spread.spread_ps)
+    @pytest.mark.parametrize("n_pairs", [0, 1])
+    def test_too_few_pairs_inconclusive(self, n_pairs):
+        spread = monitor_broadening(np.ones(n_pairs), 100.0)
+        assert math.isnan(spread.spread_ps)
+        assert spread.n_pairs == n_pairs and spread.expected_ps == 100.0
+        assert spread.inconclusive is True and spread.anomalous is False
 
     def test_uniform_envelope_iqr_is_half_width(self):
         rng = np.random.default_rng(16)

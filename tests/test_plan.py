@@ -213,7 +213,7 @@ def test_plan_properties(num_subnets, subnet_size):
 
 
 def test_plan_csv_round_trips(tmp_path, reference_plan):
-    from entnetsim.plan import write_plan_csv, PLAN_CSV_HEADER
+    from entnetsim.report import write_plan_csv, PLAN_CSV_HEADER
     import csv
 
     out = tmp_path / "plan.csv"
