@@ -47,10 +47,10 @@ from .sim import (ScenarioResult, SystemConfig, TruthLog, fiber_delay_ps,
 # counts twice the pages the two share.
 BYTES_PER_TAG = 20
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 405288 + 258080 kB, 663368 kB at most in
-# three runs, 58.3 bytes a tag. The parent holds the whole log; the
-# worker, the emission times of the outcomes it drew.
-BYTES_PER_TRUTH_TAG = 59
+# expected tags) peaked at 407576 + 193012 kB, 600588 kB at most in
+# three runs, 52.7 bytes a tag. The parent holds the whole log; a
+# worker holds no part of it.
+BYTES_PER_TRUTH_TAG = 53
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
 
 

@@ -26,10 +26,10 @@ preallocated float64 buffer: normal-path photons fill it from the front
 in outcome order, anomalous-path photons from the back in reverse, so
 the two regions meet exactly and each, read in its own direction, is in
 outcome order. A truth run keeps the photons' packed truth rows in a
-matching int64 buffer and fills the emission-time column of the truth
-log; the log's resource and users are one run per outcome, taken from
-pass 1. Each draw and each step of the arrival transform writes into one
-scratch set per group, sized to the group's largest outcome block.
+matching int64 buffer; the log's resource and users are one run per
+outcome, taken from pass 1. Each draw and each step of the arrival
+transform writes into one scratch set per group, sized to the group's
+largest outcome block.
 
 The second pass is split by user into one group per CPU: this process
 runs one group and a forked worker each other. The process that runs a
@@ -39,17 +39,20 @@ stable argsort when a truth run needs the permutation. Right after a
 user's second path the two paths' tags are merged into the user's one
 time-sorted stream with a path label per tag, and the user's buffers
 and per-path arrays are freed. A worker then sends its users' streams
-(and a truth run's packed tag rows and the emission times of the
-outcomes it drew) to the parent through a pipe, its only output. Once
-every group is in, the parent marks the truth log's detected flags from
-the packed tag rows. The parent reaps every worker before run_scenario
-returns or raises.
+(and a truth run's packed tag rows) to the parent as one pickle through
+a pipe, its only output. The parent alone fills the truth log's
+emission-time column: its own group's outcomes as it draws them, and
+every other outcome's times, an outcome's first event draw, from its
+own copy of that outcome's generator. Once every group is in, the
+parent marks the detected flags from the packed tag rows. The parent
+reaps every worker before run_scenario returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 import traceback
 import warnings
@@ -285,11 +288,19 @@ def _uniform(rng: np.random.Generator, low: float, high: float,
     return out
 
 
+def _emission_times(rng: np.random.Generator, duration_ps: int,
+                    out: np.ndarray) -> np.ndarray:
+    """An outcome's emission times, the first draw after its count:
+    out.size uniform times in [0, duration_ps) drawn into out, sorted."""
+    _uniform(rng, 0.0, duration_ps, out).sort()
+    return out
+
+
 def _draw_events(rng: np.random.Generator, n: int, source: SourceConfig,
                  duration_ps: int, draw_idler: bool, scratch: _Scratch):
     """One outcome's n events, drawn after its count in a fixed sequence
     into the first n items of scratch: (times, detuning, path_s, path_i,
-    corr), times sorted.
+    corr), times sorted (_emission_times).
 
     The times and the detuning are rng.uniform draws (_uniform) and the
     correlation jitter is rng.normal(0.0, sigma) taken apart: a standard
@@ -299,8 +310,7 @@ def _draw_events(rng: np.random.Generator, n: int, source: SourceConfig,
     way, because path_i follows it in the sequence. So which users are
     materialized never changes another outcome's events.
     """
-    times = _uniform(rng, 0.0, duration_ps, scratch.times[:n])
-    times.sort()
+    times = _emission_times(rng, duration_ps, scratch.times[:n])
     half_bw = source.bandwidth_ghz / 2.0
     detuning = _uniform(rng, -half_bw, half_bw, scratch.detuning[:n])
     path_s = rng.integers(0, 2, size=n)
@@ -395,20 +405,19 @@ def _groups(selected: list[int], arrivals: dict[int, int],
 
 
 def _fill_group(users: list[int], outcomes: list, arrivals: dict[int, int],
-                sys_cfg: SystemConfig, duration_ps: int,
+                sys_cfg: SystemConfig, duration_ps: int, truth: bool,
                 t_emit: np.ndarray | None):
     """Pass 2 for one group of users: draw outcomes, the outcomes that
     reach one of them, and write their arrivals (and a truth run's packed
-    rows) into new buffers of arrivals[user] items. A truth run writes
-    each outcome's emission times into its rows of t_emit. Return each
-    user's arrivals, packed rows (None without truth) and normal-path
-    count."""
+    rows) into new buffers of arrivals[user] items. Given the truth log's
+    emission-time column t_emit, write each outcome's emission times into
+    its rows. Return each user's arrivals, packed rows (None without
+    truth) and normal-path count."""
     mine = set(users)
-    scratch = _Scratch(max((o[3] for o in outcomes), default=0),
-                       t_emit is not None)
+    scratch = _Scratch(max((o[3] for o in outcomes), default=0), truth)
     times_buf = {u: np.empty(arrivals[u]) for u in users}
     rows_buf = ({u: np.empty(arrivals[u], dtype=np.int64) for u in users}
-                if t_emit is not None else None)
+                if truth else None)
     fronts = dict.fromkeys(users, 0)
     backs = dict(arrivals)
     for pair, u, v, n, rng, row in outcomes:
@@ -427,7 +436,7 @@ def _fill_group(users: list[int], outcomes: list, arrivals: dict[int, int],
             f, b = fronts[dest], backs[dest]
             fronts[dest], backs[dest] = _place(times_buf[dest], f, b, arr,
                                                anomalous, normal)
-            if t_emit is not None:
+            if truth:
                 packed = np.add(scratch.steps[:n], 2 * row + role_bit,
                                 out=scratch.packed[:n])
                 _place(rows_buf[dest], f, b, packed, anomalous, normal)
@@ -436,7 +445,7 @@ def _fill_group(users: list[int], outcomes: list, arrivals: dict[int, int],
 
 def _fork(work) -> tuple[int, int]:
     """Run work() in a forked worker; return its pid and the read end of
-    a pipe on which it sends a 0 byte and the raw items of each array
+    a pipe on which it sends a 0 byte and the protocol-5 pickle of what
     work returns, or a 1 byte and its traceback if it fails.
 
     The worker leaves through os._exit whatever happens, so it never
@@ -445,8 +454,11 @@ def _fork(work) -> tuple[int, int]:
     with other threads, such as NumPy's BLAS pool; under an "error"
     filter that warning would be raised in the parent after the fork and
     orphan the worker, so it is ignored here: the worker calls no BLAS
-    routine. The arrays are written from their own buffers, with no
-    copy; the worker blocks until the parent reads them.
+    routine. Protocol 5 writes a contiguous array's items in band from
+    its own buffer, with no copy, and the parent's pickle.load reads
+    them into one new writeable allocation per array; the worker blocks
+    until the parent reads them. The pickle comes only from this
+    process's own child, through a private pipe.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -461,11 +473,10 @@ def _fork(work) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_fd)
-            arrays = work()
+            result = work()
             with open(write_fd, "wb", closefd=False) as pipe:
                 pipe.write(b"\0")
-                for array in arrays:
-                    pipe.write(array)
+                pickle.dump(result, pipe, protocol=5)
             code = 0
         except BaseException:
             os.write(write_fd, b"\1" + traceback.format_exc().encode()[-4096:])
@@ -473,42 +484,6 @@ def _fork(work) -> tuple[int, int]:
             os._exit(code)
     os.close(write_fd)
     return pid, read_fd
-
-
-def _wire(results: dict, emit_times) -> list[np.ndarray]:
-    """A group's results, {user: (stream, packed tag rows or None,
-    (normal, anomalous) arrival counts)}, as the arrays a worker sends: a
-    header row per user of its tag count and arrival counts, then each
-    user's times, labels and, in a truth run, packed tag rows, then a
-    truth run's emit_times, the t_emit slice of each outcome the group
-    drew."""
-    arrays = [np.array([(stream[0].size, *counts) for stream, _, counts
-                        in results.values()], dtype=np.int64)]
-    for stream, rows, _ in results.values():
-        arrays += [*stream, rows] if rows is not None else stream
-    return arrays + list(emit_times or ())
-
-
-def _receive(pipe, users: list[int], emit_times) -> dict | None:
-    """The results _wire sent for users, read from pipe into new arrays,
-    and in a truth run (emit_times given) the emission times read into
-    the slices emit_times yields; None if the worker sent its traceback
-    or the payload ended short."""
-    truth = emit_times is not None
-    header = np.empty((len(users), 3), dtype=np.int64)
-    if pipe.read(1) != b"\0" or pipe.readinto(header) != header.nbytes:
-        return None
-    results = {}
-    for user, (n_tags, *counts) in zip(users, header.tolist()):
-        arrays = [np.empty(n_tags, dtype=dtype)
-                  for dtype in (np.int64, np.uint8, np.int64)[:2 + truth]]
-        if any(pipe.readinto(a) != a.nbytes for a in arrays):
-            return None
-        results[user] = (tuple(arrays[:2]), arrays[2] if truth else None,
-                         tuple(counts))
-    if any(pipe.readinto(a) != a.nbytes for a in emit_times or ()):
-        return None
-    return results
 
 
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
@@ -592,18 +567,18 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     so an outcome that reaches two groups is drawn in both with
     identical events. Each process fills, detects and merges its own
     group's users in buffers of its own (_fill_group, _detect_user), and
-    writes the emission times of every outcome it draws into its own
-    copy of the truth log's emission-time column. Each worker sends its
-    users' streams, packed tag rows and arrival counts, then the
-    emission times of its outcomes, through its pipe (_wire); once group
-    0 is done, this process reads the workers' results in order, each
-    array into its own new array and each outcome's emission times into
-    its rows of the column (_receive), and reaps each worker. A worker
-    that fails, or whose results end short, makes this call raise,
-    naming it; on any exit every worker still running is killed and
-    every worker is reaped, so none outlives the call. With every group
-    in, the packed tag rows mark the truth log's detected flags in one
-    scatter and are then halved in place into truth rows.
+    each worker sends its users' streams, packed tag rows and arrival
+    counts as one pickle through its pipe (_fork). In a truth run this
+    process alone fills the emission-time column: group 0's outcomes as
+    it draws them and, after every fork, the outcomes no user of group 0
+    receives, whose times are the first draw of this process's own copy
+    of their generators (_emission_times). Once group 0 is done, this
+    process loads the workers' results in order and reaps each worker.
+    A worker that fails, or whose pickle ends short, makes this call
+    raise, naming it; on any exit every worker still running is killed
+    and every worker is reaped, so none outlives the call. With every
+    group in, the packed tag rows mark the truth log's detected flags in
+    one scatter and are then halved in place into truth rows.
     """
     ScenarioConfigError.check("duration_s", duration_s, 0)
     duration_ps = int(round(duration_s * PS_PER_SECOND))
@@ -635,33 +610,27 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     # each group draws the outcomes that reach one of its users
     drawn = [[o for o in outcomes if o[1] in users or o[2] in users]
              for users in map(set, groups)]
-    t_emit = spans = None
+    t_emit, theirs = None, []  # theirs: the outcomes only workers draw
     if collect_truth:
         t_emit = np.empty(n_rows)
-        # (first row, count) of each group's outcomes: their emission
-        # times are what a worker sends after its users
-        spans = [np.array([(o[5], o[3]) for o in todo],
-                          dtype=np.int64).reshape(-1, 2) for todo in drawn]
+        first = set(groups[0])
+        theirs = [o for o in outcomes
+                  if o[1] not in first and o[2] not in first]
         runs = dict(
             first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
             resource_id=np.array([o[0].resource_id for o in outcomes],
                                  dtype=np.int32),
             signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
             idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
-    del outcomes  # drawn holds the generators
-
-    def emit_times(g):
-        """A truth run's t_emit slice of each outcome of group g, in
-        outcome order, made one at a time; None without truth."""
-        return None if spans is None else (t_emit[row:row + n]
-                                           for row, n in spans[g])
+    del outcomes  # drawn and theirs hold the generators
 
     def run_group(g):
         """{user: (stream, packed tag rows or None, (normal, anomalous)
-        arrivals)}"""
+        arrivals)}; only group 0 writes the emission-time column."""
         users = groups[g]
         times_buf, rows_buf, n_normal = _fill_group(
-            users, drawn[g], arrivals, sys_cfg, duration_ps, t_emit)
+            users, drawn[g], arrivals, sys_cfg, duration_ps, collect_truth,
+            t_emit if g == 0 else None)
         drawn.clear()  # and with them this process's generators
         return {user: (*_detect_user(user, times_buf, rows_buf,
                                      n_normal[user], seed, sys_cfg,
@@ -672,13 +641,20 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     workers = []  # (group, pid, pipe) of the workers not yet reaped
     try:
         for g in range(1, len(groups)):
-            workers.append((g, *_fork(
-                lambda g=g: _wire(run_group(g), emit_times(g)))))
+            workers.append((g, *_fork(lambda g=g: run_group(g))))
         results = run_group(0)
+        for _, _, _, n, rng, row in theirs:
+            # drawn only after the forks: this process's generator is
+            # still where pass 1 left it, as the worker's was
+            _emission_times(rng, duration_ps, t_emit[row:row + n])
+        del theirs
         while workers:
             g, pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
-                got = _receive(pipe, groups[g], emit_times(g))
+                try:
+                    got = pickle.load(pipe) if pipe.read(1) == b"\0" else None
+                except (EOFError, pickle.UnpicklingError):
+                    got = None
                 text = pipe.read() if got is None else b""
             _, status = os.waitpid(pid, 0)
             del workers[0]

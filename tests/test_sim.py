@@ -5,6 +5,7 @@ pair-by-pair reference implementation."""
 import hashlib
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -540,20 +541,42 @@ class TestPass2Workers:
         _assert_no_child()
 
     @pytest.mark.parametrize("cut", [
-        lambda arrays: arrays[:-1],                     # the last array
-        lambda arrays: arrays[:-1] + [arrays[-1][:-1]],  # its last item
-        lambda arrays: [arrays[0][:-1]],                # the header's last row
+        lambda data: data[:-1],              # the last byte
+        lambda data: data[:len(data) // 2],  # half of it
+        lambda data: b"",                    # all after the status byte
     ])
     @pytest.mark.parametrize("truth", [True, False])
     def test_short_payload_is_named(self, monkeypatch, cut, truth):
         monkeypatch.setattr(sim, "_workers", lambda: 2)
-        fork = sim._fork
-        monkeypatch.setattr(sim, "_fork",
-                            lambda work: fork(lambda: cut(work())))
+        dumps = pickle.dumps
+        monkeypatch.setattr(
+            pickle, "dump", lambda obj, file, protocol:
+            file.write(cut(dumps(obj, protocol=protocol))))
         with pytest.raises(RuntimeError,
                            match=r"pass-2 worker 1 of 1 \(users \[.*\], pid"
                                  r" \d+\) sent a short payload"):
             TestEngineBytes.run(collect_truth=truth)
+        _assert_no_child()
+
+    def test_worker_arrays_writeable_and_aligned(self, monkeypatch):
+        # the parent halves the tag rows in place, and int64 streams off
+        # a 16-byte boundary slow link_matrix down
+        monkeypatch.setattr(sim, "_workers", lambda: 2)
+        groups = []
+        split = sim._groups
+
+        def recording(*args):
+            groups.extend(split(*args))
+            return groups
+
+        monkeypatch.setattr(sim, "_groups", recording)
+        res = TestEngineBytes.run()
+        assert len(groups) == 2
+        for user in groups[1]:
+            for array in (*res.streams[user], res.tag_pair_rows[user]):
+                assert array.size > 0
+                assert array.flags.writeable
+                assert array.ctypes.data % 16 == 0
         _assert_no_child()
 
     def test_arrival_counts_for_any_worker_count(self, monkeypatch):
