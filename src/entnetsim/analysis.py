@@ -384,17 +384,6 @@ def _slab_marks(flagged, times, shift, keys, col, core, wanted, stride,
     return marks[fresh]
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    user_a: int
-    user_b: int
-    kind: str
-    resource_id: int
-    coincidences: int
-    car: float
-    duration_s: float
-
-
 def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]], links,
                 delays_ps: dict[int, int], window_ps: int, reach_ps: int
                 ) -> dict[tuple[int, int], LinkWindow]:

@@ -255,23 +255,6 @@ class KeyRateReport:
     counts: dict[str, int]
     discards: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "sifted_rate_sym_s": self.sifted_rate_sym_s,
-            "qber": self.qber,
-            "mutual_information_bits": self.mutual_info_bits,
-            "secret_fraction_bits": self.secret_fraction_bits,
-            "secure_rate_bps": self.secure_rate_bps,
-            "monitor_spread_ps": self.monitor.spread_ps,
-            "monitor_expected_ps": self.monitor.expected_ps,
-            "monitor_pairs": self.monitor.n_pairs,
-            "monitor_inconclusive": self.monitor.inconclusive,
-            "monitor_anomalous": self.monitor.anomalous,
-            "key_spread_ps": self.key_spread_ps,
-            "counts": dict(self.counts),
-            "discards": dict(self.discards),
-        }
-
 
 def secure_key_rate(material: SiftedKeyMaterial, sifted_rate_sym_s: float,
                     beta: float, monitor: MonitorSpread,
@@ -347,8 +330,10 @@ def analyze_link(link: LinkWindow, qkd: QkdConfig, duration_s: float,
     qkd.window_ps) after basis sifting; monitor pairs come from
     wide-window matching of the same-path substreams. Frame clocks are
     aligned by subtracting each user's propagation delay, which the
-    window holds (link.delay_a_ps, link.delay_b_ps).
+    window holds (link.delay_a_ps, link.delay_b_ps). Raises
+    ParameterError naming duration_s unless it is finite and positive.
     """
+    ParameterError.check("duration_s", duration_s, 0, low_open=True)
     matches = link.matches
     if matches.window_ps != qkd.window_ps:
         raise ValueError("link window was matched with another coincidence"
@@ -360,8 +345,6 @@ def analyze_link(link: LinkWindow, qkd: QkdConfig, duration_s: float,
     key_spread = timing_spread_iqr_ps(matches.deltas_ps()[key_mask])
 
     material = sift_frames(key_a, key_b, qkd.frames)
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
     material.discards["basis_mismatch"] = int(np.count_nonzero(mon_mask))
     sifted_rate = len(material) / duration_s
 

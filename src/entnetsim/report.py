@@ -8,6 +8,10 @@ csv.writer rows (_write_rows), chunked NumPy-encoded int columns
 (_write_table) and sorted JSON (_write_json). All files are written
 atomically (write-then-rename).
 
+run_bundle makes one LinkRecord per link (ReportBundle.records, in link
+order). LINK_FIELDS declares each per-link field of links.csv and
+keyrates.json once, and both files are written from it by _link_table.
+
 Reproducibility contract: with identical resolved configuration (which
 includes the seed), every file in the bundle is byte-identical across
 runs, except timing.json, which holds only wall-clock measurements (the
@@ -20,17 +24,16 @@ import csv
 import json
 import os
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
 from ._columns import CHUNK_ROWS, TextTable, encode_rows
-from .analysis import (HIST_BINS, CorrelationHistogram, LinkReport,
-                       bin_centres_ps, compute_car, link_histogram,
-                       link_matrix)
+from .analysis import (HIST_BINS, CorrelationHistogram, bin_centres_ps,
+                       compute_car, link_histogram, link_matrix)
 from .config import FIGURE_LINKS, FIGURES, ConfigError, ScenarioConfig, provenance
 from .config import resolve_links  # noqa: F401  (public as report.resolve_links)
 from .doqkd import KeyRateReport, analyze_link
@@ -59,13 +62,32 @@ class FigureDataError(ValueError):
     give."""
 
 
+@dataclass(frozen=True)
+class LinkRecord:
+    """One link's results; the key report is None in a 0 s run.
+    LINK_FIELDS says which of them links.csv and keyrates.json hold."""
+    user_a: int
+    user_b: int
+    kind: str
+    resource_id: int
+    coincidences: int
+    car: float
+    duration_s: float
+    histogram: CorrelationHistogram
+    key: KeyRateReport | None
+
+
 @dataclass
 class ReportBundle:
     config: ScenarioConfig
-    link_reports: dict[tuple[int, int], LinkReport]
-    key_reports: dict[tuple[int, int], KeyRateReport]
-    histograms: dict[tuple[int, int], CorrelationHistogram]
+    records: dict[tuple[int, int], LinkRecord]
     result: ScenarioResult = field(repr=False)
+
+    @property
+    def key_reports(self) -> dict[tuple[int, int], KeyRateReport]:
+        """The links' key reports, where present (perfbench reads them)."""
+        return {link: rec.key for link, rec in self.records.items()
+                if rec.key is not None}
 
     @property
     def plan(self) -> NetworkPlan:
@@ -113,8 +135,8 @@ def check_memory(cfg: ScenarioConfig, collect_truth: bool = False) -> None:
 def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle:
     """Execute the full pipeline for the run's selected links.
 
-    One pass over link_matrix's windows makes each link's report,
-    histogram and, for a run longer than 0 s, key report. Raises
+    One pass over link_matrix's windows makes each link's LinkRecord:
+    its histogram, CAR and, for a run longer than 0 s, key report. Raises
     ConfigError before any simulation when the run would not fit in
     physical memory (check_memory).
     """
@@ -129,22 +151,20 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     # the reach covers the histogram and the monitor window
     reach = max(HIST_BINS * window // 2, qkd_cfg.monitor_window_ps // 2)
 
-    bundle = ReportBundle(config=cfg, link_reports={}, key_reports={},
-                          histograms={}, result=result)
+    records = {}
     windows = link_matrix(streams, cfg.selected_links, delays, window, reach)
     for (ua, ub), win in windows.items():
         rid, pair, kind = resource_for_link(plan, ua, ub)
         hist = link_histogram(win, window, result.duration_ps)
-        bundle.histograms[(ua, ub)] = hist
-        bundle.link_reports[(ua, ub)] = LinkReport(
+        key = (analyze_link(win, qkd_cfg, cfg.duration_s,
+                            monitor_expected_ps=monitor_expected_iqr_ps(
+                                pair, sys_cfg))
+               if cfg.duration_s > 0 else None)
+        records[(ua, ub)] = LinkRecord(
             user_a=ua, user_b=ub, kind=kind, resource_id=rid,
             coincidences=len(win.matches), car=compute_car(hist, window).car,
-            duration_s=cfg.duration_s)
-        if cfg.duration_s > 0:
-            bundle.key_reports[(ua, ub)] = analyze_link(
-                win, qkd_cfg, cfg.duration_s,
-                monitor_expected_ps=monitor_expected_iqr_ps(pair, sys_cfg))
-    return bundle
+            duration_s=cfg.duration_s, histogram=hist, key=key)
+    return ReportBundle(config=cfg, records=records, result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +212,7 @@ def emit_figure_data(bundle: ReportBundle, figure: str) -> list[list]:
         rows = [["subnet" if figure == "fig3a" else "link",
                  "user_a", "user_b", "delay_ps", "counts"]]
         for (ua, ub) in wanted:
-            hist = bundle.histograms[(ua, ub)]
+            hist = bundle.records[(ua, ub)].histogram
             label = (subnet_label(plan.subnet_of(ua)) if figure == "fig3a"
                      else _pair_label(plan, ua, ub))
             for d, c in zip(hist.delays_ps(), hist.counts):
@@ -202,7 +222,7 @@ def emit_figure_data(bundle: ReportBundle, figure: str) -> list[list]:
     for idx, (ua, ub) in enumerate(wanted, start=1):
         label = idx if figure == "fig4a" else _pair_label(plan, ua, ub)
         rows.append([label, ua, ub,
-                     repr(bundle.key_reports[(ua, ub)].secure_rate_bps)])
+                     repr(bundle.records[(ua, ub)].key.secure_rate_bps)])
     return rows
 
 
@@ -220,14 +240,10 @@ def _atomic_via(path: str, writer_fn) -> None:
 
 
 def _keyrates_payload(bundle: ReportBundle) -> dict:
-    links = []
-    for link, key in bundle.key_reports.items():
-        rep = bundle.link_reports[link]
-        body = {"user_a": rep.user_a, "user_b": rep.user_b, "kind": rep.kind,
-                "resource_id": rep.resource_id}
-        body.update(key.to_dict())
-        links.append(body)
-    return {"schema": "entnetsim-keyrates/1", "links": links}
+    names, *rows = _link_table((rec for rec in bundle.records.values()
+                                if rec.key is not None), KEYRATES)
+    return {"schema": "entnetsim-keyrates/1",
+            "links": [dict(zip(names, row)) for row in rows]}
 
 
 def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
@@ -273,11 +289,11 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
         written.append(relpath)
 
     emit("plan.csv", lambda p: write_plan_csv(bundle.plan, p))
-    emit("links.csv",
-         lambda p: write_links_csv(bundle.link_reports.values(), p))
-    emit("histograms.csv",
-         lambda p: write_histograms_csv(bundle.histograms, p))
-    emit("keyrates.json", lambda p: _write_json(p, _keyrates_payload(bundle)))
+    emit(LINKS, lambda p: _write_rows(
+        p, _link_table(bundle.records.values(), LINKS)))
+    emit("histograms.csv", lambda p: write_histograms_csv(
+        {link: rec.histogram for link, rec in bundle.records.items()}, p))
+    emit(KEYRATES, lambda p: _write_json(p, _keyrates_payload(bundle)))
     emit("run-metadata.json",
          lambda p: _write_json(p, _metadata_payload(bundle, overrides or {})))
     for figure in figures:
@@ -372,14 +388,38 @@ def write_plan_csv(plan: NetworkPlan, path) -> None:
     _write_rows(path, rows)
 
 
-LINKS_CSV_HEADER = ["user_a", "user_b", "kind", "resource_id",
-                    "coincidences", "car", "duration_s"]
+# Every per-link field of links.csv (a column) and keyrates.json (a key
+# per link), in file order: (name in the file, the files it goes to, its
+# attrgetter path in a LinkRecord). A new field is one more entry.
+LINKS, KEYRATES = "links.csv", "keyrates.json"
+LINK_FIELDS = (
+    *((name, (LINKS, KEYRATES), name)
+      for name in ("user_a", "user_b", "kind", "resource_id")),
+    *((name, (LINKS,), name)  # car is nan for an all-zero histogram
+      for name in ("coincidences", "car", "duration_s")),
+    ("sifted_rate_sym_s", (KEYRATES,), "key.sifted_rate_sym_s"),
+    ("qber", (KEYRATES,), "key.qber"),
+    ("mutual_information_bits", (KEYRATES,), "key.mutual_info_bits"),
+    ("secret_fraction_bits", (KEYRATES,), "key.secret_fraction_bits"),
+    ("secure_rate_bps", (KEYRATES,), "key.secure_rate_bps"),
+    ("monitor_spread_ps", (KEYRATES,), "key.monitor.spread_ps"),
+    ("monitor_expected_ps", (KEYRATES,), "key.monitor.expected_ps"),
+    ("monitor_pairs", (KEYRATES,), "key.monitor.n_pairs"),
+    ("monitor_inconclusive", (KEYRATES,), "key.monitor.inconclusive"),
+    ("monitor_anomalous", (KEYRATES,), "key.monitor.anomalous"),
+    ("key_spread_ps", (KEYRATES,), "key.key_spread_ps"),
+    ("counts", (KEYRATES,), "key.counts"),
+    ("discards", (KEYRATES,), "key.discards"),
+)
 
 
-def write_links_csv(reports: Iterable[LinkReport], path) -> None:
-    _write_rows(path, [LINKS_CSV_HEADER] + [
-        [r.user_a, r.user_b, r.kind, r.resource_id, r.coincidences,
-         repr(r.car), repr(r.duration_s)] for r in reports])
+def _link_table(records, file: str) -> list[list]:
+    """The names of the LINK_FIELDS that go to `file`, then one row of
+    their values per record (csv.writer and json spell floats by repr)."""
+    fields = [(name, attrgetter(path)) for name, files, path in LINK_FIELDS
+              if file in files]
+    return [[name for name, _ in fields]] + [
+        [get(rec) for _, get in fields] for rec in records]
 
 
 HISTOGRAMS_CSV_HEADER = ["user_a", "user_b", "offset_ps", "singles_a",

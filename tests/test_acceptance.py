@@ -44,13 +44,13 @@ def direct_metrics():
     plan = bundle.plan
     metrics = {
         "wall_s": wall,
-        "intra_peak_cars": [bundle.link_reports[l].car
+        "intra_peak_cars": [bundle.records[l].car
                             for l in first_pair_links(plan)],
-        "inter_cars": [bundle.link_reports[l].car
+        "inter_cars": [bundle.records[l].car
                        for l in inter_rep_links(plan)],
-        "intra_counts": [bundle.link_reports[l].coincidences
+        "intra_counts": [bundle.records[l].coincidences
                          for l in intra_subnet_links(plan, 0)],
-        "inter_counts": [bundle.link_reports[l].coincidences
+        "inter_counts": [bundle.records[l].coincidences
                          for l in inter_rep_links(plan)],
     }
     return metrics
@@ -70,14 +70,14 @@ def qkd_metrics():
     metrics = {
         "wall_s": wall,
         "floor_iqr_ps": floor,
-        "qber": {l: bundle.key_reports[l].qber for l in bundle.links},
-        "intra_rates": [bundle.key_reports[l].secure_rate_bps for l in intra],
-        "inter_rates": [bundle.key_reports[l].secure_rate_bps for l in inter],
-        "secret_fractions": [bundle.key_reports[l].secret_fraction_bits
+        "qber": {l: bundle.records[l].key.qber for l in bundle.links},
+        "intra_rates": [bundle.records[l].key.secure_rate_bps for l in intra],
+        "inter_rates": [bundle.records[l].key.secure_rate_bps for l in inter],
+        "secret_fractions": [bundle.records[l].key.secret_fraction_bits
                              for l in bundle.links],
-        "key_spreads": {l: bundle.key_reports[l].key_spread_ps
+        "key_spreads": {l: bundle.records[l].key.key_spread_ps
                         for l in bundle.links},
-        "monitor_spreads": {l: bundle.key_reports[l].monitor.spread_ps
+        "monitor_spreads": {l: bundle.records[l].key.monitor.spread_ps
                             for l in bundle.links},
     }
     return metrics

@@ -18,8 +18,8 @@ from entnetsim.doqkd import (QkdConfig, analyze_link, monitor_deltas,
                              sift_frames)
 from entnetsim.photonics import ContractViolation
 from entnetsim.rates import expected_accidental_rate
-from entnetsim.report import (run_bundle, write_histograms_csv,
-                              write_links_csv)
+from entnetsim.report import (run_bundle, write_bundle,
+                              write_histograms_csv)
 from entnetsim.sim import SystemConfig, fiber_delay_ps, run_scenario
 
 import helpers
@@ -248,7 +248,8 @@ class TestExpectedAccidentals:
                              duration_s=2.0, direct_detection=True)
         bundle = run_bundle(cfg)
         counted = expected = 0.0
-        for (ua, ub), hist in bundle.histograms.items():
+        for (ua, ub), rec in bundle.records.items():
+            hist = rec.histogram
             peak = compute_car(hist, hist.bin_width_ps).peak_bin
             off = np.ones(hist.n_bins, dtype=bool)
             off[max(0, peak - analysis.GUARD_WINDOWS):
@@ -260,7 +261,7 @@ class TestExpectedAccidentals:
             assert abs(n - mean) < 5 * math.sqrt(mean), (ua, ub, n, mean)
             counted += n
             expected += mean
-        assert len(bundle.histograms) == 42
+        assert len(bundle.records) == 42
         assert abs(counted - expected) < 5 * math.sqrt(expected)
 
 
@@ -280,7 +281,7 @@ class TestLinkMatrix:
     def test_bundle_reports(self):
         cfg = with_overrides(default_config(), duration_s=1.0, seed=9,
                              links="0-1,0-8")
-        reports = run_bundle(cfg).link_reports
+        reports = run_bundle(cfg).records
         assert [r.kind for r in reports.values()] == ["intra", "inter"]
         assert reports[(0, 1)].resource_id == 1
         assert reports[(0, 8)].resource_id == 6
@@ -289,9 +290,8 @@ class TestLinkMatrix:
     def test_links_csv_format(self, tmp_path):
         cfg = with_overrides(default_config(), duration_s=0.2, seed=2,
                              links="0-1")
-        out = tmp_path / "links.csv"
-        write_links_csv(run_bundle(cfg).link_reports.values(), out)
-        lines = out.read_text().splitlines()
+        write_bundle(run_bundle(cfg), str(tmp_path), wall_time_s=0.0)
+        lines = (tmp_path / "links.csv").read_text().splitlines()
         assert lines[0] == "user_a,user_b,kind,resource_id,coincidences,car,duration_s"
         assert lines[1].startswith("0,1,intra,1,")
 

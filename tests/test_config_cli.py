@@ -741,10 +741,10 @@ class TestLinkReport:
         cfg = with_overrides(default_config(), duration_s=0.05,
                              links="0-1,0-8")
         bundle = run_bundle(cfg)
-        assert list(bundle.link_reports) == [(0, 1), (0, 8)]
-        assert (list(bundle.histograms) == list(bundle.key_reports)
-                == list(bundle.link_reports))
-        for (ua, ub), rep in bundle.link_reports.items():
-            assert (rep.user_a, rep.user_b) == (ua, ub)
+        assert list(bundle.records) == [(0, 1), (0, 8)]
+        assert list(bundle.key_reports) == list(bundle.records)
+        for (ua, ub), rec in bundle.records.items():
+            assert (rec.user_a, rec.user_b) == (ua, ub)
+            assert rec.histogram.singles_a > 0 and rec.key is not None
         with pytest.raises(KeyError):
-            bundle.link_reports[(1, 0)]
+            bundle.records[(1, 0)]

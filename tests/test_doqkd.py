@@ -440,6 +440,18 @@ class TestAnalyzeLinkSmoke:
         assert rep.discards["basis_mismatch"] > 0
         assert rep.monitor.n_pairs > 100
 
+    @pytest.mark.parametrize("duration_s", [0, -1, math.nan, math.inf])
+    def test_bad_duration_refused(self, duration_s):
+        """A duration that is not finite and positive is refused by name,
+        not turned into a nan or zero rate."""
+        plan = build_plan(1, 2, ItuChannel(40))
+        res = run_scenario(plan, light_system(), 0.5, seed=3,
+                           collect_truth=False)
+        qkd = QkdConfig()
+        with pytest.raises(ValueError, match=r"^duration_s:"):
+            analyze_link(monitor_reach_window(res, 0, 1, qkd), qkd,
+                         duration_s)
+
 
 def test_timing_spread_iqr_gaussian():
     rng = np.random.default_rng(18)

@@ -2,10 +2,14 @@
 the per-row reference writers in helpers (csv.writer rows and one write
 per tag), and the JSON writer those of json.dump. The encoder they share,
 _columns.encode_rows, must spell every int64 row as str and join do.
-histograms.csv must hold every field of each link's histogram."""
+histograms.csv must hold every field of each link's histogram, and
+links.csv and keyrates.json the fields report.LINK_FIELDS gives them."""
 
+import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,7 +278,7 @@ def test_histograms_csv_round_trip(tmp_path, monkeypatch):
     assert list(rebuilt) == [(0, 1), (5, 2), (0, 8), (9, 16)]
     assert any(h.total() > 0 for h in rebuilt.values())
     for link, hist in rebuilt.items():
-        want = bundle.histograms[link]
+        want = bundle.records[link].histogram
         for field in dataclasses.fields(CorrelationHistogram):
             got, expected = getattr(hist, field.name), getattr(want, field.name)
             if field.name == "counts":
@@ -298,3 +302,43 @@ def test_json_chunked_writes_same_bytes(tmp_path, monkeypatch, n_chunks):
     monkeypatch.setattr(report, "JSON_CHUNKS", n_chunks)
     report._write_json(new, payload)
     assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_link_bundle():
+    cfg = config.with_overrides(config.default_config(), seed=5,
+                                duration_s=0.05, links="0-1,0-8")
+    return report.run_bundle(cfg)
+
+
+@pytest.mark.parametrize("file", [report.LINKS, report.KEYRATES])
+def test_field_added_through_table_alone(tmp_path, monkeypatch,
+                                         two_link_bundle, file):
+    """One more LINK_FIELDS entry is one more links.csv column (the last)
+    or keyrates.json key, in the file it names only."""
+    monkeypatch.setattr(report, "LINK_FIELDS", report.LINK_FIELDS + (
+        ("singles_a", (file,), "histogram.singles_a"),))
+    report.write_bundle(two_link_bundle, str(tmp_path), wall_time_s=0.0)
+    with open(tmp_path / "links.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    links = json.loads((tmp_path / "keyrates.json").read_text())["links"]
+    singles = [rec.histogram.singles_a
+               for rec in two_link_bundle.records.values()]
+    assert len(links) == len(rows) == 2 and min(singles) > 0
+    if file == report.LINKS:
+        assert header[-1] == "singles_a" and len(header) == 8
+        assert [int(row[-1]) for row in rows] == singles
+        assert all("singles_a" not in link for link in links)
+    else:
+        assert "singles_a" not in header and len(header) == 7
+        assert [link["singles_a"] for link in links] == singles
+
+
+def test_readme_lists_links_csv_columns():
+    """README's bundle layout gives links.csv's columns as LINK_FIELDS
+    does."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"^  links\.csv +# (\S+)$", readme, re.M)
+    assert line is not None
+    assert line.group(1) == ",".join(
+        name for name, files, _ in report.LINK_FIELDS if report.LINKS in files)
