@@ -2,7 +2,7 @@
 """Scenario engine throughput and memory on a fixed input.
 
 Times run_scenario alone (pair generation, arrival transform, detector
-and the merge of each user's two paths into one labelled stream) on the
+and the merge of each user's two paths into one packed stream) on the
 users of the 42 `figures` links of the default config, as
 report.run_bundle calls it: without a truth log, or with one under
 --truth. Best of --repeat runs at the first duration and one run at
@@ -54,7 +54,7 @@ def measure(duration_s: float, seed: int, repeat: int, truth: bool) -> dict:
         if elapsed < best:
             best = elapsed
             minflt, stime = (a - b for a, b in zip(usage(), before))
-        tags = sum(times.size for times, _ in result.streams.values())
+        tags = sum(stream.size for stream in result.streams.values())
         del result
     return {"duration_s": duration_s, "users": len(users), "repeat": repeat,
             "engine_s": best, "tags": tags, "minflt": minflt, "stime": stime,

@@ -3,12 +3,37 @@ matching and correlation histogramming, in NumPy.
 
 The test suite pins their semantics against brute-force oracles.
 
-All timestamps are int64 picoseconds, streams sorted ascending.
+All timestamps are int64 picoseconds, streams sorted ascending. A user's
+stream packs each tag as 2 * t + path (0 normal, 1 anomalous), so it is
+in time order, path 0 first on equal times; only the helpers below spell
+that layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def pack_paths(normal: np.ndarray, anomalous: np.ndarray) -> np.ndarray:
+    """The two paths' tags packed into one new array, unsorted."""
+    stream = np.concatenate((normal, anomalous))
+    stream <<= 1
+    stream[normal.size:] |= 1
+    return stream
+
+
+def tag_at(times):
+    """The path-0 tag at each time, the least packed value there: the key
+    that searches a stream by time."""
+    return 2 * times
+
+
+def tag_times(tags):
+    return tags >> 1
+
+
+def tag_paths(tags):
+    return tags & 1
 
 
 def dead_time_prune(tags: np.ndarray, dead_ps: int) -> np.ndarray:

@@ -19,11 +19,15 @@ its memory is set by POOL_TAGS and by the candidates found, not by the
 stream lengths. A link's candidates are about 70 tags per stream on the
 780-link network, so the per-link work costs only its candidates.
 
-link_matrix returns each link's candidates and their narrow-window
-match as a LinkWindow. The per-link steps run on that window alone:
-link_histogram (HIST_BINS bins), compute_car, and doqkd's analyze_link.
-A tag with no partner within reach falls in no bin and is never matched,
-so the results are exactly those of the full streams.
+A user stream is sim's sorted array of packed tags, 2 * t + path, whose
+layout only _kernels spells (tag_at, tag_times, tag_paths). The sweep
+unpacks one slab's slice of a stream at a time, never a whole stream,
+and each LinkWindow holds its link's candidates packed, with their
+narrow-window match. The per-link steps run on that window alone,
+unpacking what they read: link_histogram (HIST_BINS bins), compute_car,
+and doqkd's analyze_link. A tag with no partner within reach falls in no
+bin and is never matched, so the results are exactly those of the full
+streams.
 
 Sortedness is checked at the boundary: link_matrix checks each user
 stream once, and the public cross_correlate and match_coincidences check
@@ -37,6 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from ._kernels import tag_at, tag_times
 from .photonics import ContractViolation
 
 CAR_CAP = 1e9  # reported CAR of a non-zero peak on an accidental floor of 0
@@ -216,12 +221,13 @@ class LinkWindow:
 
     offset_ps is delay_b_ps - delay_a_ps, the difference of the users'
     propagation delays. Candidates are the tags of each stream with a
-    partner in the other at |t_b - t_a - offset| <= reach_ps; index_a and
-    index_b are their positions in the full streams, singles_a and
-    singles_b the full stream sizes. matches indexes the candidate arrays,
-    so index_a[matches.index_a] are positions in the full stream a. Any
-    window or histogram of at most reach_ps half-width gives the same
-    result on the candidates as on the full streams.
+    partner in the other at |t_b - t_a - offset| <= reach_ps; tags_a and
+    tags_b are their packed tags (_kernels.tag_times and tag_paths unpack
+    them), index_a and index_b their positions in the full streams,
+    singles_a and singles_b the full stream sizes. matches indexes the
+    candidate arrays, so index_a[matches.index_a] are positions in the
+    full stream a. Any window or histogram of at most reach_ps half-width
+    gives the same result on the candidates as on the full streams.
     """
 
     delay_a_ps: int
@@ -229,10 +235,8 @@ class LinkWindow:
     reach_ps: int
     index_a: np.ndarray
     index_b: np.ndarray
-    times_a: np.ndarray
-    times_b: np.ndarray
-    paths_a: np.ndarray
-    paths_b: np.ndarray
+    tags_a: np.ndarray
+    tags_b: np.ndarray
     singles_a: int
     singles_b: int
     matches: CoincidenceSet
@@ -242,39 +246,41 @@ class LinkWindow:
         return self.delay_b_ps - self.delay_a_ps
 
 
-def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
+def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
                      reach_ps: int, pairs) -> dict[tuple[int, int], np.ndarray]:
     """Candidate positions of every requested user pair, from one sweep.
 
-    times maps a user to a sorted int64 stream, delays_ps maps it to the
-    delay removed from its times (0 when absent), and pairs lists user
-    pairs (u, v) in either order, repeats allowed. Returns, for both (u, v)
-    and (v, u), the sorted positions of the tags of u that have a tag of v
-    with |s_v - s_u| <= reach_ps, where s = t - delay: for the link offset
-    delay[v] - delay[u] that is |t_v - t_u - offset| <= reach_ps.
+    streams maps a user to its sorted stream of packed tags, delays_ps
+    maps it to the delay removed from its times t (0 when absent), and
+    pairs lists user pairs (u, v) in either order, repeats allowed.
+    Returns, for both (u, v) and (v, u), the sorted positions of the tags
+    of u that have a tag of v with |s_v - s_u| <= reach_ps, where
+    s = t - delay: for the link offset delay[v] - delay[u] that is
+    |t_v - t_u - offset| <= reach_ps.
 
     Tags are pooled in time slabs [lo, hi) of at most POOL_TAGS core tags
     (at least one per stream, and equal times are never split), together
     with the tags within reach_ps of either edge, so the memory used is
     set by POOL_TAGS, the tag density and the candidates found, not by the
-    stream lengths. Each pooled tag is packed as s * n_users + user, so
-    one sort orders the pool by shifted time and keeps each user's tags in
-    stream order. A tag is flagged when its shifted time is within
-    reach_ps of a sorted neighbour's: every tag with another tag within
-    reach is flagged, and the flagged tags are 3-7% of the pool.
+    stream lengths. Each pooled tag is unpacked and packed again as
+    s * n_users + user, so one sort orders the pool by shifted time and
+    keeps each user's tags in stream order. A tag is flagged when its
+    shifted time is within reach_ps of a sorted neighbour's: every tag
+    with another tag within reach is flagged, and the flagged tags are
+    3-7% of the pool.
     _slab_marks then finds the pairs of flagged tags within reach.
     """
-    users = list(times)
+    users = list(streams)
     col = {u: i for i, u in enumerate(users)}
     n_users = len(users)
     wanted = np.zeros((n_users, n_users), dtype=bool)
     for u, v in pairs:
         wanted[col[u], col[v]] = wanted[col[v], col[u]] = True
     shift = {u: int(delays_ps.get(u, 0)) for u in users}
-    keys = [u for u in users if times[u].size]
-    stride = 1 + max((times[k].size for k in keys), default=0)
-    span = max((abs(int(times[k][i]) - shift[k]) for k in keys for i in (0, -1)),
-               default=0)
+    keys = [u for u in users if streams[u].size]
+    stride = 1 + max((streams[k].size for k in keys), default=0)
+    span = max((abs(int(tag_times(streams[k][i])) - shift[k]) for k in keys
+                for i in (0, -1)), default=0)
     if max(n_users * stride, span + 1) * n_users >= 1 << 63:
         raise ValueError("stream times or sizes too large to pack in int64")
     start = dict.fromkeys(users, 0)  # first tag of each stream not yet a core
@@ -283,21 +289,22 @@ def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
     marks = []
     live = keys
     while live:
-        lo = min(int(times[k][start[k]]) - shift[k] for k in live)
+        lo = min(int(tag_times(streams[k][start[k]])) - shift[k] for k in live)
         # each stream holds at most per_key core tags in [lo, hi)
-        bounds = [int(times[k][start[k] + per_key]) - shift[k] for k in live
-                  if start[k] + per_key < times[k].size]
+        bounds = [int(tag_times(streams[k][start[k] + per_key])) - shift[k]
+                  for k in live if start[k] + per_key < streams[k].size]
         hi = max(min(bounds), lo + 1) if bounds else None
         pool = []
         for k in keys:  # a spent stream still lends tags to the margin
-            t, d = times[k], shift[k]
-            a = int(np.searchsorted(t, lo - reach_ps + d))
+            t, d = streams[k], shift[k]
+            a = int(np.searchsorted(t, tag_at(lo - reach_ps + d)))
             if hi is None:
                 c1 = b = t.size
             else:
-                c1 = int(np.searchsorted(t, hi + d))
-                b = int(np.searchsorted(t, hi + reach_ps + d))
-            packed = t[a:b] - d
+                c1 = int(np.searchsorted(t, tag_at(hi + d)))
+                b = int(np.searchsorted(t, tag_at(hi + reach_ps + d)))
+            packed = tag_times(t[a:b])
+            packed -= d
             packed *= n_users
             packed += col[k]
             pool.append(packed)
@@ -317,9 +324,9 @@ def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
         flagged = packed[flag]
         del packed, near, flag
         if flagged.size:
-            marks.append(_slab_marks(flagged, times, shift, keys, col, core,
+            marks.append(_slab_marks(flagged, streams, shift, keys, col, core,
                                      wanted, stride, reach_ps))
-        live = [k for k in live if start[k] < times[k].size]
+        live = [k for k in live if start[k] < streams[k].size]
     packed = np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
     del marks
     packed.sort()
@@ -335,14 +342,14 @@ def _pool_candidates(times: dict[int, np.ndarray], delays_ps: dict[int, int],
     return out
 
 
-def _slab_marks(flagged, times, shift, keys, col, core, wanted, stride,
+def _slab_marks(flagged, streams, shift, keys, col, core, wanted, stride,
                 reach_ps) -> np.ndarray:
     """Unique marks of the core tags of one slab of _pool_candidates.
 
     flagged holds the slab's flagged tags packed as s * n_users + user,
     sorted; core[:, user] the user's core positions [c0, c1). A tag's
-    position is found by one searchsorted of its time in its user's
-    stream, plus its rank among equal times of that user, which are
+    position is found by one searchsorted of its time (tag_at) in its
+    user's stream, plus its rank among equal times of that user, which are
     adjacent in flagged. The tags are then walked at growing sorted
     distance j: when the pair (i, i + j) lies within reach and its users
     form a requested pair, each core tag of the pair is marked for the
@@ -358,7 +365,7 @@ def _slab_marks(flagged, times, shift, keys, col, core, wanted, stride,
     for k in keys:
         mine = np.flatnonzero(user == col[k])
         if mine.size:
-            pos[mine] = np.searchsorted(times[k], s[mine] + shift[k])
+            pos[mine] = np.searchsorted(streams[k], tag_at(s[mine] + shift[k]))
     index = np.arange(flagged.size)
     tied = np.zeros(flagged.size, dtype=bool)
     tied[1:] = flagged[1:] == flagged[:-1]
@@ -384,16 +391,18 @@ def _slab_marks(flagged, times, shift, keys, col, core, wanted, stride,
     return marks[fresh]
 
 
-def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]], links,
+def link_matrix(streams: dict[int, np.ndarray], links,
                 delays_ps: dict[int, int], window_ps: int, reach_ps: int
                 ) -> dict[tuple[int, int], LinkWindow]:
     """The LinkWindow of each requested user pair, from one candidate sweep.
 
-    streams maps user id to its merged (times, path_labels); each times
-    array is checked sorted once here. delays_ps maps user id to its
-    configured propagation delay (0 when absent), whose pairwise
-    difference centers each link's window. Each window holds the link's
-    tags within reach_ps and their match_coincidences at window_ps.
+    streams maps user id to its stream, one sorted int64 array of packed
+    tags 2 * t + path (sim.ScenarioResult.streams); each is checked sorted
+    once here. delays_ps maps user id to its configured propagation
+    delay (0 when absent), whose pairwise difference centers each link's
+    window. Each window holds the link's packed tags within reach_ps and
+    their match_coincidences at window_ps, on the unpacked candidates;
+    no full stream is unpacked.
     Returns the windows keyed by link (ua, ub), in the order of links,
     with a link listed twice kept once, at its first place.
     """
@@ -401,24 +410,19 @@ def link_matrix(streams: dict[int, tuple[np.ndarray, np.ndarray]], links,
         raise ValueError("reach_ps must cover the coincidence half-window")
     links = list(dict.fromkeys(links))
     users = sorted({u for link in links for u in link})
-    full = {u: (_require_sorted(streams[u][0], f"user {u}"), streams[u][1])
-            for u in users}
-    cands = _pool_candidates({u: full[u][0] for u in users}, delays_ps,
-                             reach_ps, links)
+    full = {u: _require_sorted(streams[u], f"user {u}") for u in users}
+    cands = _pool_candidates(full, delays_ps, reach_ps, links)
     windows = {}
     for (ua, ub) in links:
-        (times_a, paths_a), (times_b, paths_b) = full[ua], full[ub]
         index_a, index_b = cands[(ua, ub)], cands[(ub, ua)]
+        tags_a, tags_b = full[ua][index_a], full[ub][index_b]
         delay_a, delay_b = int(delays_ps.get(ua, 0)), int(delays_ps.get(ub, 0))
-        cand_a, cand_b = times_a[index_a], times_b[index_b]
         windows[(ua, ub)] = LinkWindow(
             delay_a_ps=delay_a, delay_b_ps=delay_b, reach_ps=int(reach_ps),
-            index_a=index_a, index_b=index_b, times_a=cand_a, times_b=cand_b,
-            paths_a=np.asarray(paths_a)[index_a],
-            paths_b=np.asarray(paths_b)[index_b],
-            singles_a=int(times_a.size), singles_b=int(times_b.size),
-            matches=match_coincidences(cand_a, cand_b, window_ps,
-                                       offset_ps=delay_b - delay_a))
+            index_a=index_a, index_b=index_b, tags_a=tags_a, tags_b=tags_b,
+            singles_a=int(full[ua].size), singles_b=int(full[ub].size),
+            matches=match_coincidences(tag_times(tags_a), tag_times(tags_b),
+                                       window_ps, offset_ps=delay_b - delay_a))
     return windows
 
 
@@ -430,7 +434,7 @@ def link_histogram(win: LinkWindow, window_ps: int,
     histogram's span."""
     if win.reach_ps < HIST_BINS * window_ps // 2:
         raise ValueError("link window reach is narrower than the histogram")
-    hist = cross_correlate(win.times_a, win.times_b, window_ps,
-                           HIST_BINS * window_ps, offset_ps=win.offset_ps,
-                           duration_ps=duration_ps)
+    hist = cross_correlate(tag_times(win.tags_a), tag_times(win.tags_b),
+                           window_ps, HIST_BINS * window_ps,
+                           offset_ps=win.offset_ps, duration_ps=duration_ps)
     return replace(hist, singles_a=win.singles_a, singles_b=win.singles_b)

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 from .doqkd import FrameConfig, QkdConfig
-from .photonics import (PS_PER_SECOND, DetectorConfig, DispersionConfig,
-                        SourceConfig)
+from .photonics import DetectorConfig, DispersionConfig, SourceConfig
 from .plan import (DEFAULT_CHANNEL_RANGE, DEFAULT_PUMP_GUARD, ItuChannel,
                    NetworkPlan, ParameterError, build_plan)
-from .sim import LossBudget, SystemConfig
+from .sim import LossBudget, SystemConfig, duration_ps_of
 
 
 class ConfigError(ValueError):
@@ -90,10 +89,6 @@ ARGUMENT_KEYS = {"num_subnets": "network.subnets", "pump": "network.pump_channel
                  "magnitude_ps_per_nm": "detector.dispersion_ps_per_nm",
                  "insertion_loss_db": "losses.dispersion_db"}
 
-# Emission and arrival times are float64 picoseconds, which hold every
-# integer only up to 2**53 (about 9007 s).
-MAX_DURATION_PS = 2**53
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -103,7 +98,8 @@ class ScenarioConfig:
     The constructor raises ConfigError naming the key of a value the run
     cannot use. The constructors of the plan, the system and the QKD
     settings check every network, physics and qkd range; checked here is
-    only what none of them sees: the run section, and the users of the
+    only what none of them sees: the run section (the duration by
+    sim.duration_ps_of, as run_scenario checks it), and the users of the
     fiber map and of the selected links, in one place.
     """
 
@@ -129,14 +125,10 @@ class ScenarioConfig:
                 dispersion=self._build(DispersionConfig),
                 losses=self._build(LossBudget, fiber_km=dict(net["fiber_km"])))
             qkd = self._build(QkdConfig, frames=self._build(FrameConfig))
-            ParameterError.check("duration_s", self.duration_s, 0)
+            duration_ps_of(self.duration_s)
             ParameterError.check("seed", self.seed, 0)
         except ParameterError as exc:
             raise ConfigError(f"{_key_path(exc.name)}: {exc.rule}") from None
-        if round(self.duration_s * PS_PER_SECOND) > MAX_DURATION_PS:
-            raise ConfigError(
-                f"run.duration_s: at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
-                " float64 picosecond times are exact only up to 2**53 ps")
         try:
             links = tuple(resolve_links(plan, self.links))
         except ValueError:

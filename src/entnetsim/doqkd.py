@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import tag_paths, tag_times
 from .analysis import LinkWindow, match_coincidences
 from .plan import ParameterError
 
@@ -313,10 +314,12 @@ def monitor_deltas(link: LinkWindow, monitor_window_ps: int) -> np.ndarray:
     if link.reach_ps < monitor_window_ps // 2:
         raise ValueError("link window reach is narrower than the monitor"
                          " half-window")
+    times_a, paths_a = tag_times(link.tags_a), tag_paths(link.tags_a)
+    times_b, paths_b = tag_times(link.tags_b), tag_paths(link.tags_b)
     deltas = []
     for path in (0, 1):
-        mon = match_coincidences(link.times_a[link.paths_a == path],
-                                 link.times_b[link.paths_b == path],
+        mon = match_coincidences(times_a[paths_a == path],
+                                 times_b[paths_b == path],
                                  monitor_window_ps, offset_ps=link.offset_ps)
         deltas.append(mon.deltas_ps())
     return np.concatenate(deltas)
@@ -338,8 +341,8 @@ def analyze_link(link: LinkWindow, qkd: QkdConfig, duration_s: float,
     if matches.window_ps != qkd.window_ps:
         raise ValueError("link window was matched with another coincidence"
                          " window than qkd.window_ps")
-    key_mask, mon_mask = basis_sift(link.paths_a[matches.index_a],
-                                    link.paths_b[matches.index_b])
+    key_mask, mon_mask = basis_sift(tag_paths(link.tags_a[matches.index_a]),
+                                    tag_paths(link.tags_b[matches.index_b]))
     key_a = matches.times_a[key_mask] - link.delay_a_ps
     key_b = matches.times_b[key_mask] - link.delay_b_ps
     key_spread = timing_spread_iqr_ps(matches.deltas_ps()[key_mask])

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from ._columns import CHUNK_ROWS, TextTable, encode_rows
+from ._kernels import tag_paths, tag_times
 from .analysis import (HIST_BINS, CorrelationHistogram, bin_centres_ps,
                        compute_car, link_histogram, link_matrix)
 from .config import FIGURE_LINKS, FIGURES, ConfigError, ScenarioConfig, provenance
@@ -303,12 +304,12 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     if dump_tags:
         os.makedirs(os.path.join(out_dir, "tags"), exist_ok=True)
         for user in sorted(result.streams):
-            times, labels = result.user_stream(user)
+            tags = result.user_stream(user)
             for path_idx in (0, 1):
                 emit(f"tags/user{user}_{PATH_NAMES[path_idx]}.txt",
                      lambda p: write_tag_stream(
                          p, user, path_idx, result.duration_ps, result.seed,
-                         times[labels == path_idx]))
+                         tag_times(tags[tag_paths(tags) == path_idx])))
     if dump_truth:
         if result.truth is None:
             raise ValueError("truth log was not collected for this run")

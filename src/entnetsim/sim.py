@@ -1,6 +1,6 @@
 """Scenario engine: routes photon pairs through the planned network and
-produces one path-labelled detection tag stream per user plus a
-ground-truth log.
+produces one detection tag stream per user, each tag's path in its low
+bit, plus a ground-truth log.
 
 Routing model per photon: the demux/mux chain and splitter losses compose
 into a survival probability; the subnet splitter assigns a uniform port
@@ -31,21 +31,29 @@ outcome, taken from pass 1. Each draw and each step of the arrival
 transform writes into one scratch set per group, sized to the group's
 largest outcome block.
 
-The second pass is split by user into one group per CPU: this process
-runs one group and a forked worker each other. The process that runs a
-group allocates its users' buffers, fills them and detects each user:
+The second pass is split by user into _workers() groups (one per CPU,
+no more than the users), balanced by their pass-1 arrival totals. This
+process runs group 0; each other group runs in a worker forked before
+group 0 starts, which inherits every pass-1 generator where pass 1 left
+it, so an outcome that reaches two groups is drawn in both with
+identical events. The process that runs a group allocates its users'
+buffers, fills them and detects each user (_fill_group, _detect_user):
 each region is sorted once before its detector, in place, or through a
 stable argsort when a truth run needs the permutation. Right after a
 user's second path the two paths' tags are merged into the user's one
-time-sorted stream with a path label per tag, and the user's buffers
-and per-path arrays are freed. A worker then sends its users' streams
-(and a truth run's packed tag rows) to the parent as one pickle through
-a pipe, its only output. The parent alone fills the truth log's
-emission-time column: its own group's outcomes as it draws them, and
-every other outcome's times, an outcome's first event draw, from its
-own copy of that outcome's generator. Once every group is in, the
-parent marks the detected flags from the packed tag rows. The parent
-reaps every worker before run_scenario returns or raises.
+stream, a sorted int64 array of packed tags 2 * t + path (_kernels), and
+the user's buffers and per-path arrays are freed. A worker then sends
+its users' streams, packed tag rows and arrival counts to the parent as
+one pickle through a pipe, its only output (_fork). The parent alone
+fills the truth log's emission-time column: group 0's outcomes as it
+draws them and, after every fork, every other outcome's times, an
+outcome's first event draw, from its own copy of that outcome's
+generator (_emission_times). It then loads the workers' results in
+order. A worker that fails, or whose pickle ends short, makes
+run_scenario raise, naming it; on any exit every worker still running is
+killed and every worker is reaped, so none outlives the call. With every
+group in, the packed tag rows mark the truth log's detected flags in one
+scatter and are then halved in place into truth rows.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import pack_paths, tag_paths
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -70,10 +79,25 @@ FIBER_DELAY_PS_PER_KM = 5_000_000  # 5 us of group delay per km
 PATH_NAMES = ("normal", "anomalous")
 PATH_SIGNS = (NORMAL, ANOMALOUS)
 LOST = -1
+# Emission and arrival times are float64 picoseconds, exact as integers
+# only up to 2**53 (about 9007 s); packed tags stay far inside int64.
+MAX_DURATION_PS = 2**53
 
 
 class ScenarioConfigError(ParameterError):
     """A scenario argument out of range; `name` is the argument."""
+
+
+def duration_ps_of(duration_s: float) -> int:
+    """duration_s in whole picoseconds. Raises ScenarioConfigError naming
+    duration_s unless it is finite, >= 0 and at most MAX_DURATION_PS."""
+    ScenarioConfigError.check("duration_s", duration_s, 0)
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    if duration_ps > MAX_DURATION_PS:
+        raise ScenarioConfigError(
+            "duration_s", f"at most {MAX_DURATION_PS / PS_PER_SECOND:.0f} s;"
+            " float64 picosecond times are exact only up to 2**53 ps")
+    return duration_ps
 
 
 @dataclass(frozen=True)
@@ -196,32 +220,30 @@ class TruthLog:
 
 @dataclass
 class ScenarioResult:
-    """streams[user] is the user's (times, labels): int64 tags sorted by
-    time and the uint8 path of each (0 normal, 1 anomalous); on equal
-    times path 0's tags come first. A truth run's tag_pair_rows[user]
-    holds each tag's truth-log row (-1 for a dark count), aligned with
-    the user's times. arrival_counts[(user, path)] is the number of
-    photons that reached that detector, before any detector loss."""
+    """streams[user] is the user's stream: one sorted int64 array of its
+    tags, each packed as 2 * t + path (0 normal, 1 anomalous; _kernels'
+    tag_times and tag_paths unpack it), so on equal times path 0's tag
+    comes first. A truth run's tag_pair_rows[user] holds each tag's
+    truth-log row (-1 for a dark count), aligned with the user's stream.
+    arrival_counts[(user, path)] is the number of photons that reached
+    that detector, before any detector loss."""
 
     duration_ps: int
     seed: int
-    streams: dict[int, tuple[np.ndarray, np.ndarray]]
+    streams: dict[int, np.ndarray]
     emitted_pairs: dict[int, int]
     arrival_counts: dict[tuple[int, int], int]
     truth: TruthLog | None
     tag_pair_rows: dict[int, np.ndarray] | None = None
 
     def singles_counts(self) -> dict[tuple[int, int], int]:
-        """Detected tags per (user, path), counted from the labels."""
-        counts = {}
-        for user, (times, labels) in self.streams.items():
-            anomalous = int(np.count_nonzero(labels))
-            counts[(user, 0)] = times.size - anomalous
-            counts[(user, 1)] = anomalous
-        return counts
+        """Detected tags per (user, path), counted from the streams."""
+        return {(user, path): int(n) for user, tags in self.streams.items()
+                for path, n in enumerate(np.bincount(tag_paths(tags),
+                                                     minlength=2))}
 
-    def user_stream(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """One user's (times, labels)."""
+    def user_stream(self, user: int) -> np.ndarray:
+        """One user's stream."""
         return self.streams[user]
 
 
@@ -489,16 +511,18 @@ def _fork(work) -> tuple[int, int]:
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                  rows_buf: dict[int, np.ndarray] | None, n_normal: int,
                  seed: int, sys_cfg: SystemConfig, duration_s: float):
-    """One user's (times, labels) and, in a truth run (rows_buf given),
-    packed tag rows (else None), from its filled buffers, which are
-    popped and freed on the way.
+    """One user's stream and, in a truth run (rows_buf given), packed tag
+    rows (else None), from its filled buffers, which are popped and freed
+    on the way.
 
     Each path goes through its own detector, seeded per (user, path).
-    The two tag arrays are then merged by a stable argsort of their
-    concatenation, path 0 first, which puts path 0's tag first on equal
-    times. A truth run's tag rows follow the same permutation: each is
-    the packed row of the photon that made the tag, or -1 for a dark
-    count.
+    The two paths' tags are then packed into one new array (pack_paths)
+    and sorted by a stable sort, which merges the two sorted runs in one
+    pass; a truth run argsorts, and its tag rows follow the same
+    permutation: each is the packed row of the photon that made the tag,
+    or -1 for a dark count. One path never holds two tags in one
+    picosecond (the detector's 1 ps dead-time floor), so every packed
+    value is unique, and path 0's tag comes first on equal times.
 
     A truth run reads the anomalous region reversed, which restores
     outcome order, and sorts each region with a stable argsort, because
@@ -535,15 +559,14 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
             del packed, photon
         del tags, origin  # path_tags keeps the only reference
     del user_times, user_rows  # unmaps the user's buffers
-    n_normal_tags = path_tags[0].size
-    merged = np.concatenate(path_tags)
-    del path_tags  # frees both paths' tags before the argsort
-    order = np.argsort(merged, kind="stable")
-    labels = (order >= n_normal_tags).view(np.uint8)  # 1 where from path 1
-    stream = (merged[order], labels)
-    del merged
-    rows = np.concatenate(path_rows)[order] if truth else None
-    return stream, rows
+    stream = pack_paths(*path_tags)
+    del path_tags  # frees both paths' tags before the sort
+    if not truth:
+        stream.sort(kind="stable")
+        return stream, None
+    order = stream.argsort(kind="stable")
+    stream = stream[order]  # frees the unsorted stream before the rows
+    return stream, np.concatenate(path_rows)[order]
 
 
 def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
@@ -555,33 +578,14 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     by default). A user's tag stream is byte-identical whichever other
     users are selected alongside it. Deterministic in (plan, configs,
     duration, seed), and independent of how many workers share pass 2.
+    A duration that duration_ps_of refuses raises ScenarioConfigError
+    naming duration_s before anything is drawn.
 
-    The two passes and the per-user buffer layout are described in the
-    module docstring. A truth run's packed row is 2 * truth row, plus 1
-    for the idler photon.
-
-    Pass 2 is split into _workers() groups of users (no more groups than
-    users), balanced by their pass-1 arrival totals. Group 0 runs in this
-    process; each other group runs in a worker forked before group 0
-    starts, which inherits every pass-1 generator where pass 1 left it,
-    so an outcome that reaches two groups is drawn in both with
-    identical events. Each process fills, detects and merges its own
-    group's users in buffers of its own (_fill_group, _detect_user), and
-    each worker sends its users' streams, packed tag rows and arrival
-    counts as one pickle through its pipe (_fork). In a truth run this
-    process alone fills the emission-time column: group 0's outcomes as
-    it draws them and, after every fork, the outcomes no user of group 0
-    receives, whose times are the first draw of this process's own copy
-    of their generators (_emission_times). Once group 0 is done, this
-    process loads the workers' results in order and reaps each worker.
-    A worker that fails, or whose pickle ends short, makes this call
-    raise, naming it; on any exit every worker still running is killed
-    and every worker is reaped, so none outlives the call. With every
-    group in, the packed tag rows mark the truth log's detected flags in
-    one scatter and are then halved in place into truth rows.
+    The two passes, the per-user buffer layout and pass 2's groups of
+    users and their workers are described in the module docstring. A
+    truth run's packed row is 2 * truth row, plus 1 for the idler photon.
     """
-    ScenarioConfigError.check("duration_s", duration_s, 0)
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    duration_ps = duration_ps_of(duration_s)
     if selected_users is None:
         selected = list(plan.users())
     else:

@@ -26,6 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from entnetsim import sim
+from entnetsim._kernels import tag_paths, tag_times
 from entnetsim.analysis import CorrelationHistogram
 from entnetsim.plan import NetworkPlan
 from entnetsim.photonics import (PS_PER_SECOND, db_to_transmittance,
@@ -294,18 +295,21 @@ def resource_arrivals(plan: NetworkPlan, sys_cfg: SystemConfig, resource_id: int
             for key, chunks in sorted(out.items())}
 
 
+def unpack(tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stream of packed tags as (times, paths)."""
+    return tag_times(tags), tag_paths(tags)
+
+
 def path_streams(result: sim.ScenarioResult) -> dict[tuple[int, int], np.ndarray]:
-    """Each user's tags split by path label, keyed (user, path)."""
-    return {(user, path): times[labels == path]
-            for user, (times, labels) in result.streams.items()
-            for path in (0, 1)}
+    """Each user's tag times split by path, keyed (user, path)."""
+    return {(user, path): tag_times(tags[tag_paths(tags) == path])
+            for user, tags in result.streams.items() for path in (0, 1)}
 
 
 def path_tag_rows(result: sim.ScenarioResult) -> dict[tuple[int, int], np.ndarray]:
-    """Each user's tag_pair_rows split by path label, keyed (user, path)."""
-    return {(user, path): result.tag_pair_rows[user][labels == path]
-            for user, (_, labels) in result.streams.items()
-            for path in (0, 1)}
+    """Each user's tag_pair_rows split by path, keyed (user, path)."""
+    return {(user, path): result.tag_pair_rows[user][tag_paths(tags) == path]
+            for user, tags in result.streams.items() for path in (0, 1)}
 
 
 def truth_rows(truth: sim.TruthLog) -> dict[str, np.ndarray]:

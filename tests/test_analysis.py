@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from entnetsim import ItuChannel, analysis, build_plan
+from entnetsim._kernels import pack_paths, tag_at, tag_times
 from entnetsim.analysis import (CAR_CAP, CorrelationHistogram, compute_car,
                                 cross_correlate, link_histogram, link_matrix,
                                 match_coincidences)
@@ -66,8 +67,8 @@ class TestCrossCorrelate:
         sys_cfg = light_system(pair_rate=1e5, fiber={1: 1.0})
         sys_cfg.losses.fiber_km[1] = 1.0
         res = run_scenario(plan, sys_cfg, 0.2, seed=3, collect_truth=False)
-        ta, _ = res.user_stream(0)
-        tb, _ = res.user_stream(1)
+        ta = tag_times(res.user_stream(0))
+        tb = tag_times(res.user_stream(1))
         offset = fiber_delay_ps(sys_cfg.losses, 1) - 0
         hist = cross_correlate(ta, tb, 128, 33 * 128, offset_ps=offset)
         assert int(np.argmax(hist.counts)) == hist.n_bins // 2
@@ -202,8 +203,8 @@ class TestTruthLogValidation:
         sys_cfg = light_system(pair_rate=1e4, dark=2e5, jitter=0.0)
         duration = 2.0
         res = run_scenario(plan, sys_cfg, duration, seed=52)
-        ta, _ = res.user_stream(0)
-        tb, _ = res.user_stream(1)
+        ta = tag_times(res.user_stream(0))
+        tb = tag_times(res.user_stream(1))
         dark_a = ta[res.tag_pair_rows[0] == -1]
         dark_b = tb[res.tag_pair_rows[1] == -1]
         hist = cross_correlate(dark_a, dark_b, 128, 65 * 128)
@@ -220,8 +221,8 @@ class TestTruthLogValidation:
         sys_cfg = light_system(pair_rate=2e5, dark=2e5, jitter=5.0)
         duration = 5.0
         res = run_scenario(plan, sys_cfg, duration, seed=41)
-        ta, _ = res.user_stream(0)
-        tb, _ = res.user_stream(1)
+        ta = tag_times(res.user_stream(0))
+        tb = tag_times(res.user_stream(1))
         rows_a = res.tag_pair_rows[0]
         rows_b = res.tag_pair_rows[1]
 
@@ -296,21 +297,18 @@ class TestLinkMatrix:
         assert lines[1].startswith("0,1,intra,1,")
 
     def test_unsorted_user_stream_rejected(self):
-        streams = {0: (np.array([5, 1]), np.array([0, 0], dtype=np.uint8)),
-                   1: (np.array([1]), np.array([0], dtype=np.uint8))}
+        streams = {0: tag_at(np.array([5, 1])), 1: tag_at(np.array([1]))}
         with pytest.raises(ContractViolation, match="user 0"):
             link_matrix(streams, [(0, 1)], {}, 128, 2112)
 
     def test_reach_below_half_window_rejected(self):
-        streams = {u: (np.array([1]), np.array([0], dtype=np.uint8))
-                   for u in (0, 1)}
+        streams = {u: tag_at(np.array([1])) for u in (0, 1)}
         link_matrix(streams, [(0, 1)], {}, 128, 64)
         with pytest.raises(ValueError, match="reach_ps"):
             link_matrix(streams, [(0, 1)], {}, 128, 63)
 
     def test_histogram_needs_its_span_within_reach(self):
-        streams = {u: (np.array([1]), np.array([0], dtype=np.uint8))
-                   for u in (0, 1)}
+        streams = {u: tag_at(np.array([1])) for u in (0, 1)}
         half_span = analysis.HIST_BINS * 128 // 2
         win = link_matrix(streams, [(0, 1)], {}, 128, half_span)[(0, 1)]
         assert link_histogram(win, 128, 10**12).counts.sum() == 1
@@ -321,7 +319,8 @@ class TestLinkMatrix:
 
 @st.composite
 def link_case(draw):
-    """Two labeled streams whose pairs sit at the edges of every window.
+    """Two streams of packed tags (2 * t + path, sorted) whose pairs sit at
+    the edges of every window.
 
     Tags come in bursts (gaps up to one coincidence window, so candidate
     windows overlap); b holds partners of a-tags at the histogram edges,
@@ -356,16 +355,18 @@ def link_case(draw):
     a = np.sort(np.asarray(a, dtype=np.int64))
     b = np.sort(np.asarray(b, dtype=np.int64))
 
-    def labels(n, one_path):
+    def packed(t, one_path):
         if one_path:  # the other path's substream is empty
-            return np.full(n, draw(st.integers(0, 1)), dtype=np.uint8)
-        return np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
-                                        max_size=n)), dtype=np.uint8)
+            paths = np.full(t.size, draw(st.integers(0, 1)))
+        else:
+            paths = np.asarray(draw(st.lists(st.integers(0, 1),
+                                             min_size=t.size,
+                                             max_size=t.size)), dtype=np.int64)
+        return np.sort(pack_paths(t[paths == 0], t[paths == 1]))
 
     one_path = draw(st.sampled_from(["none", "a", "b"]))
-    pa = labels(a.size, one_path == "a")
-    pb = labels(b.size, one_path == "b")
-    return a, pa, b, pb, offset, window, n_bins, monitor_window
+    return (packed(a, one_path == "a"), packed(b, one_path == "b"), offset,
+            window, n_bins, monitor_window)
 
 
 @pytest.mark.filterwarnings("ignore:only .* symbol pairs")
@@ -374,12 +375,13 @@ def link_case(draw):
 def test_link_window_equals_full_streams(case):
     """Histogram, narrow matches, monitor pairs and key counts of a link
     computed on its candidate tags equal those of the full streams."""
-    a, pa, b, pb, offset, window, n_bins, monitor_window = case
+    tags_a, tags_b, offset, window, n_bins, monitor_window = case
+    (a, pa), (b, pb) = helpers.unpack(tags_a), helpers.unpack(tags_b)
     qkd = QkdConfig(window_ps=window, monitor_window_ps=monitor_window)
     reach = max(n_bins * window // 2, monitor_window // 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "HIST_BINS", n_bins)
-        win = link_matrix({0: (a, pa), 1: (b, pb)}, [(0, 1)],
+        win = link_matrix({0: tags_a, 1: tags_b}, [(0, 1)],
                           {0: 0, 1: offset}, window, reach)[(0, 1)]
         hist = link_histogram(win, window, 10**12)
 
@@ -413,7 +415,7 @@ def test_link_window_equals_full_streams(case):
 
 @st.composite
 def network_case(draw):
-    """Labeled streams of 3..6 users with distinct delays, bigger than many
+    """Packed streams of 3..6 users with distinct delays, bigger than many
     of their tag times so shifted times go negative. Tags of different
     users sit at shifted distances 0, the link reach and one past it;
     some streams are empty or hold a single tag."""
@@ -451,8 +453,8 @@ def network_case(draw):
     for u in users:
         t = np.sort(np.asarray(times[u], dtype=np.int64))
         paths = np.asarray(draw(st.lists(st.integers(0, 1), min_size=t.size,
-                                         max_size=t.size)), dtype=np.uint8)
-        streams[u] = (t, paths)
+                                         max_size=t.size)), dtype=np.int64)
+        streams[u] = np.sort(pack_paths(t[paths == 0], t[paths == 1]))
     pairs = list(combinations(users, 2))
     links = draw(st.lists(st.sampled_from(pairs), min_size=1,
                           max_size=len(pairs), unique=True))
@@ -478,8 +480,8 @@ def test_pooled_filter_equals_full_streams(case):
     for ua, ub in links:
         two = {u: streams[u] for u in (ua, ub)}
         win = link_matrix(two, [(ua, ub)], delays, window, reach)[(ua, ub)]
-        hist = cross_correlate(streams[ua][0], streams[ub][0], window,
-                               n_bins * window,
+        hist = cross_correlate(tag_times(streams[ua]), tag_times(streams[ub]),
+                               window, n_bins * window,
                                offset_ps=delays[ub] - delays[ua],
                                duration_ps=duration_ps)
         expected[(ua, ub)] = win, hist
@@ -505,8 +507,7 @@ def test_pooled_filter_equals_full_streams(case):
             for name in ("delay_a_ps", "delay_b_ps", "offset_ps", "reach_ps",
                          "singles_a", "singles_b"):
                 assert getattr(win, name) == getattr(ref_win, name)
-            for name in ("index_a", "index_b", "times_a", "times_b",
-                         "paths_a", "paths_b"):
+            for name in ("index_a", "index_b", "tags_a", "tags_b"):
                 np.testing.assert_array_equal(getattr(win, name),
                                               getattr(ref_win, name))
             for name in ("index_a", "index_b", "times_a", "times_b"):
@@ -521,14 +522,14 @@ def test_candidate_sweep_matches_brute_force(case):
     reversed and repeated links too, exactly the tags with a partner
     within reach in the other stream."""
     streams, delays, links, _window, _n_bins, _monitor, reach = case
-    times = {u: t for u, (t, _paths) in streams.items()}
     for slab in (1, 2, 3, analysis.POOL_TAGS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "POOL_TAGS", slab)
-            cands = analysis._pool_candidates(times, delays, reach, links)
+            cands = analysis._pool_candidates(streams, delays, reach, links)
         for ua, ub in links:
             ref_a, ref_b = helpers.brute_candidates(
-                times[ua], times[ub], delays[ub] - delays[ua], reach)
+                tag_times(streams[ua]), tag_times(streams[ub]),
+                delays[ub] - delays[ua], reach)
             np.testing.assert_array_equal(cands[(ua, ub)], ref_a)
             np.testing.assert_array_equal(cands[(ub, ua)], ref_b)
 
@@ -543,13 +544,15 @@ def test_pooled_filter_memory_bounded_by_slab(monkeypatch):
     rng = np.random.default_rng(1)
     n_users, per_user = 16, 1 << 17
     duration_ps = int(n_users * per_user / 3.7e6 * 1e12)
-    times = {u: np.sort(rng.integers(0, duration_ps, per_user, dtype=np.int64))
-             for u in range(n_users)}
+    # path 0 tags, packed
+    streams = {u: tag_at(np.sort(rng.integers(0, duration_ps, per_user,
+                                              dtype=np.int64)))
+               for u in range(n_users)}
     delays = {u: int(rng.integers(0, 10**7)) for u in range(n_users)}
     links = list(combinations(range(n_users), 2))
     tracemalloc.start()
     try:
-        cands = analysis._pool_candidates(times, delays, 2112, links)
+        cands = analysis._pool_candidates(streams, delays, 2112, links)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -560,3 +563,27 @@ def test_pooled_filter_memory_bounded_by_slab(monkeypatch):
     assert 0 < n_kept < 0.05 * n_users * per_user
     # one int64 copy of the input alone would be 16 MB
     assert peak < 40 * slab + 16 * n_kept
+
+
+def test_link_matrix_unpacks_no_whole_stream(monkeypatch):
+    """link_matrix reads the packed streams where they lie: its peak
+    allocation is the sweep's slab bound, the windows it returns and the
+    sortedness check's one bool per tag, far under the 8 bytes a tag of
+    an unpacked copy of one stream (8 MB here)."""
+    slab = 1 << 14
+    monkeypatch.setattr(analysis, "POOL_TAGS", slab)
+    rng = np.random.default_rng(2)
+    per_user = 1 << 20
+    duration_ps = int(2 * per_user / 3.7e6 * 1e12)
+    streams = {u: tag_at(np.sort(rng.integers(0, duration_ps, per_user,
+                                              dtype=np.int64)))
+               for u in (0, 1)}
+    tracemalloc.start()
+    try:
+        win = link_matrix(streams, [(0, 1)], {1: 5000}, 128, 2112)[(0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = win.tags_a.size + win.tags_b.size
+    assert 0 < kept < 0.05 * 2 * per_user
+    assert peak < 40 * slab + 64 * kept + per_user

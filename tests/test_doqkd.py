@@ -378,8 +378,8 @@ class TestDispersionCancellation:
                                corr=0.0, dark=0.0)
         res = run_scenario(plan, sys_cfg, 1.0, seed=20)
         from entnetsim.analysis import match_coincidences
-        ta, pa = res.user_stream(0)
-        tb, pb = res.user_stream(1)
+        ta, pa = helpers.unpack(res.user_stream(0))
+        tb, pb = helpers.unpack(res.user_stream(1))
         ra, rb = res.tag_pair_rows[0], res.tag_pair_rows[1]
         m = match_coincidences(ta, tb, 512)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])
@@ -401,8 +401,8 @@ class TestContaminationDirection:
         duration = 4.0
         res = run_scenario(plan, sys_cfg, duration, seed=33)
         from entnetsim.analysis import match_coincidences
-        ta, pa = res.user_stream(0)
-        tb, pb = res.user_stream(1)
+        ta, pa = helpers.unpack(res.user_stream(0))
+        tb, pb = helpers.unpack(res.user_stream(1))
         ra, rb = res.tag_pair_rows[0], res.tag_pair_rows[1]
         m = match_coincidences(ta, tb, 128)
         key_mask, _ = basis_sift(pa[m.index_a], pb[m.index_b])

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from entnetsim import ItuChannel, build_plan, match_coincidences, sim
+from entnetsim._kernels import tag_paths, tag_times
 from entnetsim.photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                                  detector_response_traced)
 from entnetsim.rates import expected_coincidence_rate, expected_singles_rate
@@ -138,7 +139,7 @@ class TestRunScenario:
     def test_zero_duration_empty(self):
         plan = build_plan(1, 2, ItuChannel(40))
         res = run_scenario(plan, light_system(), 0.0, seed=1)
-        assert all(times.size == 0 for times, _ in res.streams.values())
+        assert all(tags.size == 0 for tags in res.streams.values())
         assert len(res.truth) == 0
         assert all(n == 0 for n in res.emitted_pairs.values())
 
@@ -146,6 +147,26 @@ class TestRunScenario:
         plan = build_plan(1, 2, ItuChannel(40))
         with pytest.raises(ScenarioConfigError):
             run_scenario(plan, light_system(), -1.0, seed=1)
+
+    @pytest.mark.parametrize("duration_s", [9008.0, 1e5, 1e7, math.inf])
+    def test_unrepresentable_duration_rejected(self, monkeypatch, duration_s):
+        # float64 picosecond times are exact only up to 2**53 ps; the
+        # refusal comes before any outcome is drawn
+        def no_draws(*args):
+            raise AssertionError("drew outcomes")
+
+        monkeypatch.setattr(sim, "_outcome_counts", no_draws)
+        plan = build_plan(1, 2, ItuChannel(40))
+        with pytest.raises(ScenarioConfigError) as err:
+            run_scenario(plan, light_system(pair_rate=0.01, dark=0.0),
+                         duration_s, seed=1)
+        assert err.value.name == "duration_s"
+
+    def test_duration_bound_is_exact(self):
+        assert sim.duration_ps_of(sim.MAX_DURATION_PS / 1e12) == 2**53
+        assert sim.duration_ps_of(9007.19) == 9007190000000001
+        with pytest.raises(ScenarioConfigError, match="at most 9007 s"):
+            sim.duration_ps_of(9007.2)
 
     def test_conservation_lossless(self):
         # no loss, no dark counts, perfect detector: every emitted pair
@@ -179,16 +200,14 @@ class TestRunScenario:
         res = run_scenario(plan, light_system(pair_rate=5e4), 0.05, seed=4)
         singles = res.singles_counts()
         assert sorted(res.streams) == list(plan.users())
-        for user, (times, labels) in res.streams.items():
-            assert times.dtype == np.int64 and labels.dtype == np.uint8
-            assert times.size == labels.size > 0
+        for user, tags in res.streams.items():
+            assert tags.dtype == np.int64 and tags.size > 0
+            assert np.all(np.diff(tags) > 0)  # every packed value unique
+            times, paths = tag_times(tags), tag_paths(tags)
             assert times[0] >= 0 and times[-1] < res.duration_ps
-            assert np.all(np.diff(times) >= 0)
-            assert set(np.unique(labels)) <= {0, 1}
             for path in (0, 1):
-                tags = times[labels == path]
-                assert np.all(np.diff(tags) > 0)
-                assert singles[(user, path)] == tags.size
+                assert np.all(np.diff(times[paths == path]) > 0)
+                assert singles[(user, path)] == np.count_nonzero(paths == path)
 
     def test_determinism(self):
         plan = build_plan(2, 3, ItuChannel(40))
@@ -196,9 +215,8 @@ class TestRunScenario:
         r1 = run_scenario(plan, sys_cfg, 0.1, seed=99)
         r2 = run_scenario(plan, sys_cfg, 0.1, seed=99)
         assert r1.emitted_pairs == r2.emitted_pairs
-        for user, (times, labels) in r1.streams.items():
-            np.testing.assert_array_equal(r2.streams[user][0], times)
-            np.testing.assert_array_equal(r2.streams[user][1], labels)
+        for user, tags in r1.streams.items():
+            np.testing.assert_array_equal(r2.streams[user], tags)
         np.testing.assert_array_equal(r1.truth.t_emit_ps, r2.truth.t_emit_ps)
 
     def test_selection_does_not_change_other_streams(self):
@@ -208,9 +226,8 @@ class TestRunScenario:
         partial = run_scenario(plan, sys_cfg, 0.1, seed=21,
                                selected_users=[0, 3])
         assert sorted(partial.streams) == [0, 3]
-        for user, (times, labels) in partial.streams.items():
-            np.testing.assert_array_equal(times, full.streams[user][0])
-            np.testing.assert_array_equal(labels, full.streams[user][1])
+        for user, tags in partial.streams.items():
+            np.testing.assert_array_equal(tags, full.streams[user])
 
     def test_singles_rates_match_analytic(self, reference_plan):
         sys_cfg = SystemConfig(
@@ -278,9 +295,9 @@ class TestRunScenario:
         sys_cfg = light_system(pair_rate=4e4, dark=1000.0)
         res = run_scenario(plan, sys_cfg, 0.1, seed=5)
         assert sorted(res.tag_pair_rows) == sorted(res.streams) == [0, 1]
-        for user, (times, _) in res.streams.items():
+        for user, tags in res.streams.items():
             rows = res.tag_pair_rows[user]
-            assert rows.dtype == np.int64 and rows.size == times.size > 0
+            assert rows.dtype == np.int64 and rows.size == tags.size > 0
             photon = rows >= 0
             assert 0 < np.count_nonzero(photon) < rows.size  # dark counts too
             # every photon-tag row must be marked detected on some side
@@ -428,9 +445,8 @@ class TestEngineEdgeCases:
             *truth.values()]) == self.DIGEST
         plain = run_scenario(plan, sys_cfg, 0.0004, seed=26,
                              collect_truth=False)
-        for user, (times, labels) in res.streams.items():
-            np.testing.assert_array_equal(plain.streams[user][0], times)
-            np.testing.assert_array_equal(plain.streams[user][1], labels)
+        for user, tags in res.streams.items():
+            np.testing.assert_array_equal(plain.streams[user], tags)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dark_counts_and_no_photon(self, monkeypatch, workers):
@@ -446,10 +462,62 @@ class TestEngineEdgeCases:
         assert not res.truth.signal_detected.any()
         assert not res.truth.idler_detected.any()
         plain = run_scenario(plan, sys_cfg, 0.001, seed=3, collect_truth=False)
-        for user, (times, labels) in res.streams.items():
-            np.testing.assert_array_equal(plain.streams[user][0], times)
-            np.testing.assert_array_equal(plain.streams[user][1], labels)
+        for user, tags in res.streams.items():
+            np.testing.assert_array_equal(plain.streams[user], tags)
         _assert_no_child()
+
+
+class TestMergeTieRule:
+    """A user's two paths may hold tags in one picosecond: the stream puts
+    path 0's tag first there, and a truth run's rows follow the tags. At
+    calibrated rates such ties are rare (about 0.003 a user at 1.5 s), so
+    a stand-in detector puts each path's k-th tag at k ns: every
+    picosecond up to the shorter path holds one tag of each path. Every
+    third tag is a dark count."""
+
+    @staticmethod
+    def run(monkeypatch, path_1_shift_ps, collect_truth):
+        paths = []  # one process: the calls come path 0, path 1 per user
+
+        def detector(arrivals_ps, cfg, duration_s, rng):
+            path = len(paths) % 2
+            paths.append(path)
+            k = np.arange(arrivals_ps.size, dtype=np.int64)
+            return (1000 * k + path * path_1_shift_ps,
+                    np.where(k % 3 == 2, -1, k))
+
+        monkeypatch.setattr(sim, "_workers", lambda: 1)
+        monkeypatch.setattr(sim, "detector_response_traced", detector)
+        return run_scenario(build_plan(1, 2, ItuChannel(40)),
+                            light_system(pair_rate=2e4), 0.01, seed=5,
+                            collect_truth=collect_truth)
+
+    def test_path_0_first_on_shared_picoseconds(self, monkeypatch):
+        tied = self.run(monkeypatch, 0, collect_truth=True)
+        plain = self.run(monkeypatch, 0, collect_truth=False)
+        apart = self.run(monkeypatch, 500, collect_truth=True)
+        for user, tags in tied.streams.items():
+            n = [tied.arrival_counts[(user, path)] for path in (0, 1)]
+            shared = min(n)
+            assert shared > 0 and tags.size == sum(n)
+            assert np.all(np.diff(tags) > 0)
+            times, paths = tag_times(tags), tag_paths(tags)
+            np.testing.assert_array_equal(
+                times[:2 * shared], np.repeat(1000 * np.arange(shared), 2))
+            np.testing.assert_array_equal(paths[:2 * shared],
+                                          np.tile([0, 1], shared))
+            np.testing.assert_array_equal(plain.streams[user], tags)
+            rows = tied.tag_pair_rows[user]
+            for path in (0, 1):
+                k = np.arange(n[path])
+                np.testing.assert_array_equal(times[paths == path], 1000 * k)
+                np.testing.assert_array_equal(rows[paths == path] == -1,
+                                              k % 3 == 2)
+            # the same rows, in the same order, as where the paths never
+            # share a picosecond
+            np.testing.assert_array_equal(paths,
+                                          tag_paths(apart.streams[user]))
+            np.testing.assert_array_equal(rows, apart.tag_pair_rows[user])
 
 
 def _assert_no_child():
@@ -573,7 +641,7 @@ class TestPass2Workers:
         res = TestEngineBytes.run()
         assert len(groups) == 2
         for user in groups[1]:
-            for array in (*res.streams[user], res.tag_pair_rows[user]):
+            for array in (res.streams[user], res.tag_pair_rows[user]):
                 assert array.size > 0
                 assert array.flags.writeable
                 assert array.ctypes.data % 16 == 0
