@@ -28,11 +28,11 @@ def tag_at(times):
     return 2 * times
 
 
-def tag_times(tags):
+def tag_times(tags: np.ndarray) -> np.ndarray:
     return tags >> 1
 
 
-def tag_paths(tags):
+def tag_paths(tags: np.ndarray) -> np.ndarray:
     return tags & 1
 
 
