@@ -2,7 +2,6 @@
 connected wavelength/space-multiplexed entanglement distribution network."""
 
 from .plan import (ItuChannel, ChannelPair, NetworkPlan, build_plan,
-                   correlated_channel, itu_channel_frequency,
                    naive_channel_count, resource_for_link,
                    verify_full_connectivity)
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
@@ -22,8 +21,7 @@ kernel_backend = "python"
 
 __all__ = [
     "ItuChannel", "ChannelPair", "NetworkPlan", "build_plan",
-    "correlated_channel", "itu_channel_frequency", "naive_channel_count",
-    "resource_for_link", "verify_full_connectivity",
+    "naive_channel_count", "resource_for_link", "verify_full_connectivity",
     "DetectorConfig", "DispersionConfig", "SourceConfig",
     "db_to_transmittance",
     "LossBudget", "SystemConfig", "derive_stream_seed", "run_scenario",

@@ -90,9 +90,6 @@ class CorrelationHistogram:
         return bin_centres_ps(np.arange(self.n_bins, dtype=np.int64),
                               self.n_bins, self.bin_width_ps)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def _require_sorted(stream: np.ndarray, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(stream, dtype=np.int64)

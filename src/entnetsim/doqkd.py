@@ -57,13 +57,10 @@ class FrameConfig:
     def bin_width_ps(self) -> int:
         return self.frame_length_ps // self.bins_per_frame
 
-    @property
-    def bits_per_symbol(self) -> float:
-        return math.log2(self.bins_per_frame)
 
-
-def bin_encode(tag_ps, frames: FrameConfig):
-    """(frame_index, symbol, guard_flag) for a tag or array of tags.
+def bin_encode(tag_ps, frames: FrameConfig
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frame_index, symbol, guard_flag) arrays for an array of tags.
 
     symbol is the tag's bin within its frame; guard_flag marks tags whose
     in-bin position is within guard_band of a bin boundary (boundaries at
@@ -76,8 +73,6 @@ def bin_encode(tag_ps, frames: FrameConfig):
     pos = in_frame - symbol * frames.bin_width_ps
     g = frames.guard_band_ps
     guard = (pos < g) | (pos > frames.bin_width_ps - g)
-    if np.isscalar(tag_ps) or np.ndim(tag_ps) == 0:
-        return int(frame), int(symbol), bool(guard)
     return frame, symbol, guard
 
 
@@ -357,7 +352,6 @@ def analyze_link(link: LinkWindow, qkd: QkdConfig, duration_s: float,
     counts = {
         "matched_pairs": len(matches),
         "key_pairs": int(np.count_nonzero(key_mask)),
-        "monitor_pairs": monitor.n_pairs,
         "sifted_pairs": len(material),
     }
     if len(material) == 0:

@@ -47,10 +47,6 @@ class ParameterError(ValueError):
             raise cls(name, f"must be finite and in {interval}, got {value!r}")
 
 
-class ChannelRangeError(ValueError):
-    """Channel index outside the configured grid range."""
-
-
 class CapacityError(ParameterError):
     """Not enough grid channels around the pump for the requested plan;
     named after num_subnets, the count that sets the plan's reach."""
@@ -74,32 +70,6 @@ class ItuChannel:
 
     def label(self) -> str:
         return f"C{self.index}"
-
-
-def check_channel_range(channel: ItuChannel,
-                        valid_range: tuple[int, int] = DEFAULT_CHANNEL_RANGE) -> ItuChannel:
-    lo, hi = valid_range
-    if not lo <= channel.index <= hi:
-        raise ChannelRangeError(
-            f"channel C{channel.index} outside valid grid range C{lo}..C{hi}")
-    return channel
-
-
-def itu_channel_frequency(channel: ItuChannel,
-                          valid_range: tuple[int, int] = DEFAULT_CHANNEL_RANGE) -> float:
-    """Grid center frequency in THz; raises ChannelRangeError when out of range."""
-    return check_channel_range(channel, valid_range).frequency_thz()
-
-
-def correlated_channel(channel: ItuChannel, pump: ItuChannel,
-                       valid_range: tuple[int, int] = DEFAULT_CHANNEL_RANGE) -> ItuChannel:
-    """Mirror channel about the pump: energy conservation on the grid.
-
-    A photon in `channel` is pair-correlated with one in the returned
-    channel, since signal and idler frequencies sum to twice the pump's.
-    """
-    mirror = ItuChannel(2 * pump.index - channel.index)
-    return check_channel_range(mirror, valid_range)
 
 
 @dataclass(frozen=True)

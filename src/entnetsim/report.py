@@ -44,15 +44,15 @@ from .sim import (ScenarioResult, SystemConfig, TruthLog, fiber_delay_ps,
                   run_scenario, PATH_NAMES)
 
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
-# figures CLI run (87.45M expected tags) peaked at 836852 kB ru_maxrss
-# in the process that runs run_scenario and 680660 kB in its pass-2
-# worker, 1517512 kB together at most in three runs, 17.8 bytes a tag
+# figures CLI run (87.45M expected tags) peaked at 832684 kB ru_maxrss
+# in the process that runs run_scenario and 680600 kB in its pass-2
+# worker, 1513244 kB together at most in three runs, 17.7 bytes a tag
 # (NUMPY_MADVISE_HUGEPAGE=0, 2 CPUs). The sum bounds the host total: it
 # counts twice the pages the two share.
 BYTES_PER_TAG = 20
 # The same with the --dump-truth log: the 8 s figures CLI run (11.66M
-# expected tags) peaked at 407576 + 193012 kB, 600588 kB at most in
-# three runs, 52.7 bytes a tag. The parent holds the whole log; a
+# expected tags) peaked at 396828 + 193076 kB, 589904 kB at most in
+# three runs, 51.8 bytes a tag. The parent holds the whole log; a
 # worker holds no part of it.
 BYTES_PER_TRUTH_TAG = 53
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
@@ -243,8 +243,11 @@ def _atomic_via(path: str, writer_fn) -> None:
 def _keyrates_payload(bundle: ReportBundle) -> dict:
     names, *rows = _link_table((rec for rec in bundle.records.values()
                                 if rec.key is not None), KEYRATES)
-    return {"schema": "entnetsim-keyrates/1",
-            "links": [dict(zip(names, row)) for row in rows]}
+    # JSON has no NaN: an undefined value (the one value unequal to
+    # itself) is written null
+    return {"schema": "entnetsim-keyrates/2",
+            "links": [{name: None if value != value else value
+                       for name, value in zip(names, row)} for row in rows]}
 
 
 def _metadata_payload(bundle: ReportBundle, overrides: dict) -> dict:
@@ -323,15 +326,17 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Sorted, indented JSON, the bytes of json.dump; emit() or
-    _atomic_via makes the write atomic.
+    """Sorted, indented, strict JSON, the bytes of json.dump; a NaN or
+    infinity raises ValueError. emit() or _atomic_via makes the write
+    atomic.
 
     json.dump makes one write per encoder chunk (about 92k for the
     780-link keyrates.json) and json.dumps holds all the chunks at once
     (3.8 MB traced for that file), so the chunks are joined and written
     JSON_CHUNKS at a time.
     """
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              allow_nan=False).iterencode(payload)
     with open(path, "w", newline="") as fh:
         for group in iter(lambda: list(islice(chunks, JSON_CHUNKS)), []):
             fh.write("".join(group))

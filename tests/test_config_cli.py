@@ -569,7 +569,7 @@ class TestReproducibility:
         "histograms.csv":
             "c3dbf94278d11041e8c8006614237a466c2e933512eff23cb130d77cbf5e9074",
         "keyrates.json":
-            "81587e51fa82ebdce36e01d6caea896564ef4bbe9689924751ecd31d3cd08d14",
+            "40dc9e35db159ec2b3eb974e61db8cedfe93bc1f27d00e60e31f176a2f680647",
         "fig3a.csv":
             "f138fd1b22a90bbbf4e943b52fc27a6ca9e1852fa5c5c3bc7d323616668b5ccf",
         "fig3b.csv":

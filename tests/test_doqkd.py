@@ -59,7 +59,6 @@ def symmetric_material(q_num, q_den, per_cell, d=8):
 class TestFrameConfig:
     def test_bin_width(self):
         assert FRAMES16.bin_width_ps == 128
-        assert FRAMES16.bits_per_symbol == 3.0
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -81,31 +80,34 @@ class TestFrameConfig:
             cls(**{name: 0})
 
 
+def encode(tags, frames=FRAMES16):
+    """bin_encode's (frame, symbol, guard) of each tag, as Python tuples."""
+    return list(zip(*(a.tolist() for a in bin_encode(np.array(tags), frames))))
+
+
 class TestBinEncode:
     def test_tag_zero_guarded_boundary(self):
-        assert bin_encode(0, FRAMES16) == (0, 0, True)
+        assert encode([0]) == [(0, 0, True)]
 
     def test_tag_1000_symbol_seven(self):
-        frame, symbol, guard = bin_encode(1000, FRAMES16)
-        assert (frame, symbol, guard) == (0, 7, False)
+        assert encode([1000]) == [(0, 7, False)]
 
     def test_tag_1030_next_frame_guarded(self):
         # 6 ps past the frame boundary, inside the 16 ps guard
-        assert bin_encode(1030, FRAMES16) == (1, 0, True)
+        assert encode([1030]) == [(1, 0, True)]
 
     def test_guard_band_edges(self):
-        frames = FrameConfig(guard_band_ps=16)
-        assert bin_encode(16, frames)[2] is False   # exactly at the guard edge
-        assert bin_encode(15, frames)[2] is True
-        assert bin_encode(112, frames)[2] is False  # bin_width - guard
-        assert bin_encode(113, frames)[2] is True
+        # 16 is exactly at the guard edge, 112 is bin_width - guard
+        guards = [g for _, _, g in encode([16, 15, 112, 113],
+                                          FrameConfig(guard_band_ps=16))]
+        assert guards == [False, True, False, True]
 
     def test_vectorized_matches_scalar(self):
+        """The array encoding equals per-tag integer arithmetic."""
         tags = np.arange(0, 4096, 17)
-        frame, symbol, guard = bin_encode(tags, FRAMES16)
-        for k, t in enumerate(tags):
-            f, s, g = bin_encode(int(t), FRAMES16)
-            assert (frame[k], symbol[k], guard[k]) == (f, s, g)
+        assert encode(tags) == [
+            (t // 1024, t % 1024 // 128, not 16 <= t % 128 <= 112)
+            for t in tags.tolist()]
 
 
 class TestBasisSift:
@@ -123,7 +125,7 @@ class TestBasisSift:
         rep = analyze_link(monitor_reach_window(res, 0, 1, qkd),
                            qkd, 1.0, monitor_expected_ps=1576.0)
         key = rep.counts["key_pairs"]
-        mon = rep.counts["monitor_pairs"]
+        mon = rep.monitor.n_pairs
         assert 0.4 < key / (key + mon) < 0.6
 
 

@@ -5,23 +5,22 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entnetsim.plan import (CapacityError, ChannelPair, ChannelRangeError,
-                            ItuChannel, UnknownUserError, build_plan,
-                            correlated_channel, itu_channel_frequency,
-                            naive_channel_count, resource_for_link,
-                            subnet_label, verify_full_connectivity)
+from entnetsim.plan import (CapacityError, ChannelPair, ItuChannel,
+                            UnknownUserError, build_plan, naive_channel_count,
+                            resource_for_link, subnet_label,
+                            verify_full_connectivity)
 
 WIDE = (1, 200)  # generous grid for scaling tests beyond the default span
 
 
 class TestGrid:
     def test_c40_is_194_thz(self):
-        assert itu_channel_frequency(ItuChannel(40)) == pytest.approx(194.0)
+        assert ItuChannel(40).frequency_thz() == pytest.approx(194.0)
         assert ItuChannel(40).wavelength_nm() == pytest.approx(1545.32, abs=0.01)
 
     def test_grid_symmetry_about_pump(self):
-        f35 = itu_channel_frequency(ItuChannel(35))
-        f45 = itu_channel_frequency(ItuChannel(45))
+        f35 = ItuChannel(35).frequency_thz()
+        f45 = ItuChannel(45).frequency_thz()
         assert f35 == pytest.approx(193.5)
         assert f45 == pytest.approx(194.5)
         assert f35 + f45 == pytest.approx(2 * 194.0)
@@ -29,29 +28,8 @@ class TestGrid:
     def test_c21_frequency_and_wavelength(self):
         # formula evaluation, cross-checked against the published
         # 100 GHz grid table entry for channel 21 (1560.61 nm)
-        assert itu_channel_frequency(ItuChannel(21)) == pytest.approx(192.1)
+        assert ItuChannel(21).frequency_thz() == pytest.approx(192.1)
         assert ItuChannel(21).wavelength_nm() == pytest.approx(1560.61, abs=0.01)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ChannelRangeError):
-            itu_channel_frequency(ItuChannel(60))
-        with pytest.raises(ChannelRangeError):
-            itu_channel_frequency(ItuChannel(20))
-
-
-class TestCorrelatedChannel:
-    def test_c35_mirrors_to_c45(self):
-        assert correlated_channel(ItuChannel(35), ItuChannel(40)).index == 45
-
-    def test_c21_mirrors_to_c59(self):
-        assert correlated_channel(ItuChannel(21), ItuChannel(40)).index == 59
-
-    def test_pump_is_fixed_point(self):
-        assert correlated_channel(ItuChannel(40), ItuChannel(40)).index == 40
-
-    def test_mirror_out_of_range(self):
-        with pytest.raises(ChannelRangeError):
-            correlated_channel(ItuChannel(22), ItuChannel(41))  # mirror C60
 
 
 class TestBuildPlan:
@@ -186,9 +164,14 @@ def test_plan_properties(num_subnets, subnet_size):
     assert len(plan.distinct_channels()) == k * (k + 1)
     assert all(len(manifest) == k + 1 for manifest in plan.user_manifests)
 
+    lo, hi = plan.valid_range
     for pair in plan.resources:
         assert pair.signal.index + pair.idler.index == 2 * plan.pump.index
         assert pair.signal.index > pair.idler.index
+        assert all(lo <= ch.index <= hi for ch in pair.channels())
+    # extraction starts just outside the pump guard
+    assert (plan.resources[0].signal.index - plan.pump.index
+            == plan.pump_guard + 1)
 
     for rid in range(1, len(plan.resources) + 1):
         assert plan.resource_by_id(rid).resource_id == rid

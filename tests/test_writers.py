@@ -226,7 +226,7 @@ class TestHistogramCsv:
 
     def test_all_zero_counts(self, tmp_path):
         hist = self.hist([0, 10 ** 6], [5 * 10 ** 8])
-        assert hist.total() == 0
+        assert hist.counts.sum() == 0
         new, ref = histogram_bytes(tmp_path, {(0, 1): hist})
         assert new == ref
         assert new.count(b"\r\n") == 1 + hist.n_bins
@@ -236,7 +236,7 @@ class TestHistogramCsv:
         columns; only the run-wide keys are metadata lines."""
         hists = {(4, 17): self.hist([100, 2_000, 9_000], [5_150, 7_100, 14_000]),
                  (17, 4): self.hist([5_150, 7_100], [100, 2_000], -5_000)}
-        assert all(h.total() > 0 for h in hists.values())
+        assert all(h.counts.sum() > 0 for h in hists.values())
         new, ref = histogram_bytes(tmp_path, hists)
         assert new == ref
         assert new.startswith(
@@ -276,7 +276,7 @@ def test_histograms_csv_round_trip(tmp_path, monkeypatch):
     report.write_bundle(bundle, str(tmp_path / "bundle"), wall_time_s=0.0)
     rebuilt = helpers.read_histograms_csv(tmp_path / "bundle" / "histograms.csv")
     assert list(rebuilt) == [(0, 1), (5, 2), (0, 8), (9, 16)]
-    assert any(h.total() > 0 for h in rebuilt.values())
+    assert any(h.counts.sum() > 0 for h in rebuilt.values())
     for link, hist in rebuilt.items():
         want = bundle.records[link].histogram
         for field in dataclasses.fields(CorrelationHistogram):
@@ -302,6 +302,41 @@ def test_json_chunked_writes_same_bytes(tmp_path, monkeypatch, n_chunks):
     monkeypatch.setattr(report, "JSON_CHUNKS", n_chunks)
     report._write_json(new, payload)
     assert new.read_bytes() == ref.read_bytes()
+
+
+def test_json_refuses_non_finite(tmp_path):
+    """No bundle JSON can carry NaN or infinity, which JSON does not have."""
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            report._write_json(tmp_path / "x.json", {"links": [{"qber": value}]})
+
+
+def test_keyrates_json_is_strict(tmp_path):
+    """keyrates.json parses as strict JSON, holds null exactly where a
+    link's record holds NaN and gives the monitor pair count once."""
+    cfg = config.with_overrides(config.default_config(), seed=42,
+                                duration_s=0.02, links="all")
+    bundle = report.run_bundle(cfg)
+    report.write_bundle(bundle, str(tmp_path), wall_time_s=0.0)
+
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in keyrates.json")
+
+    payload = json.loads((tmp_path / "keyrates.json").read_text(),
+                         parse_constant=refuse)
+    assert payload["schema"] == "entnetsim-keyrates/2"
+    names, *rows = report._link_table(bundle.records.values(), report.KEYRATES)
+    assert len(payload["links"]) == len(rows) == 780
+    n_null = 0
+    for link, row in zip(payload["links"], rows):
+        assert "monitor_pairs" not in link["counts"]
+        for name, value in zip(names, row):
+            if isinstance(value, float) and np.isnan(value):
+                assert link[name] is None, name
+                n_null += 1
+            else:
+                assert link[name] == value, name
+    assert n_null > 0
 
 
 @pytest.fixture(scope="module")
