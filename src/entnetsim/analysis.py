@@ -22,25 +22,33 @@ stream lengths. A link's candidates are about 70 tags per stream on the
 A user stream is sim's sorted array of packed tags, 2 * t + path, whose
 layout only _kernels spells (tag_at, tag_times, tag_paths). The sweep
 unpacks one slab's slice of a stream at a time, never a whole stream,
-and each LinkWindow holds its link's candidates packed, with their
-narrow-window match. The per-link steps run on that window alone,
-unpacking what they read: link_histogram (HIST_BINS bins), compute_car,
-and doqkd's analyze_link. A tag with no partner within reach falls in no
-bin and is never matched, so the results are exactly those of the full
-streams.
+and each LinkWindow holds its link's candidates packed and, made on
+first use, their narrow-window match. The per-link steps run on that
+window alone, unpacking what they read: link_histogram (HIST_BINS
+bins), compute_car, and doqkd's analyze_link. A tag with no partner
+within reach falls in no bin and is never matched, so the results are
+exactly those of the full streams.
 
 Sortedness is checked at the boundary: link_matrix checks each user
 stream once, and the public cross_correlate and match_coincidences check
 their own inputs.
+
+Where it runs: the sweep's slabs are planned in this process and cut
+into contiguous runs of near-equal core tags, one per CPU
+(sim.weighted_runs); each run's marks are found in a forked worker, the
+first run's here (sim.fork_map). The windows are built here, and each
+window's match is made where its link is analysed: in report.run_bundle,
+the per-link stage, split across the same processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, sim
 from ._kernels import tag_at, tag_times
 from .photonics import ContractViolation
 
@@ -221,10 +229,11 @@ class LinkWindow:
     partner in the other at |t_b - t_a - offset| <= reach_ps; tags_a and
     tags_b are their packed tags (_kernels.tag_times and tag_paths unpack
     them), index_a and index_b their positions in the full streams,
-    singles_a and singles_b the full stream sizes. matches indexes the
-    candidate arrays, so index_a[matches.index_a] are positions in the
-    full stream a. Any window or histogram of at most reach_ps half-width
-    gives the same result on the candidates as on the full streams.
+    singles_a and singles_b the full stream sizes. matches, their match at
+    window_ps, indexes the candidate arrays, so index_a[matches.index_a]
+    are positions in the full stream a. Any window or histogram of at
+    most reach_ps half-width gives the same result on the candidates as on
+    the full streams.
     """
 
     delay_a_ps: int
@@ -236,11 +245,19 @@ class LinkWindow:
     tags_b: np.ndarray
     singles_a: int
     singles_b: int
-    matches: CoincidenceSet
+    window_ps: int
 
     @property
     def offset_ps(self) -> int:
         return self.delay_b_ps - self.delay_a_ps
+
+    @cached_property
+    def matches(self) -> CoincidenceSet:
+        """match_coincidences of the candidates at window_ps, made on
+        first use, so in the process that analyses the link."""
+        return match_coincidences(tag_times(self.tags_a),
+                                  tag_times(self.tags_b), self.window_ps,
+                                  offset_ps=self.offset_ps)
 
 
 def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
@@ -264,8 +281,14 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
     keeps each user's tags in stream order. A tag is flagged when its
     shifted time is within reach_ps of a sorted neighbour's: every tag
     with another tag within reach is flagged, and the flagged tags are
-    3-7% of the pool.
+    3-7% of the pool (_slab_flagged).
     _slab_marks then finds the pairs of flagged tags within reach.
+
+    The slabs are planned first, with each stream's core positions. Each
+    slab pools its own margins and marks only its own core tags, so the
+    slabs are independent: they are cut into contiguous runs of near-equal
+    core tags, one per process (sim.weighted_runs), and each run's marks
+    are found in its own process (sim.fork_map), this one's first.
     """
     users = list(streams)
     col = {u: i for i, u in enumerate(users)}
@@ -280,10 +303,9 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
                 for i in (0, -1)), default=0)
     if max(n_users * stride, span + 1) * n_users >= 1 << 63:
         raise ValueError("stream times or sizes too large to pack in int64")
+    slabs = []  # (lo, hi or None, [c0, c1) of each user's core)
     start = dict.fromkeys(users, 0)  # first tag of each stream not yet a core
-    core = np.zeros((2, n_users), dtype=np.int64)  # [c0, c1) of each user
     per_key = max(1, POOL_TAGS // max(1, len(keys)))
-    marks = []
     live = keys
     while live:
         lo = min(int(tag_times(streams[k][start[k]])) - shift[k] for k in live)
@@ -291,39 +313,31 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
         bounds = [int(tag_times(streams[k][start[k] + per_key])) - shift[k]
                   for k in live if start[k] + per_key < streams[k].size]
         hi = max(min(bounds), lo + 1) if bounds else None
-        pool = []
-        for k in keys:  # a spent stream still lends tags to the margin
-            t, d = streams[k], shift[k]
-            a = int(np.searchsorted(t, tag_at(lo - reach_ps + d)))
-            if hi is None:
-                c1 = b = t.size
-            else:
-                c1 = int(np.searchsorted(t, tag_at(hi + d)))
-                b = int(np.searchsorted(t, tag_at(hi + reach_ps + d)))
-            packed = tag_times(t[a:b])
-            packed -= d
-            packed *= n_users
-            packed += col[k]
-            pool.append(packed)
+        core = np.zeros((2, n_users), dtype=np.int64)
+        for k in keys:
+            c1 = (streams[k].size if hi is None else
+                  int(np.searchsorted(streams[k], tag_at(hi + shift[k]))))
             core[:, col[k]] = start[k], c1
             start[k] = c1
-        packed = np.concatenate(pool)
-        del pool
-        packed.sort()
-        # gaps of the shifted times, a chunk at a time: no full-size copy
-        near = np.empty(max(0, packed.size - 1), dtype=bool)
-        for i in range(0, near.size, GAP_CHUNK):
-            gap = np.diff(packed[i:i + GAP_CHUNK + 1] // n_users)
-            np.less_equal(gap, reach_ps, out=near[i:i + GAP_CHUNK])
-        flag = np.zeros(packed.size, dtype=bool)
-        flag[1:] = near
-        flag[:-1] |= near
-        flagged = packed[flag]
-        del packed, near, flag
-        if flagged.size:
-            marks.append(_slab_marks(flagged, streams, shift, keys, col, core,
-                                     wanted, stride, reach_ps))
+        slabs.append((lo, hi, core))
         live = [k for k in live if start[k] < streams[k].size]
+
+    def slab_run(run):
+        """The marks of a run of slabs, in one array."""
+        marks = []
+        for lo, hi, core in slabs[run.start:run.stop]:
+            flagged = _slab_flagged(streams, shift, keys, col, lo, hi,
+                                    reach_ps)
+            if flagged.size:
+                marks.append(_slab_marks(flagged, streams, shift, keys, col,
+                                         core, wanted, stride, reach_ps))
+        return np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
+
+    runs = sim.weighted_runs([int((core[1] - core[0]).sum())
+                              for _, _, core in slabs])
+    marks = sim.fork_map("sweep", slab_run, {
+        f"slabs {run.start}-{run.stop - 1} of {len(slabs)}": run
+        for run in runs})
     packed = np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
     del marks
     packed.sort()
@@ -337,6 +351,39 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
             g = col[x] * n_users + col[y]
             out[(x, y)] = positions[group[g]:group[g + 1]]
     return out
+
+
+def _slab_flagged(streams, shift, keys, col, lo, hi, reach_ps
+                  ) -> np.ndarray:
+    """The flagged tags of slab [lo, hi) of _pool_candidates (hi None:
+    to the streams' ends), packed as s * n_users + user and sorted.
+
+    The slab pools each stream's tags in [lo - reach_ps, hi + reach_ps),
+    its core tags and their margins, by shifted time."""
+    n_users = len(col)
+    pool = []
+    for k in keys:  # a spent stream still lends tags to the margin
+        t, d = streams[k], shift[k]
+        a = int(np.searchsorted(t, tag_at(lo - reach_ps + d)))
+        b = (t.size if hi is None else
+             int(np.searchsorted(t, tag_at(hi + reach_ps + d))))
+        packed = tag_times(t[a:b])
+        packed -= d
+        packed *= n_users
+        packed += col[k]
+        pool.append(packed)
+    packed = np.concatenate(pool)
+    del pool
+    packed.sort()
+    # gaps of the shifted times, a chunk at a time: no full-size copy
+    near = np.empty(max(0, packed.size - 1), dtype=bool)
+    for i in range(0, near.size, GAP_CHUNK):
+        gap = np.diff(packed[i:i + GAP_CHUNK + 1] // n_users)
+        np.less_equal(gap, reach_ps, out=near[i:i + GAP_CHUNK])
+    flag = np.zeros(packed.size, dtype=bool)
+    flag[1:] = near
+    flag[:-1] |= near
+    return packed[flag]
 
 
 def _slab_marks(flagged, streams, shift, keys, col, core, wanted, stride,
@@ -397,12 +444,14 @@ def link_matrix(streams: dict[int, np.ndarray], links,
     tags 2 * t + path (sim.ScenarioResult.streams); each is checked sorted
     once here. delays_ps maps user id to its configured propagation
     delay (0 when absent), whose pairwise difference centers each link's
-    window. Each window holds the link's packed tags within reach_ps and
-    their match_coincidences at window_ps, on the unpacked candidates;
-    no full stream is unpacked.
+    window. Each window holds the link's packed tags within reach_ps and,
+    on first use, their match_coincidences at window_ps, on the unpacked
+    candidates; no full stream is unpacked.
     Returns the windows keyed by link (ua, ub), in the order of links,
     with a link listed twice kept once, at its first place.
     """
+    if window_ps <= 0:
+        raise ValueError("window_ps must be positive")
     if reach_ps < window_ps // 2:
         raise ValueError("reach_ps must cover the coincidence half-window")
     links = list(dict.fromkeys(links))
@@ -418,8 +467,7 @@ def link_matrix(streams: dict[int, np.ndarray], links,
             delay_a_ps=delay_a, delay_b_ps=delay_b, reach_ps=int(reach_ps),
             index_a=index_a, index_b=index_b, tags_a=tags_a, tags_b=tags_b,
             singles_a=int(full[ua].size), singles_b=int(full[ub].size),
-            matches=match_coincidences(tag_times(tags_a), tag_times(tags_b),
-                                       window_ps, offset_ps=delay_b - delay_a))
+            window_ps=int(window_ps))
     return windows
 
 

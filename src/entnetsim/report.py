@@ -41,7 +41,7 @@ from .doqkd import KeyRateReport, analyze_link
 from .plan import NetworkPlan, resource_for_link, subnet_label
 from .rates import expected_singles_rate, monitor_expected_iqr_ps
 from .sim import (ScenarioResult, SystemConfig, TruthLog, fiber_delay_ps,
-                  run_scenario, PATH_NAMES)
+                  fork_map, run_scenario, weighted_runs, PATH_NAMES)
 
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
 # figures CLI run (87.45M expected tags) peaked at 832684 kB ru_maxrss
@@ -56,6 +56,12 @@ BYTES_PER_TAG = 20
 # worker holds no part of it.
 BYTES_PER_TRUTH_TAG = 53
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
+# A link's analysis costs about as much as this many candidate tags on
+# top of its own: a least-squares fit of the per-link time (histogram to
+# LinkRecord) to its candidate tags gave 178 us + 0.32 us a tag on the
+# 780 links of a 0.2 s run and 194 us + 0.16 us a tag on the 42 figure
+# links of a 1.5 s run (seed 42, one process).
+LINK_COST_TAGS = 600
 
 
 class FigureDataError(ValueError):
@@ -137,9 +143,13 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     """Execute the full pipeline for the run's selected links.
 
     One pass over link_matrix's windows makes each link's LinkRecord:
-    its histogram, CAR and, for a run longer than 0 s, key report. Raises
-    ConfigError before any simulation when the run would not fit in
-    physical memory (check_memory).
+    its histogram, CAR and, for a run longer than 0 s, key report. The
+    links are cut into contiguous runs of near-equal work, LINK_COST_TAGS
+    plus the candidate tags a link, one per process (sim.weighted_runs);
+    each run's records are made in its own process (sim.fork_map), this
+    one's first, and come back in link order. Raises ConfigError before
+    any simulation when the run would not fit in physical memory
+    (check_memory).
     """
     plan, sys_cfg, qkd_cfg = cfg.network_plan(), cfg.system(), cfg.qkd()
     users, window = cfg.selected_users, qkd_cfg.window_ps
@@ -152,19 +162,32 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     # the reach covers the histogram and the monitor window
     reach = max(HIST_BINS * window // 2, qkd_cfg.monitor_window_ps // 2)
 
-    records = {}
     windows = link_matrix(streams, cfg.selected_links, delays, window, reach)
-    for (ua, ub), win in windows.items():
-        rid, pair, kind = resource_for_link(plan, ua, ub)
-        hist = link_histogram(win, window, result.duration_ps)
-        key = (analyze_link(win, qkd_cfg, cfg.duration_s,
-                            monitor_expected_ps=monitor_expected_iqr_ps(
-                                pair, sys_cfg))
-               if cfg.duration_s > 0 else None)
-        records[(ua, ub)] = LinkRecord(
-            user_a=ua, user_b=ub, kind=kind, resource_id=rid,
-            coincidences=len(win.matches), car=compute_car(hist, window).car,
-            duration_s=cfg.duration_s, histogram=hist, key=key)
+    links = list(windows)
+
+    def link_records(run):
+        records = []
+        for ua, ub in links[run.start:run.stop]:
+            win = windows[(ua, ub)]
+            coincidences = len(win.matches)  # the window's match, made here
+            rid, pair, kind = resource_for_link(plan, ua, ub)
+            hist = link_histogram(win, window, result.duration_ps)
+            key = (analyze_link(win, qkd_cfg, cfg.duration_s,
+                                monitor_expected_ps=monitor_expected_iqr_ps(
+                                    pair, sys_cfg))
+                   if cfg.duration_s > 0 else None)
+            records.append(LinkRecord(
+                user_a=ua, user_b=ub, kind=kind, resource_id=rid,
+                coincidences=coincidences, car=compute_car(hist, window).car,
+                duration_s=cfg.duration_s, histogram=hist, key=key))
+        return records
+
+    runs = weighted_runs([LINK_COST_TAGS + win.tags_a.size + win.tags_b.size
+                          for win in windows.values()])
+    parts = fork_map("per-link", link_records, {
+        "links {}-{} to {}-{}".format(*links[run.start], *links[run.stop - 1]):
+        run for run in runs})
+    records = {(rec.user_a, rec.user_b): rec for part in parts for rec in part}
     return ReportBundle(config=cfg, records=records, result=result)
 
 

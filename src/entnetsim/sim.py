@@ -31,6 +31,16 @@ outcome, taken from pass 1. Each draw and each step of the arrival
 transform writes into one scratch set per group, sized to the group's
 largest outcome block.
 
+Pass 1 seeds all of a run's outcomes at once: _seed_states runs
+SeedSequence's pool hash and generate_state on the uint32 words of every
+spawn key in NumPy, and each outcome's generator is a PCG64 given its
+four state words (_generator), the default_rng of its derive_stream_seed
+with the same state. The detectors are seeded the same way. Pass 1 of
+the 1215 outcomes of the 40-user plan took 23 ms with a SeedSequence
+and a default_rng per outcome and takes 5 ms so (seed 42, median of 9,
+2-CPU host). numpy.random is still imported by the first run, not with
+the package.
+
 The second pass is split by user into _workers() groups (one per CPU,
 no more than the users), balanced by their pass-1 arrival totals. This
 process runs group 0; each other group runs in a worker forked before
@@ -54,14 +64,22 @@ run_scenario raise, naming it; on any exit every worker still running is
 killed and every worker is reaped, so none outlives the call. With every
 group in, the packed tag rows mark the truth log's detected flags in one
 scatter and are then halved in place into truth rows.
+
+fork_map is that fork, receive, name-the-failure and reap, for any
+stage: pass 2 here, and the analysis's candidate sweep and per-link
+stage (analysis.link_matrix, report.run_bundle), each cut into
+contiguous runs of near-equal work by weighted_runs. This process always
+runs the first share, and a worker's warnings are issued again here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
+import sys
 import traceback
 import warnings
 from dataclasses import dataclass, field
@@ -172,6 +190,9 @@ def arrival_probability(plan: NetworkPlan, sys_cfg: SystemConfig,
     return p_route / plan.subnet_size
 
 
+STREAM_KINDS = {"pairs": 0, "detector": 1}
+
+
 def derive_stream_seed(master_seed: int, kind: str, *indices: int
                        ) -> np.random.SeedSequence:
     """Deterministic, collision-free per-stream seed derivation.
@@ -180,14 +201,104 @@ def derive_stream_seed(master_seed: int, kind: str, *indices: int
     substreams, 'detector' for per-(user, path) detector randomness); the
     indices are embedded in the SeedSequence spawn key, so distinct inputs
     yield independent streams and generation order is immaterial.
+    run_scenario seeds its generators through _seed_states, which gives
+    the same generators for a whole run's keys at once.
     """
-    kinds = {"pairs": 0, "detector": 1}
-    if kind not in kinds:
+    if kind not in STREAM_KINDS:
         raise ValueError(f"unknown stream kind {kind!r}")
-    key = (kinds[kind],) + tuple(int(i) + 1 for i in indices)
+    key = (STREAM_KINDS[kind],) + tuple(int(i) + 1 for i in indices)
     if any(k < 0 for k in key):
         raise ValueError("stream indices must be >= -1")
     return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+
+
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+def _seed_states(master_seed: int, kind: str, keys) -> np.ndarray:
+    """Row k is derive_stream_seed(master_seed, kind, *keys[k])
+    .generate_state(4, np.uint64), the four words PCG64 is seeded with,
+    for all the keys (rows of indices) at once.
+
+    This is SeedSequence's documented algorithm on uint32 words: the
+    entropy (the seed's words, zero-padded to the pool size) and then the
+    spawn key are hashed into a pool of four words, from which
+    generate_state hashes eight. Each step works on an int (the seed's
+    words are the same for every key) or on a column of all the keys'
+    words, where uint32 arithmetic wraps as the C code's does. One
+    SeedSequence and PCG64 cost about 30 us; a run's 1215 keys here, 1 ms.
+    """
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    keys = np.asarray(keys, dtype=np.int64)
+    keys = keys.reshape(len(keys), -1) + 1 if keys.size else keys.reshape(0, 0)
+    if np.any(keys < 0):
+        raise ValueError("stream indices must be >= -1")
+    if np.any(keys > _MASK32):
+        raise ValueError("stream indices must be below 2**32 - 1")
+    entropy = [seed >> s & _MASK32
+               for s in range(0, max(1, seed.bit_length()), 32)]
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    entropy += [STREAM_KINDS[kind], *keys.T.astype(np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((len(keys), 2 * _POOL_WORDS), dtype="<u4")
+    const = _INIT_B
+    for i in range(state.shape[1]):
+        value = pool[i % _POOL_WORDS] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """A seed for PCG64 that gives it one _seed_states row: PCG64 takes
+    any numpy.random.bit_generator.ISeedSequence and reads only
+    generate_state(4, np.uint64) of it."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError("a _SeedState holds 4 uint64 words only")
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """np.random.default_rng of the SeedSequence whose generate_state(4,
+    np.uint64) is state, with the same generator state. numpy.random is
+    imported here, on the first run, not with the package."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 @dataclass
@@ -248,32 +359,37 @@ class ScenarioResult:
 
 
 def _outcome_counts(sys_cfg: SystemConfig, plan: NetworkPlan,
-                    pair: ChannelPair, duration_ps: int, master_seed: int):
-    """Yield (signal_user, idler_user, n_emitted, rng) for every joint
-    routing outcome of one resource, LOST included.
+                    duration_ps: int, master_seed: int):
+    """Yield (pair, signal_user, idler_user, n_emitted, rng) for every
+    joint routing outcome of every resource, LOST included, in resource
+    order.
 
     n_emitted is the outcome's Poisson count, the first draw of its own
     derive_stream_seed("pairs", ...) generator; rng is that generator,
-    positioned for the outcome's event draws (_draw_events).
+    positioned for the outcome's event draws (_draw_events). All the
+    outcomes' seeds are hashed in one _seed_states call; each generator is
+    made only as its outcome comes.
     """
-    rid = pair.resource_id
-    sig_users = list(plan.subnet_users(pair.signal_subnet))
-    idl_users = list(plan.subnet_users(pair.idler_subnet))
-    p_sig = {u: arrival_probability(plan, sys_cfg, rid, "signal", u)
-             for u in sig_users}
-    p_idl = {u: arrival_probability(plan, sys_cfg, rid, "idler", u)
-             for u in idl_users}
-    p_sig[LOST] = 1.0 - sum(p_sig.values())
-    p_idl[LOST] = 1.0 - sum(p_idl.values())
-
-    rate = sys_cfg.source.pair_rate_hz
+    outcomes = []  # (pair, signal user, idler user, Poisson mean)
     duration_s = duration_ps / PS_PER_SECOND
-    for u in sig_users + [LOST]:
-        for v in idl_users + [LOST]:
-            rng = np.random.default_rng(
-                derive_stream_seed(master_seed, "pairs", rid, u, v))
-            yield u, v, int(rng.poisson(rate * p_sig[u] * p_idl[v]
-                                        * duration_s)), rng
+    for pair in plan.resources:
+        rid = pair.resource_id
+        sig_users = list(plan.subnet_users(pair.signal_subnet))
+        idl_users = list(plan.subnet_users(pair.idler_subnet))
+        p_sig = {u: arrival_probability(plan, sys_cfg, rid, "signal", u)
+                 for u in sig_users}
+        p_idl = {u: arrival_probability(plan, sys_cfg, rid, "idler", u)
+                 for u in idl_users}
+        p_sig[LOST] = 1.0 - sum(p_sig.values())
+        p_idl[LOST] = 1.0 - sum(p_idl.values())
+        rate = sys_cfg.source.pair_rate_hz
+        outcomes.extend((pair, u, v, rate * p_sig[u] * p_idl[v] * duration_s)
+                        for u in sig_users + [LOST] for v in idl_users + [LOST])
+    states = _seed_states(master_seed, "pairs",
+                          [(o[0].resource_id, o[1], o[2]) for o in outcomes])
+    for (pair, u, v, mean), state in zip(outcomes, states):
+        rng = _generator(state)
+        yield pair, u, v, int(rng.poisson(mean)), rng
 
 
 class _Scratch:
@@ -404,8 +520,9 @@ def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
 
 
 def _workers() -> int:
-    """Processes that share pass 2: one per CPU this process may run on,
-    the parent included, or only the parent where os.fork is missing."""
+    """Processes that share a stage (pass 2, the candidate sweep, the
+    per-link analysis): one per CPU this process may run on, the parent
+    included, or only the parent where os.fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -508,14 +625,114 @@ def _fork(work) -> tuple[int, int]:
     return pid, read_fd
 
 
+def _recording(work, share):
+    """work(share) and the warnings it issued, each as (category, text,
+    filename, lineno): all of them recorded, none shown or raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = work(share)
+    return result, [(w.category, str(w.message), w.filename, w.lineno)
+                    for w in caught]
+
+
+def _warn_again(caught) -> None:
+    """Issue warnings recorded elsewhere (_recording) in this process, as
+    warnings.warn would have from the module whose file each names: with
+    that module's name and registry, through this process's filters."""
+    if not caught:
+        return
+    by_file = {getattr(m, "__file__", None): vars(m)
+               for m in list(sys.modules.values())}
+    for category, text, filename, lineno in caught:
+        where = by_file.get(filename)
+        warnings.warn_explicit(
+            text, category, filename, lineno,
+            module=where["__name__"] if where else None,
+            registry=where.setdefault("__warningregistry__", {})
+            if where else None)
+
+
+def fork_map(stage: str, work, shares: dict) -> list:
+    """[work(share) for share in shares.values()], in order. shares maps
+    a label naming each share (in an error) to the share.
+
+    Each share but the first runs in a worker of its own (_fork), and the
+    first in this process once every worker is forked; then the workers'
+    results are loaded in order. A worker records the warnings its work
+    issues and sends them with its result; they are issued again here
+    after the first share's own, in share order (_warn_again). A worker
+    that fails, or whose pickle ends short, makes fork_map raise
+    RuntimeError naming the stage, the worker and its share's label. On
+    any exit every worker still running is killed and every worker is
+    reaped, so none outlives the call.
+    """
+    labels, items = list(shares), list(shares.values())
+    workers = []  # (index, pid, pipe) of the workers not yet reaped
+    caught = []
+    try:
+        for i in range(1, len(items)):
+            workers.append((i, *_fork(
+                lambda share=items[i]: _recording(work, share))))
+        results = [work(share) for share in items[:1]]
+        while workers:
+            i, pid, fd = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                try:
+                    got = pickle.load(pipe) if pipe.read(1) == b"\0" else None
+                except (EOFError, pickle.UnpicklingError):
+                    got = None
+                text = pipe.read() if got is None else b""
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(status)
+            if got is None or code:
+                reason = (f"exited with status {code}" if code
+                          else "sent a short payload")
+                raise RuntimeError(f"{stage} worker {i} of {len(items) - 1}"
+                                   f" ({labels[i]}, pid {pid}) {reason}:\n"
+                                   + text.decode(errors="replace"))
+            results.append(got[0])
+            caught.extend(got[1])
+    finally:
+        for _, pid, fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    _warn_again(caught)
+    return results
+
+
+def weighted_runs(weights) -> list[range]:
+    """Cut range(len(weights)) into min(_workers(), len(weights))
+    contiguous, nonempty runs of near-equal total weight, in order.
+
+    Run k ends at the item boundary nearest to k / n of the total weight:
+    a cut falls before the first item whose middle reaches it, or earlier
+    when every item left is needed to start a run."""
+    n_runs = min(_workers(), len(weights))
+    total = sum(weights)
+    cuts, acc = [0], 0
+    for i, weight in enumerate(weights):
+        k = len(cuts)
+        if i and k < n_runs and ((2 * acc + weight) * n_runs >= 2 * total * k
+                                 or len(weights) - i <= n_runs - k):
+            cuts.append(i)
+        acc += weight
+    cuts.append(len(weights))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                  rows_buf: dict[int, np.ndarray] | None, n_normal: int,
-                 seed: int, sys_cfg: SystemConfig, duration_s: float):
+                 seed_states: np.ndarray, sys_cfg: SystemConfig,
+                 duration_s: float):
     """One user's stream and, in a truth run (rows_buf given), packed tag
     rows (else None), from its filled buffers, which are popped and freed
     on the way.
 
-    Each path goes through its own detector, seeded per (user, path).
+    Each path goes through its own detector, seeded per (user, path):
+    seed_states[path] is the _seed_states row of its "detector" key.
     The two paths' tags are then packed into one new array (pack_paths)
     and sorted by a stable sort, which merges the two sorted runs in one
     pass; a truth run argsorts, and its tag rows follow the same
@@ -546,8 +763,7 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
             order = np.argsort(times, kind="stable")
             times, packed = times[order], packed[order]
             del order
-        rng = np.random.default_rng(derive_stream_seed(seed, "detector", user,
-                                                       path))
+        rng = _generator(seed_states[path])
         tags, origin = detector_response_traced(times, sys_cfg.detector,
                                                 duration_s, rng)
         del times
@@ -594,21 +810,22 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
             plan.subnet_of(u)  # raises on unknown user
     sel_set = set(selected)
 
-    emitted: dict[int, int] = {}
+    emitted = {pair.resource_id: 0 for pair in plan.resources}
     outcomes = []  # (pair, signal user, idler user, n, rng, first row)
     arrivals = dict.fromkeys(selected, 0)
     n_rows = 0
-    for pair in plan.resources:
-        emitted[pair.resource_id] = 0
-        for u, v, n, rng in _outcome_counts(sys_cfg, plan, pair, duration_ps,
-                                            seed):
-            emitted[pair.resource_id] += n
-            if n and (u in sel_set or v in sel_set):
-                outcomes.append((pair, u, v, n, rng, n_rows))
-                n_rows += n
-                for dest in (u, v):
-                    if dest in sel_set:
-                        arrivals[dest] += n
+    for pair, u, v, n, rng in _outcome_counts(sys_cfg, plan, duration_ps,
+                                              seed):
+        emitted[pair.resource_id] += n
+        if n and (u in sel_set or v in sel_set):
+            outcomes.append((pair, u, v, n, rng, n_rows))
+            n_rows += n
+            for dest in (u, v):
+                if dest in sel_set:
+                    arrivals[dest] += n
+    detector_states = dict(zip(selected, _seed_states(
+        seed, "detector", [(u, path) for u in selected for path in (0, 1)]
+    ).reshape(-1, 2, 4)))
 
     groups = _groups(selected, arrivals, _workers())
     # each group draws the outcomes that reach one of its users
@@ -630,52 +847,31 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
 
     def run_group(g):
         """{user: (stream, packed tag rows or None, (normal, anomalous)
-        arrivals)}; only group 0 writes the emission-time column."""
+        arrivals)}; only group 0 writes the emission-time column, and it
+        draws the times of the outcomes only workers draw too."""
         users = groups[g]
         times_buf, rows_buf, n_normal = _fill_group(
             users, drawn[g], arrivals, sys_cfg, duration_ps, collect_truth,
             t_emit if g == 0 else None)
         drawn.clear()  # and with them this process's generators
-        return {user: (*_detect_user(user, times_buf, rows_buf,
-                                     n_normal[user], seed, sys_cfg,
-                                     duration_s),
-                       (n_normal[user], arrivals[user] - n_normal[user]))
-                for user in users}
+        got = {user: (*_detect_user(user, times_buf, rows_buf,
+                                    n_normal[user],
+                                    detector_states[user],
+                                    sys_cfg, duration_s),
+                      (n_normal[user], arrivals[user] - n_normal[user]))
+               for user in users}
+        if g == 0:
+            for _, _, _, n, rng, row in theirs:
+                # drawn only after the forks: this process's generator is
+                # still where pass 1 left it, as the worker's was
+                _emission_times(rng, duration_ps, t_emit[row:row + n])
+            theirs.clear()
+        return got
 
-    workers = []  # (group, pid, pipe) of the workers not yet reaped
-    try:
-        for g in range(1, len(groups)):
-            workers.append((g, *_fork(lambda g=g: run_group(g))))
-        results = run_group(0)
-        for _, _, _, n, rng, row in theirs:
-            # drawn only after the forks: this process's generator is
-            # still where pass 1 left it, as the worker's was
-            _emission_times(rng, duration_ps, t_emit[row:row + n])
-        del theirs
-        while workers:
-            g, pid, fd = workers[0]
-            with open(fd, "rb", closefd=False) as pipe:
-                try:
-                    got = pickle.load(pipe) if pipe.read(1) == b"\0" else None
-                except (EOFError, pickle.UnpicklingError):
-                    got = None
-                text = pipe.read() if got is None else b""
-            _, status = os.waitpid(pid, 0)
-            del workers[0]
-            os.close(fd)
-            code = os.waitstatus_to_exitcode(status)
-            if got is None or code:
-                reason = (f"exited with status {code}" if code
-                          else "sent a short payload")
-                raise RuntimeError(f"pass-2 worker {g} of {len(groups) - 1}"
-                                   f" (users {groups[g]}, pid {pid}) {reason}:"
-                                   "\n" + text.decode(errors="replace"))
-            results.update(got)
-    finally:
-        for _, pid, fd in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+    results = {}
+    for got in fork_map("pass-2", run_group,
+                        {f"users {users}": g for g, users in enumerate(groups)}):
+        results.update(got)
 
     truth = None
     if collect_truth:

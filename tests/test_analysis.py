@@ -1,6 +1,7 @@
 """Coincidence analysis: histograms, matching, CAR, link matrix."""
 
 import math
+import os
 import tracemalloc
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from entnetsim import ItuChannel, analysis, build_plan
+from entnetsim import ItuChannel, analysis, build_plan, sim
 from entnetsim._kernels import pack_paths, tag_at, tag_times
 from entnetsim.analysis import (CAR_CAP, CorrelationHistogram, compute_car,
                                 cross_correlate, link_histogram, link_matrix,
@@ -24,7 +25,7 @@ from entnetsim.report import (run_bundle, write_bundle,
 from entnetsim.sim import SystemConfig, fiber_delay_ps, run_scenario
 
 import helpers
-from test_sim import light_system
+from test_sim import _assert_no_child, light_system
 
 
 def poisson_stream(rng, rate_hz, duration_s):
@@ -466,6 +467,12 @@ def network_case(draw):
             monitor_window, reach)
 
 
+# (POOL_TAGS, processes) of the sweep tests: every slab size, the sweep
+# split across 2 and 3 processes with a process boundary between slabs,
+# and in one process; one slab is never split.
+SLABS_AND_WORKERS = ((1, 2), (2, 3), (3, 1), (analysis.POOL_TAGS, 2))
+
+
 @pytest.mark.filterwarnings("ignore:only .* symbol pairs")
 @settings(max_examples=300, deadline=None)
 @given(network_case())
@@ -473,7 +480,8 @@ def test_pooled_filter_equals_full_streams(case):
     """link_matrix pre-filters all user streams in pooled time slabs; for
     every slab size each link's LinkWindow and histogram equal those of
     link_matrix on the link's two streams alone, and its histogram that
-    of cross_correlate on the two full streams."""
+    of cross_correlate on the two full streams, the sweep split across
+    processes or not."""
     streams, delays, links, window, n_bins, _monitor, reach = case
     duration_ps = 10**12
     expected = {}
@@ -485,10 +493,11 @@ def test_pooled_filter_equals_full_streams(case):
                                offset_ps=delays[ub] - delays[ua],
                                duration_ps=duration_ps)
         expected[(ua, ub)] = win, hist
-    for slab in (1, 2, 3, analysis.POOL_TAGS):
+    for slab, workers in SLABS_AND_WORKERS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "POOL_TAGS", slab)
             mp.setattr(analysis, "HIST_BINS", n_bins)
+            mp.setattr(sim, "_workers", lambda: workers)
             windows = link_matrix(streams, links, delays, window, reach)
             hists = {link: link_histogram(win, window, duration_ps)
                      for link, win in windows.items()}
@@ -518,13 +527,15 @@ def test_pooled_filter_equals_full_streams(case):
 @settings(max_examples=300, deadline=None)
 @given(network_case())
 def test_candidate_sweep_matches_brute_force(case):
-    """For every slab size the one sweep gives each side of each link,
-    reversed and repeated links too, exactly the tags with a partner
-    within reach in the other stream."""
+    """For every slab size, the sweep split across processes or not, the
+    one sweep gives each side of each link, reversed and repeated links
+    too, exactly the tags with a partner within reach in the other
+    stream."""
     streams, delays, links, _window, _n_bins, _monitor, reach = case
-    for slab in (1, 2, 3, analysis.POOL_TAGS):
+    for slab, workers in SLABS_AND_WORKERS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "POOL_TAGS", slab)
+            mp.setattr(sim, "_workers", lambda: workers)
             cands = analysis._pool_candidates(streams, delays, reach, links)
         for ua, ub in links:
             ref_a, ref_b = helpers.brute_candidates(
@@ -532,6 +543,66 @@ def test_candidate_sweep_matches_brute_force(case):
                 delays[ub] - delays[ua], reach)
             np.testing.assert_array_equal(cands[(ua, ub)], ref_a)
             np.testing.assert_array_equal(cands[(ub, ua)], ref_b)
+
+
+def _split_case():
+    """Four users' streams of 2000 tags, in 23 slabs of at most 100 core
+    tags a stream at POOL_TAGS 400, all six links and a 5 ns reach."""
+    rng = np.random.default_rng(3)
+    streams = {u: tag_at(np.sort(rng.integers(0, 10**9, 2000)))
+               for u in range(4)}
+    return streams, {1: 700}, 5000, list(combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_split_across_processes(monkeypatch, workers):
+    """With more than one slab, the sweep runs in one worker per process
+    beyond this one and finds what one process finds."""
+    streams, delays, reach, links = _split_case()
+    monkeypatch.setattr(analysis, "POOL_TAGS", 400)
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
+    alone = analysis._pool_candidates(streams, delays, reach, links)
+    assert sum(c.size for c in alone.values()) > 0
+    forks = []
+    fork = sim._fork
+    monkeypatch.setattr(sim, "_fork",
+                        lambda work: forks.append(work) or fork(work))
+    monkeypatch.setattr(sim, "_workers", lambda: workers)
+    split = analysis._pool_candidates(streams, delays, reach, links)
+    assert len(forks) == workers - 1
+    assert list(split) == list(alone)
+    for key, cands in alone.items():
+        np.testing.assert_array_equal(split[key], cands)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("where", ["worker", "here"])
+def test_failing_sweep_is_named_and_reaped(monkeypatch, where):
+    """A sweep worker that fails is named with its slabs; a failure in
+    this process's own slabs is raised as it is. Either way no worker
+    is left."""
+    streams, delays, reach, links = _split_case()
+    monkeypatch.setattr(analysis, "POOL_TAGS", 400)
+    monkeypatch.setattr(sim, "_workers", lambda: 3)
+    parent = os.getpid()
+    marks = analysis._slab_marks
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "here"):
+            raise ValueError("injected sweep failure")
+        return marks(*args)
+
+    monkeypatch.setattr(analysis, "_slab_marks", failing)
+    if where == "here":
+        with pytest.raises(ValueError, match="injected sweep failure"):
+            analysis._pool_candidates(streams, delays, reach, links)
+    else:
+        with pytest.raises(RuntimeError, match=r"^sweep worker 1 of 2 \(slabs"
+                           r" 7-14 of 23, pid \d+\) exited with status 1:"
+                           ) as err:
+            analysis._pool_candidates(streams, delays, reach, links)
+        assert "injected sweep failure" in str(err.value)
+    _assert_no_child()
 
 
 def test_pooled_filter_memory_bounded_by_slab(monkeypatch):

@@ -19,7 +19,7 @@ from entnetsim.cli import main
 from entnetsim.config import (LINK_SETS, ConfigError, ScenarioConfig,
                               default_config, parse_config, parse_config_text,
                               provenance, with_overrides, SCHEMA)
-from entnetsim import cli, config, report
+from entnetsim import analysis, cli, config, report, sim
 from entnetsim import plan as plan_module
 from entnetsim.doqkd import QkdConfig
 from entnetsim.plan import DEFAULT_CHANNEL_RANGE, DEFAULT_PUMP_GUARD, build_plan
@@ -29,6 +29,7 @@ from entnetsim.report import (FigureDataError, check_memory, emit_figure_data,
 from entnetsim.sim import LossBudget, SystemConfig
 
 import helpers
+from test_sim import _assert_no_child
 
 # One out-of-range value for each SCHEMA key with a range of its own;
 # channel_max is bounded only through channel_min and the pump channel.
@@ -711,6 +712,89 @@ def compare_bundles(d1: Path, d2: Path):
             continue  # wall time, documented non-reproducible
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), \
             f"{rel} differs between runs"
+
+
+class TestAnalysisWorkers:
+    """The candidate sweep and the per-link analysis split across forked
+    workers (sim.fork_map) give the bundle, the warnings and the errors
+    of one process."""
+
+    RUNS = {
+        "all": ("--links", "all", "--duration", "0.02"),
+        "figures": ("--links", "figures", "--duration", "0.05", "--emit",
+                    "all", "--dump-tags", "--dump-truth"),
+    }
+
+    @staticmethod
+    def run(monkeypatch, out, args, workers):
+        """One CLI run on `workers` processes; returns the forks made."""
+        forks = []
+        fork = sim._fork
+        monkeypatch.setattr(sim, "_fork",
+                            lambda work: forks.append(work) or fork(work))
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        assert run_cli("--out", str(out), *args) == 0
+        return forks
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_bundles_identical_for_any_worker_count(self, tmp_path,
+                                                    monkeypatch, name):
+        # slabs of 16384 core tags: the sweep splits too
+        monkeypatch.setattr(analysis, "POOL_TAGS", 1 << 14)
+        for workers in (1, 2, 3):
+            forks = self.run(monkeypatch, tmp_path / str(workers),
+                             self.RUNS[name], workers)
+            # pass 2, the sweep and the per-link analysis
+            assert len(forks) == 3 * (workers - 1)
+            compare_bundles(tmp_path / "1", tmp_path / str(workers))
+        _assert_no_child()
+
+    def test_stderr_identical_for_any_worker_count(self, tmp_path,
+                                                   monkeypatch, capsys):
+        err = {}
+        for workers in (1, 2):
+            self.run(monkeypatch, tmp_path / str(workers), self.RUNS["all"],
+                     workers)
+            err[workers] = capsys.readouterr().err
+        assert "links have fewer sifted symbol pairs" in err[1]
+        assert err[1] == err[2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_filter_raises_and_reaps(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        cfg = with_overrides(default_config(), duration_s=0.02, links="all")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="symbol pairs"):
+                run_bundle(cfg)
+        _assert_no_child()
+
+    @pytest.mark.parametrize("where", ["worker", "here"])
+    def test_failing_link_is_named_and_reaped(self, monkeypatch, where):
+        """A per-link worker that fails is named with its links; a failure
+        in this process's own links is raised as it is. Either way no
+        worker is left."""
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
+        parent = os.getpid()
+        analyze = report.analyze_link
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "here"):
+                raise ValueError("injected link failure")
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(report, "analyze_link", failing)
+        cfg = with_overrides(default_config(), duration_s=0.02, links="all")
+        if where == "here":
+            with pytest.raises(ValueError, match="injected link failure"):
+                run_bundle(cfg)
+        else:
+            with pytest.raises(RuntimeError, match=r"^per-link worker 1 of 2"
+                               r" \(links \d+-\d+ to \d+-\d+, pid \d+\)"
+                               r" exited with status 1:") as err:
+                run_bundle(cfg)
+            assert "injected link failure" in str(err.value)
+        _assert_no_child()
 
 
 class TestFigureEmission:

@@ -87,8 +87,9 @@ class TestPairStream:
                                            v in materialize,
                                            sim._Scratch(n, truth=False))
                  if n and (u in materialize or v in materialize) else None)
-                for u, v, n, rng in sim._outcome_counts(
-                    sys_cfg, plan, plan.resources[0], duration_ps, seed)]
+                for pair, u, v, n, rng in sim._outcome_counts(
+                    sys_cfg, plan, duration_ps, seed)
+                if pair == plan.resources[0]]
 
     def test_poisson_count_within_5_sigma(self):
         # counted only: the outcome counts of a resource sum to its

@@ -134,6 +134,42 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_stream_seed(1, "nope", 0)
 
+    # the last three seeds take two and three entropy words
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_run_seeds_are_derived_seeds(self, monkeypatch, reference_plan,
+                                         seed):
+        """run_scenario seeds all 1215 pass-1 outcomes and 80 detectors of
+        the 40-user plan in one _seed_states call per kind; every row is
+        its derive_stream_seed's generate_state, and the generator made
+        from it is the default_rng of that SeedSequence."""
+        calls = []
+        states = sim._seed_states
+
+        def recording(master_seed, kind, keys):
+            calls.append((master_seed, kind, [tuple(key) for key in keys]))
+            return states(master_seed, kind, keys)
+
+        monkeypatch.setattr(sim, "_seed_states", recording)
+        monkeypatch.setattr(sim, "_workers", lambda: 1)
+        run_scenario(reference_plan, SystemConfig(), 0.0, seed=seed)
+        assert [(s, kind, len(keys)) for s, kind, keys in calls] == [
+            (seed, "pairs", 1215), (seed, "detector", 80)]
+        for _, kind, keys in calls:
+            for key, row in zip(keys, states(seed, kind, keys)):
+                ref = derive_stream_seed(seed, kind, *key)
+                np.testing.assert_array_equal(
+                    row, ref.generate_state(4, np.uint64))
+                assert (sim._generator(row).bit_generator.state
+                        == np.random.default_rng(ref).bit_generator.state)
+
+    def test_negative_seed_refused_as_by_seed_sequence(self):
+        for refuse in (lambda: derive_stream_seed(-1, "pairs", 0, 0, 0),
+                       lambda: run_scenario(build_plan(1, 2, ItuChannel(40)),
+                                            light_system(), 0.001, seed=-1)):
+            with pytest.raises(ValueError,
+                               match="expected non-negative integer"):
+                refuse()
+
 
 class TestRunScenario:
     def test_zero_duration_empty(self):
@@ -695,6 +731,85 @@ class TestPass2Workers:
         assert len(forks) == 1
         assert TestEngineBytes.streams_digest(res) == TestEngineBytes.STREAMS
         _assert_no_child()
+
+
+def _warn_in_share(share):
+    warnings.warn(f"share {share}", RuntimeWarning)
+    return share
+
+
+class TestForkMap:
+    """sim.fork_map, which pass 2, the candidate sweep and the per-link
+    analysis share."""
+
+    SHARES = {"first": 0, "second": 1, "third": 2}
+
+    def test_results_in_order_each_share_in_its_own_process(self):
+        pids = sim.fork_map("t", lambda share: (share, os.getpid()),
+                            self.SHARES)
+        assert [share for share, _ in pids] == [0, 1, 2]
+        assert pids[0][1] == os.getpid()
+        assert len({pid for _, pid in pids}) == 3
+        assert sim.fork_map("t", lambda share: share, {}) == []
+        _assert_no_child()
+
+    def test_worker_warnings_issued_here_in_share_order(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert sim.fork_map("t", _warn_in_share, self.SHARES) == [0, 1, 2]
+        assert [str(w.message) for w in caught] == [
+            "share 0", "share 1", "share 2"]
+        assert all(w.category is RuntimeWarning and w.filename == __file__
+                   for w in caught)
+        _assert_no_child()
+
+    def test_default_filter_shows_one_warning_once(self):
+        # as in one process: the worker's warning goes through this
+        # module's registry, where the first share's already is
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            sim.fork_map("t", lambda share: warnings.warn("same") or share,
+                         self.SHARES)
+        assert [str(w.message) for w in caught] == ["same"]
+
+    def test_worker_warning_raised_under_error_filter(self):
+        parent = os.getpid()
+
+        def warn_in_worker(share):
+            if os.getpid() != parent:
+                warnings.warn(f"share {share}", RuntimeWarning)
+            return share
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="share 1"):
+                sim.fork_map("t", warn_in_worker, self.SHARES)
+        _assert_no_child()
+
+    def test_failing_worker_names_stage_and_share(self):
+        def fail_in_third(share):
+            if share == 2:
+                raise ValueError("injected share failure")
+            return share
+
+        with pytest.raises(RuntimeError, match=r"^t worker 2 of 2 \(third,"
+                           r" pid \d+\) exited with status 1:") as err:
+            sim.fork_map("t", fail_in_third, self.SHARES)
+        assert "injected share failure" in str(err.value)
+        _assert_no_child()
+
+    @pytest.mark.parametrize("workers, weights, runs", [
+        (1, [3, 1, 4], [range(0, 3)]),
+        (2, [1] * 10, [range(0, 5), range(5, 10)]),
+        (2, [10, 1, 1, 1, 1, 1], [range(0, 1), range(1, 6)]),
+        (2, [6, 6, 6, 6, 6, 6, 1], [range(0, 3), range(3, 7)]),
+        (3, [0, 0, 0, 0], [range(0, 1), range(1, 2), range(2, 4)]),
+        (3, [5, 0], [range(0, 1), range(1, 2)]),
+        (2, [], []),
+    ])
+    def test_weighted_runs(self, monkeypatch, workers, weights, runs):
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        assert sim.weighted_runs(weights) == runs
 
 
 class TestEngineAgreesWithReference:
