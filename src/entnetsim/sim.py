@@ -641,8 +641,8 @@ def _warn_again(caught) -> None:
     that module's name and registry, through this process's filters."""
     if not caught:
         return
-    by_file = {getattr(m, "__file__", None): vars(m)
-               for m in list(sys.modules.values())}
+    by_file = {m.__file__: vars(m) for m in list(sys.modules.values())
+               if getattr(m, "__file__", None)}  # an entry may be None
     for category, text, filename, lineno in caught:
         where = by_file.get(filename)
         warnings.warn_explicit(

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -753,7 +754,9 @@ class TestForkMap:
         assert sim.fork_map("t", lambda share: share, {}) == []
         _assert_no_child()
 
-    def test_worker_warnings_issued_here_in_share_order(self):
+    def test_worker_warnings_issued_here_in_share_order(self, monkeypatch):
+        # a None in sys.modules blocks an import; it has no file to match
+        monkeypatch.setitem(sys.modules, "entnetsim_blocked", None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert sim.fork_map("t", _warn_in_share, self.SHARES) == [0, 1, 2]
