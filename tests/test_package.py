@@ -1,6 +1,10 @@
-"""The package's public names."""
+"""The package's public names and what importing it costs."""
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import entnetsim
 
@@ -15,3 +19,14 @@ def test_all_names_resolve_once():
     namespace = {}
     exec("from entnetsim import *", namespace)
     assert set(entnetsim.__all__) <= set(namespace)
+
+
+def test_import_leaves_numpy_random_unimported():
+    # NumPy imports numpy.random lazily (about 6 ms); the engine takes it
+    # on its first run, not at package import
+    code = ("import sys, entnetsim; "
+            "sys.exit('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(entnetsim.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
