@@ -23,6 +23,11 @@ parent and a worker share. The fixed cost of the interpreter and NumPy
 weighs on that ratio at short durations; from about 10 s on it
 approaches the per-tag cost.
 
+It stays beside perfbench because it reports what perfbench does not:
+the parent's and the pass-2 workers' peaks apart, and their sum, at
+the 10-60 s durations where bytes per tag settle (perfbench simulates
+1.5 s at most).
+
 Usage: python3 benchmarks/bench_engine.py [--seconds S ...] [--seed N]
                                           [--repeat K] [--truth]
 """

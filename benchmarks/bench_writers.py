@@ -16,6 +16,10 @@ histogram table once more through their byte oracles in tests/helpers.py
 `ref_write_histograms_csv`) and exits with status 1, printing nothing
 timed, if a writer's bytes differ from its oracle's.
 
+It stays beside perfbench because it checks the writers' bytes against
+their oracles at 500k truth rows by default, far more than the tests'
+inputs, and times each writer apart from the simulation that feeds it.
+
 Usage: python3 benchmarks/bench_writers.py [--rows N] [--tags N]
                                            [--histograms N] [--repeat K]
 """

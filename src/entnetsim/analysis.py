@@ -33,10 +33,9 @@ Sortedness is checked at the boundary: link_matrix checks each user
 stream once, and the public cross_correlate and match_coincidences check
 their own inputs.
 
-Where it runs: the sweep's slabs are planned in this process and cut
-into contiguous runs of near-equal core tags, one per CPU
-(sim.weighted_runs); each run's marks are found in a forked worker, the
-first run's here (sim.fork_map). The windows are built here, and each
+Where it runs: the sweep's slabs are planned in this process and
+weighted by their core tags; sim.fork_map finds their marks across the
+CPUs, the first share here. The windows are built here, and each
 window's match is made where its link is analysed: in report.run_bundle,
 the per-link stage, split across the same processes.
 """
@@ -286,9 +285,8 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
 
     The slabs are planned first, with each stream's core positions. Each
     slab pools its own margins and marks only its own core tags, so the
-    slabs are independent: they are cut into contiguous runs of near-equal
-    core tags, one per process (sim.weighted_runs), and each run's marks
-    are found in its own process (sim.fork_map), this one's first.
+    slabs are independent: sim.fork_map finds each slab's marks in one of
+    its processes, the slabs weighted by their core tags.
     """
     users = list(streams)
     col = {u: i for i, u in enumerate(users)}
@@ -322,22 +320,19 @@ def _pool_candidates(streams: dict[int, np.ndarray], delays_ps: dict[int, int],
         slabs.append((lo, hi, core))
         live = [k for k in live if start[k] < streams[k].size]
 
-    def slab_run(run):
-        """The marks of a run of slabs, in one array."""
+    def slab_marks(share):
+        """The marks of each slab of share, one array a slab."""
         marks = []
-        for lo, hi, core in slabs[run.start:run.stop]:
+        for lo, hi, core in (slabs[i] for i in share):
             flagged = _slab_flagged(streams, shift, keys, col, lo, hi,
                                     reach_ps)
-            if flagged.size:
-                marks.append(_slab_marks(flagged, streams, shift, keys, col,
-                                         core, wanted, stride, reach_ps))
-        return np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
+            marks.append(_slab_marks(flagged, streams, shift, keys, col,
+                                     core, wanted, stride, reach_ps)
+                         if flagged.size else np.empty(0, dtype=np.int64))
+        return marks
 
-    runs = sim.weighted_runs([int((core[1] - core[0]).sum())
-                              for _, _, core in slabs])
-    marks = sim.fork_map("sweep", slab_run, {
-        f"slabs {run.start}-{run.stop - 1} of {len(slabs)}": run
-        for run in runs})
+    core_tags = [int((core[1] - core[0]).sum()) for _, _, core in slabs]
+    marks = sim.fork_map("sweep", slab_marks, core_tags, lambda i: f"slab {i}")
     packed = np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
     del marks
     packed.sort()

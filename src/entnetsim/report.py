@@ -41,7 +41,7 @@ from .doqkd import KeyRateReport, analyze_link
 from .plan import NetworkPlan, resource_for_link, subnet_label
 from .rates import expected_singles_rate, monitor_expected_iqr_ps
 from .sim import (ScenarioResult, SystemConfig, TruthLog, fiber_delay_ps,
-                  fork_map, run_scenario, weighted_runs, PATH_NAMES)
+                  fork_map, run_scenario, PATH_NAMES)
 
 # Peak memory per expected tag (expected_tags), rounded up: the 60 s
 # figures CLI run (87.45M expected tags) peaked at 832684 kB ru_maxrss
@@ -144,12 +144,10 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 
     One pass over link_matrix's windows makes each link's LinkRecord:
     its histogram, CAR and, for a run longer than 0 s, key report. The
-    links are cut into contiguous runs of near-equal work, LINK_COST_TAGS
-    plus the candidate tags a link, one per process (sim.weighted_runs);
-    each run's records are made in its own process (sim.fork_map), this
-    one's first, and come back in link order. Raises ConfigError before
-    any simulation when the run would not fit in physical memory
-    (check_memory).
+    records are made across the CPUs (sim.fork_map), each link weighted
+    by LINK_COST_TAGS plus its candidate tags, and come back in link
+    order. Raises ConfigError before any simulation when the run would
+    not fit in physical memory (check_memory).
     """
     plan, sys_cfg, qkd_cfg = cfg.network_plan(), cfg.system(), cfg.qkd()
     users, window = cfg.selected_users, qkd_cfg.window_ps
@@ -165,9 +163,9 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     windows = link_matrix(streams, cfg.selected_links, delays, window, reach)
     links = list(windows)
 
-    def link_records(run):
+    def link_records(share):
         records = []
-        for ua, ub in links[run.start:run.stop]:
+        for ua, ub in (links[i] for i in share):
             win = windows[(ua, ub)]
             coincidences = len(win.matches)  # the window's match, made here
             rid, pair, kind = resource_for_link(plan, ua, ub)
@@ -182,12 +180,11 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
                 duration_s=cfg.duration_s, histogram=hist, key=key))
         return records
 
-    runs = weighted_runs([LINK_COST_TAGS + win.tags_a.size + win.tags_b.size
-                          for win in windows.values()])
-    parts = fork_map("per-link", link_records, {
-        "links {}-{} to {}-{}".format(*links[run.start], *links[run.stop - 1]):
-        run for run in runs})
-    records = {(rec.user_a, rec.user_b): rec for part in parts for rec in part}
+    records = dict(zip(links, fork_map(
+        "per-link", link_records,
+        [LINK_COST_TAGS + win.tags_a.size + win.tags_b.size
+         for win in windows.values()],
+        lambda i: "link {}-{}".format(*links[i]))))
     return ReportBundle(config=cfg, records=records, result=result)
 
 
@@ -300,11 +297,15 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     """Write the artifact bundle; returns the relative paths written.
 
     Raises FigureDataError before writing anything when a requested
-    figure is one the bundle cannot give (check_figures). timing.json
-    holds wall_time_s and, under write_s, the seconds each other file took
-    to write, keyed by its relative path.
+    figure is one the bundle cannot give (check_figures), and ValueError
+    when dump_truth asks for a truth log the run did not collect.
+    timing.json holds wall_time_s and, under write_s, the seconds each
+    other file took to write, keyed by its relative path.
     """
     check_figures(bundle.config, figures)
+    result = bundle.result
+    if dump_truth and result.truth is None:
+        raise ValueError("truth log was not collected for this run")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     write_s = {}
@@ -326,7 +327,6 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
     for figure in figures:
         rows = emit_figure_data(bundle, figure)
         emit(f"{figure}.csv", lambda p: _write_rows(p, rows))
-    result = bundle.result
     if dump_tags:
         os.makedirs(os.path.join(out_dir, "tags"), exist_ok=True)
         for user in sorted(result.streams):
@@ -337,8 +337,6 @@ def write_bundle(bundle: ReportBundle, out_dir: str, wall_time_s: float,
                          p, user, path_idx, result.duration_ps, result.seed,
                          tag_times(tags[tag_paths(tags) == path_idx])))
     if dump_truth:
-        if result.truth is None:
-            raise ValueError("truth log was not collected for this run")
         emit("truth.csv", lambda p: write_truth_csv(result.truth, p))
 
     # wall times live outside the reproducible bundle on purpose

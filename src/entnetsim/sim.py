@@ -28,8 +28,8 @@ the two regions meet exactly and each, read in its own direction, is in
 outcome order. A truth run keeps the photons' packed truth rows in a
 matching int64 buffer; the log's resource and users are one run per
 outcome, taken from pass 1. Each draw and each step of the arrival
-transform writes into one scratch set per group, sized to the group's
-largest outcome block.
+transform writes into one scratch set per share of users, sized to the
+share's largest outcome block.
 
 Pass 1 seeds all of a run's outcomes at once: _seed_states runs
 SeedSequence's pool hash and generate_state on the uint32 words of every
@@ -41,35 +41,37 @@ and a default_rng per outcome and takes 5 ms so (seed 42, median of 9,
 2-CPU host). numpy.random is still imported by the first run, not with
 the package.
 
-The second pass is split by user into _workers() groups (one per CPU,
-no more than the users), balanced by their pass-1 arrival totals. This
-process runs group 0; each other group runs in a worker forked before
-group 0 starts, which inherits every pass-1 generator where pass 1 left
-it, so an outcome that reaches two groups is drawn in both with
-identical events. The process that runs a group allocates its users'
-buffers, fills them and detects each user (_fill_group, _detect_user):
-each region is sorted once before its detector, in place, or through a
-stable argsort when a truth run needs the permutation. Right after a
-user's second path the two paths' tags are merged into the user's one
-stream, a sorted int64 array of packed tags 2 * t + path (_kernels), and
-the user's buffers and per-path arrays are freed. A worker then sends
-its users' streams, packed tag rows and arrival counts to the parent as
-one pickle through a pipe, its only output (_fork). The parent alone
-fills the truth log's emission-time column: group 0's outcomes as it
-draws them and, after every fork, every other outcome's times, an
-outcome's first event draw, from its own copy of that outcome's
-generator (_emission_times). It then loads the workers' results in
-order. A worker that fails, or whose pickle ends short, makes
-run_scenario raise, naming it; on any exit every worker still running is
-killed and every worker is reaped, so none outlives the call. With every
-group in, the packed tag rows mark the truth log's detected flags in one
+The second pass is split by user across processes (fork_map), the
+users weighted by their pass-1 arrival totals. This process runs the
+first share; each other share runs in a worker forked before it starts,
+which inherits every pass-1 generator where pass 1 left it, so an
+outcome that reaches two shares is drawn in both with identical events.
+The process that runs a share picks the outcomes that reach its users,
+allocates their buffers, fills them and detects each user (_fill_share,
+_detect_user): each region is sorted once before its detector, in
+place, or through a stable argsort when a truth run needs the
+permutation. Right after a user's second path the two paths' tags are
+merged into the user's one stream, a sorted int64 array of packed tags
+2 * t + path (_kernels), and the user's buffers and per-path arrays are
+freed. A worker's users' streams, packed tag rows and arrival counts
+are its result. This process alone fills the truth log's emission-time
+column: its own share's outcomes as it draws them and, after every
+fork, every other outcome's times, an outcome's first event draw, from
+its own copy of that outcome's generator (_emission_times). With every
+share in, the packed tag rows mark the truth log's detected flags in one
 scatter and are then halved in place into truth rows.
 
-fork_map is that fork, receive, name-the-failure and reap, for any
-stage: pass 2 here, and the analysis's candidate sweep and per-link
-stage (analysis.link_matrix, report.run_bundle), each cut into
-contiguous runs of near-equal work by weighted_runs. This process always
-runs the first share, and a worker's warnings are issued again here.
+fork_map is the only code that splits a stage: pass 2 here, and the
+analysis's candidate sweep and per-link stage (analysis.link_matrix,
+report.run_bundle). It cuts a stage's weighted items into one share per
+CPU by one rule (_shares: largest first, each to the lightest share),
+forks a worker per share but the first, runs the first here, and
+returns the results in item order. A worker sends its result to this
+process as one pickle through a pipe, its only output (_fork); its
+warnings are issued again here. A worker that fails, or whose pickle
+ends short, makes fork_map raise, naming it; on any exit every worker
+still running is killed and every worker is reaped, so none outlives
+the call.
 """
 
 from __future__ import annotations
@@ -395,11 +397,11 @@ def _outcome_counts(sys_cfg: SystemConfig, plan: NetworkPlan,
 
 
 class _Scratch:
-    """One pass-2 group's temporaries, sized to its largest outcome block.
+    """One pass-2 share's temporaries, sized to its largest outcome block.
 
     Each block works in the first n items of every array, so pass 2
     allocates only the two path draws of a block (Generator.integers has
-    no out=), and the pages of the rest are faulted in once per group
+    no out=), and the pages of the rest are faulted in once per share
     instead of once per block. A truth run adds the packed rows: steps
     holds 0, 2, 4, ..., and each block's packed rows are one add to it.
     """
@@ -522,9 +524,9 @@ def _place(buf: np.ndarray, front: int, back: int, values: np.ndarray,
 
 
 def _workers() -> int:
-    """Processes that share a stage (pass 2, the candidate sweep, the
-    per-link analysis): one per CPU this process may run on, the parent
-    included, or only the parent where os.fork is missing."""
+    """Processes that share a stage (_shares): one per CPU this process
+    may run on, the parent included, or only the parent where os.fork is
+    missing."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -532,23 +534,24 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _groups(selected: list[int], arrivals: dict[int, int],
-            n_groups: int) -> list[list[int]]:
-    """Split the users into at most n_groups nonempty groups of near-equal
-    arrival totals: largest first, each to the lightest group so far."""
-    groups = [[] for _ in range(max(1, min(n_groups, len(selected))))]
-    load = [0] * len(groups)
-    for user in sorted(selected, key=lambda u: -arrivals[u]):
-        k = load.index(min(load))
-        groups[k].append(user)
-        load[k] += arrivals[user]
-    return [sorted(group) for group in groups]
+def _shares(weights) -> list[list[int]]:
+    """Cut the items range(len(weights)) into at most _workers() nonempty
+    shares of near-equal total weight, each share's items in ascending
+    order: largest item first, each to the lightest share so far (of
+    equal ones, the one with fewer items, then the first)."""
+    shares = [[] for _ in range(min(_workers(), len(weights)))]
+    load = [0] * len(shares)
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        k = min(range(len(shares)), key=lambda k: (load[k], len(shares[k])))
+        shares[k].append(i)
+        load[k] += weights[i]
+    return [sorted(share) for share in shares]
 
 
-def _fill_group(users: list[int], outcomes: list, arrivals: dict[int, int],
+def _fill_share(users: list[int], outcomes: list, arrivals: dict[int, int],
                 sys_cfg: SystemConfig, duration_ps: int, truth: bool,
                 t_emit: np.ndarray | None):
-    """Pass 2 for one group of users: draw outcomes, the outcomes that
+    """Pass 2 for one share's users: draw outcomes, the outcomes that
     reach one of them, and write their arrivals (and a truth run's packed
     rows) into new buffers of arrivals[user] items. Given the truth log's
     emission-time column t_emit, write each outcome's emission times into
@@ -654,30 +657,32 @@ def _warn_again(caught) -> None:
             if where else None)
 
 
-def fork_map(stage: str, work, shares: dict) -> list:
-    """[work(share) for share in shares.values()], in order. shares maps
-    a label naming each share (in an error) to the share.
+def fork_map(stage: str, work, weights, name) -> list:
+    """One result per item of range(len(weights)), in item order.
 
-    Each share but the first runs in a worker of its own (_fork), and the
-    first in this process once every worker is forked; then the workers'
-    results are loaded in order. A worker records the warnings its work
-    issues and sends them with its result; they are issued again here
-    after the first share's own, in share order (_warn_again). A worker
-    that fails, or whose pickle ends short, makes fork_map raise
-    RuntimeError naming the stage, the worker and its share's label. On
-    any exit every worker still running is killed and every worker is
-    reaped, so none outlives the call.
+    The items are cut into shares of near-equal weight (_shares), and
+    work(share) returns the results of a share's items, a list in the
+    share's (ascending) order. Each share but the first runs in a worker
+    of its own (_fork), and the first in this process once every worker
+    is forked; then the workers' results are loaded in order. A worker
+    records the warnings its work issues and sends them with its result;
+    they are issued again here after the first share's own, in share
+    order (_warn_again). A worker that fails, or whose pickle ends short,
+    makes fork_map raise RuntimeError naming the stage, the worker and
+    its share: its size and its first item, name(item). On any exit
+    every worker still running is killed and every worker is reaped, so
+    none outlives the call.
     """
-    labels, items = list(shares), list(shares.values())
+    shares = _shares(weights)
     workers = []  # (index, pid, pipe) of the workers not yet reaped
     caught = []
     try:
-        for i in range(1, len(items)):
-            workers.append((i, *_fork(
-                lambda share=items[i]: _recording(work, share))))
-        results = [work(share) for share in items[:1]]
+        for k in range(1, len(shares)):
+            workers.append((k, *_fork(
+                lambda share=shares[k]: _recording(work, share))))
+        done = [work(share) for share in shares[:1]]
         while workers:
-            i, pid, fd = workers[0]
+            k, pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
                 try:
                     got = pickle.load(pipe) if pipe.read(1) == b"\0" else None
@@ -691,10 +696,12 @@ def fork_map(stage: str, work, shares: dict) -> list:
             if got is None or code:
                 reason = (f"exited with status {code}" if code
                           else "sent a short payload")
-                raise RuntimeError(f"{stage} worker {i} of {len(items) - 1}"
-                                   f" ({labels[i]}, pid {pid}) {reason}:\n"
-                                   + text.decode(errors="replace"))
-            results.append(got[0])
+                raise RuntimeError(
+                    f"{stage} worker {k} of {len(shares) - 1}"
+                    f" ({len(shares[k])} of {len(weights)}, first"
+                    f" {name(shares[k][0])}, pid {pid}) {reason}:\n"
+                    + text.decode(errors="replace"))
+            done.append(got[0])
             caught.extend(got[1])
     finally:
         for _, pid, fd in workers:
@@ -702,27 +709,11 @@ def fork_map(stage: str, work, shares: dict) -> list:
             os.waitpid(pid, 0)
             os.close(fd)
     _warn_again(caught)
+    results = [None] * len(weights)
+    for share, got in zip(shares, done):
+        for i, result in zip(share, got, strict=True):
+            results[i] = result
     return results
-
-
-def weighted_runs(weights) -> list[range]:
-    """Cut range(len(weights)) into min(_workers(), len(weights))
-    contiguous, nonempty runs of near-equal total weight, in order.
-
-    Run k ends at the item boundary nearest to k / n of the total weight:
-    a cut falls before the first item whose middle reaches it, or earlier
-    when every item left is needed to start a run."""
-    n_runs = min(_workers(), len(weights))
-    total = sum(weights)
-    cuts, acc = [0], 0
-    for i, weight in enumerate(weights):
-        k = len(cuts)
-        if i and k < n_runs and ((2 * acc + weight) * n_runs >= 2 * total * k
-                                 or len(weights) - i <= n_runs - k):
-            cuts.append(i)
-        acc += weight
-    cuts.append(len(weights))
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _detect_user(user: int, times_buf: dict[int, np.ndarray],
@@ -799,7 +790,7 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     A duration that duration_ps_of refuses raises ScenarioConfigError
     naming duration_s before anything is drawn.
 
-    The two passes, the per-user buffer layout and pass 2's groups of
+    The two passes, the per-user buffer layout and pass 2's shares of
     users and their workers are described in the module docstring. A
     truth run's packed row is 2 * truth row, plus 1 for the idler photon.
     """
@@ -829,51 +820,48 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         seed, "detector", [(u, path) for u in selected for path in (0, 1)]
     ).reshape(-1, 2, 4)))
 
-    groups = _groups(selected, arrivals, _workers())
-    # each group draws the outcomes that reach one of its users
-    drawn = [[o for o in outcomes if o[1] in users or o[2] in users]
-             for users in map(set, groups)]
-    t_emit, theirs = None, []  # theirs: the outcomes only workers draw
+    t_emit = None
     if collect_truth:
         t_emit = np.empty(n_rows)
-        first = set(groups[0])
-        theirs = [o for o in outcomes
-                  if o[1] not in first and o[2] not in first]
         runs = dict(
             first_row=np.array([o[5] for o in outcomes], dtype=np.int64),
             resource_id=np.array([o[0].resource_id for o in outcomes],
                                  dtype=np.int32),
             signal_user=np.array([o[1] for o in outcomes], dtype=np.int32),
             idler_user=np.array([o[2] for o in outcomes], dtype=np.int32))
-    del outcomes  # drawn and theirs hold the generators
+    parent = os.getpid()
 
-    def run_group(g):
-        """{user: (stream, packed tag rows or None, (normal, anomalous)
-        arrivals)}; only group 0 writes the emission-time column, and it
-        draws the times of the outcomes only workers draw too."""
-        users = groups[g]
-        times_buf, rows_buf, n_normal = _fill_group(
-            users, drawn[g], arrivals, sys_cfg, duration_ps, collect_truth,
-            t_emit if g == 0 else None)
-        drawn.clear()  # and with them this process's generators
-        got = {user: (*_detect_user(user, times_buf, rows_buf,
-                                    n_normal[user],
-                                    detector_states[user],
-                                    sys_cfg, duration_s),
-                      (n_normal[user], arrivals[user] - n_normal[user]))
-               for user in users}
-        if g == 0:
-            for _, _, _, n, rng, row in theirs:
-                # drawn only after the forks: this process's generator is
-                # still where pass 1 left it, as the worker's was
-                _emission_times(rng, duration_ps, t_emit[row:row + n])
-            theirs.clear()
+    def run_share(share):
+        """Pass 2 for the users selected[i] of share: each one's (stream,
+        packed tag rows or None, (normal, anomalous) arrivals). Only this
+        process writes the emission-time column, and it draws the times of
+        the outcomes only workers draw too."""
+        users = [selected[i] for i in share]
+        mine = set(users)
+        here = os.getpid() == parent
+        # the outcomes that reach one of the users
+        drawn = [o for o in outcomes if o[1] in mine or o[2] in mine]
+        theirs = ([o for o in outcomes
+                   if o[1] not in mine and o[2] not in mine]
+                  if here and collect_truth else [])
+        outcomes.clear()  # drawn and theirs hold the generators
+        times_buf, rows_buf, n_normal = _fill_share(
+            users, drawn, arrivals, sys_cfg, duration_ps, collect_truth,
+            t_emit if here else None)
+        del drawn  # and with it this process's generators
+        got = [(*_detect_user(user, times_buf, rows_buf, n_normal[user],
+                              detector_states[user], sys_cfg, duration_s),
+                (n_normal[user], arrivals[user] - n_normal[user]))
+               for user in users]
+        for _, _, _, n, rng, row in theirs:
+            # drawn only after the forks: this process's generator is
+            # still where pass 1 left it, as the worker's was
+            _emission_times(rng, duration_ps, t_emit[row:row + n])
         return got
 
-    results = {}
-    for got in fork_map("pass-2", run_group,
-                        {f"users {users}": g for g, users in enumerate(groups)}):
-        results.update(got)
+    results = dict(zip(selected, fork_map(
+        "pass-2", run_share, [arrivals[u] for u in selected],
+        lambda i: f"user {selected[i]}")))
 
     truth = None
     if collect_truth:

@@ -578,7 +578,7 @@ def test_sweep_split_across_processes(monkeypatch, workers):
 
 @pytest.mark.parametrize("where", ["worker", "here"])
 def test_failing_sweep_is_named_and_reaped(monkeypatch, where):
-    """A sweep worker that fails is named with its slabs; a failure in
+    """A sweep worker that fails is named with its share; a failure in
     this process's own slabs is raised as it is. Either way no worker
     is left."""
     streams, delays, reach, links = _split_case()
@@ -597,9 +597,9 @@ def test_failing_sweep_is_named_and_reaped(monkeypatch, where):
         with pytest.raises(ValueError, match="injected sweep failure"):
             analysis._pool_candidates(streams, delays, reach, links)
     else:
-        with pytest.raises(RuntimeError, match=r"^sweep worker 1 of 2 \(slabs"
-                           r" 7-14 of 23, pid \d+\) exited with status 1:"
-                           ) as err:
+        with pytest.raises(RuntimeError, match=r"^sweep worker 1 of 2 \(8 of"
+                           r" 23, first slab 2, pid \d+\) exited with status"
+                           r" 1:") as err:
             analysis._pool_candidates(streams, delays, reach, links)
         assert "injected sweep failure" in str(err.value)
     _assert_no_child()

@@ -771,7 +771,7 @@ class TestAnalysisWorkers:
 
     @pytest.mark.parametrize("where", ["worker", "here"])
     def test_failing_link_is_named_and_reaped(self, monkeypatch, where):
-        """A per-link worker that fails is named with its links; a failure
+        """A per-link worker that fails is named with its share; a failure
         in this process's own links is raised as it is. Either way no
         worker is left."""
         monkeypatch.setattr(sim, "_workers", lambda: 3)
@@ -790,8 +790,8 @@ class TestAnalysisWorkers:
                 run_bundle(cfg)
         else:
             with pytest.raises(RuntimeError, match=r"^per-link worker 1 of 2"
-                               r" \(links \d+-\d+ to \d+-\d+, pid \d+\)"
-                               r" exited with status 1:") as err:
+                               r" \(\d+ of 780, first link \d+-\d+, pid"
+                               r" \d+\) exited with status 1:") as err:
                 run_bundle(cfg)
             assert "injected link failure" in str(err.value)
         _assert_no_child()
@@ -810,6 +810,17 @@ class TestFigureEmission:
         out = tmp_path / "o"
         with pytest.raises(FigureDataError, match="fig4a needs links"):
             write_bundle(bundle, str(out), wall_time_s=0.0, figures=["fig4a"])
+        assert not out.exists()
+
+    def test_write_bundle_refuses_truth_dump_first(self, tmp_path):
+        """A truth dump of a run without the truth log is refused before
+        any file, tag dumps included, is written."""
+        cfg = with_overrides(default_config(), duration_s=0.01, links="0-1")
+        bundle = run_bundle(cfg)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="truth log was not collected"):
+            write_bundle(bundle, str(out), wall_time_s=0.0, dump_tags=True,
+                         dump_truth=True)
         assert not out.exists()
 
 

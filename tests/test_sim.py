@@ -606,7 +606,7 @@ class TestPass2Workers:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_edge_case_pin_for_any_worker_count(self, monkeypatch, forks,
                                                 workers):
-        # two users: three workers make only two groups
+        # two users: three workers make only two shares
         monkeypatch.setattr(sim, "_workers", lambda: workers)
         TestEngineEdgeCases().test_empty_stream_and_pairs_on_one_user()
         assert len(forks) == 2  # one worker each for the truth and plain runs
@@ -658,8 +658,9 @@ class TestPass2Workers:
             pickle, "dump", lambda obj, file, protocol:
             file.write(cut(dumps(obj, protocol=protocol))))
         with pytest.raises(RuntimeError,
-                           match=r"pass-2 worker 1 of 1 \(users \[.*\], pid"
-                                 r" \d+\) sent a short payload"):
+                           match=r"pass-2 worker 1 of 1 \(\d+ of 6, first"
+                                 r" user \d+, pid \d+\) sent a short"
+                                 r" payload"):
             TestEngineBytes.run(collect_truth=truth)
         _assert_no_child()
 
@@ -667,17 +668,17 @@ class TestPass2Workers:
         # the parent halves the tag rows in place, and int64 streams off
         # a 16-byte boundary slow link_matrix down
         monkeypatch.setattr(sim, "_workers", lambda: 2)
-        groups = []
-        split = sim._groups
+        shares = []
+        split = sim._shares
 
-        def recording(*args):
-            groups.extend(split(*args))
-            return groups
+        def recording(weights):
+            shares.append(split(weights))
+            return shares[-1]
 
-        monkeypatch.setattr(sim, "_groups", recording)
+        monkeypatch.setattr(sim, "_shares", recording)
         res = TestEngineBytes.run()
-        assert len(groups) == 2
-        for user in groups[1]:
+        assert len(shares) == 1 and len(shares[0]) == 2
+        for user in (sorted(res.streams)[i] for i in shares[0][1]):
             for array in (res.streams[user], res.tag_pair_rows[user]):
                 assert array.size > 0
                 assert array.flags.writeable
@@ -743,39 +744,52 @@ class TestForkMap:
     """sim.fork_map, which pass 2, the candidate sweep and the per-link
     analysis share."""
 
-    SHARES = {"first": 0, "second": 1, "third": 2}
+    # three processes cut these into the shares [1], [3] and [0, 2]
+    WEIGHTS = [1, 5, 1, 4]
 
-    def test_results_in_order_each_share_in_its_own_process(self):
-        pids = sim.fork_map("t", lambda share: (share, os.getpid()),
-                            self.SHARES)
-        assert [share for share, _ in pids] == [0, 1, 2]
-        assert pids[0][1] == os.getpid()
-        assert len({pid for _, pid in pids}) == 3
-        assert sim.fork_map("t", lambda share: share, {}) == []
+    @staticmethod
+    def name(i):
+        return f"item {i}"
+
+    def test_results_in_order_each_share_in_its_own_process(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
+        got = sim.fork_map("t", lambda share: [(i, os.getpid())
+                                               for i in share],
+                           self.WEIGHTS, self.name)
+        assert [i for i, _ in got] == [0, 1, 2, 3]
+        pids = [pid for _, pid in got]
+        assert pids[1] == os.getpid()
+        assert pids[0] == pids[2] and len(set(pids)) == 3
+        assert sim.fork_map("t", lambda share: share, [], self.name) == []
         _assert_no_child()
 
     def test_worker_warnings_issued_here_in_share_order(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
         # a None in sys.modules blocks an import; it has no file to match
         monkeypatch.setitem(sys.modules, "entnetsim_blocked", None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert sim.fork_map("t", _warn_in_share, self.SHARES) == [0, 1, 2]
+            assert sim.fork_map("t", _warn_in_share, self.WEIGHTS,
+                                self.name) == [0, 1, 2, 3]
         assert [str(w.message) for w in caught] == [
-            "share 0", "share 1", "share 2"]
+            "share [1]", "share [3]", "share [0, 2]"]
         assert all(w.category is RuntimeWarning and w.filename == __file__
                    for w in caught)
         _assert_no_child()
 
-    def test_default_filter_shows_one_warning_once(self):
+    def test_default_filter_shows_one_warning_once(self, monkeypatch):
         # as in one process: the worker's warning goes through this
         # module's registry, where the first share's already is
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             sim.fork_map("t", lambda share: warnings.warn("same") or share,
-                         self.SHARES)
+                         self.WEIGHTS, self.name)
         assert [str(w.message) for w in caught] == ["same"]
 
-    def test_worker_warning_raised_under_error_filter(self):
+    def test_worker_warning_raised_under_error_filter(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
         parent = os.getpid()
 
         def warn_in_worker(share):
@@ -785,34 +799,38 @@ class TestForkMap:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning, match="share 1"):
-                sim.fork_map("t", warn_in_worker, self.SHARES)
+            with pytest.raises(RuntimeWarning, match=r"share \[3\]"):
+                sim.fork_map("t", warn_in_worker, self.WEIGHTS, self.name)
         _assert_no_child()
 
-    def test_failing_worker_names_stage_and_share(self):
-        def fail_in_third(share):
-            if share == 2:
+    def test_failing_worker_names_stage_and_share(self, monkeypatch):
+        monkeypatch.setattr(sim, "_workers", lambda: 3)
+
+        def fail_on_item_0(share):
+            if 0 in share:
                 raise ValueError("injected share failure")
             return share
 
-        with pytest.raises(RuntimeError, match=r"^t worker 2 of 2 \(third,"
-                           r" pid \d+\) exited with status 1:") as err:
-            sim.fork_map("t", fail_in_third, self.SHARES)
+        with pytest.raises(RuntimeError, match=r"^t worker 2 of 2 \(2 of 4,"
+                           r" first item 0, pid \d+\) exited with status"
+                           r" 1:") as err:
+            sim.fork_map("t", fail_on_item_0, self.WEIGHTS, self.name)
         assert "injected share failure" in str(err.value)
         _assert_no_child()
 
-    @pytest.mark.parametrize("workers, weights, runs", [
-        (1, [3, 1, 4], [range(0, 3)]),
-        (2, [1] * 10, [range(0, 5), range(5, 10)]),
-        (2, [10, 1, 1, 1, 1, 1], [range(0, 1), range(1, 6)]),
-        (2, [6, 6, 6, 6, 6, 6, 1], [range(0, 3), range(3, 7)]),
-        (3, [0, 0, 0, 0], [range(0, 1), range(1, 2), range(2, 4)]),
-        (3, [5, 0], [range(0, 1), range(1, 2)]),
-        (2, [], []),
+    @pytest.mark.parametrize("workers, weights, shares", [
+        (1, [3, 1, 4], [[0, 1, 2]]),
+        (2, [1] * 10, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+        (2, [10, 1, 1, 1, 1, 1], [[0], [1, 2, 3, 4, 5]]),
+        (2, [6, 6, 6, 6, 6, 6, 1], [[0, 2, 4, 6], [1, 3, 5]]),
+        (3, [2, 7, 3, 3, 5], [[1], [0, 4], [2, 3]]),
+        (3, [0, 0, 0, 0], [[0, 3], [1], [2]]),  # zero weights
+        (3, [5, 0], [[0], [1]]),  # more CPUs than items: no empty share
+        (2, [], []),  # no items: no share, so no fork
     ])
-    def test_weighted_runs(self, monkeypatch, workers, weights, runs):
+    def test_shares(self, monkeypatch, workers, weights, shares):
         monkeypatch.setattr(sim, "_workers", lambda: workers)
-        assert sim.weighted_runs(weights) == runs
+        assert sim._shares(weights) == shares
 
 
 class TestEngineAgreesWithReference:
