@@ -6,7 +6,7 @@ written here is produced by a module operation; this file only routes and
 formats. It alone spells the bundle's files, through three write paths:
 csv.writer rows (_write_rows), chunked NumPy-encoded int columns
 (_write_table) and sorted JSON (_write_json). All files are written
-atomically (write-then-rename).
+atomically (write-then-rename); a failed write leaves no temporary file.
 
 run_bundle makes one LinkRecord per link (ReportBundle.records, in link
 order). LINK_FIELDS declares each per-link field of links.csv and
@@ -56,12 +56,6 @@ BYTES_PER_TAG = 20
 # worker holds no part of it.
 BYTES_PER_TRUTH_TAG = 53
 JSON_CHUNKS = 8192  # json encoder chunks joined into one write
-# A link's analysis costs about as much as this many candidate tags on
-# top of its own: a least-squares fit of the per-link time (histogram to
-# LinkRecord) to its candidate tags gave 178 us + 0.32 us a tag on the
-# 780 links of a 0.2 s run and 194 us + 0.16 us a tag on the 42 figure
-# links of a 1.5 s run (seed 42, one process).
-LINK_COST_TAGS = 600
 
 
 class FigureDataError(ValueError):
@@ -107,7 +101,7 @@ class ReportBundle:
     @property
     def singles_counts(self) -> dict[tuple[int, int], int]:
         """Detected tags per (user, path) of the run."""
-        return self.result.singles_counts()
+        return self.result.singles_counts
 
 
 def physical_memory_bytes() -> int:
@@ -145,9 +139,9 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
     One pass over link_matrix's windows makes each link's LinkRecord:
     its histogram, CAR and, for a run longer than 0 s, key report. The
     records are made across the CPUs (sim.fork_map), each link weighted
-    by LINK_COST_TAGS plus its candidate tags, and come back in link
-    order. Raises ConfigError before any simulation when the run would
-    not fit in physical memory (check_memory).
+    by its candidate tags alone, and come back in link order. Raises
+    ConfigError before any simulation when the run would not fit in
+    physical memory (check_memory).
     """
     plan, sys_cfg, qkd_cfg = cfg.network_plan(), cfg.system(), cfg.qkd()
     users, window = cfg.selected_users, qkd_cfg.window_ps
@@ -182,8 +176,7 @@ def run_bundle(cfg: ScenarioConfig, collect_truth: bool = False) -> ReportBundle
 
     records = dict(zip(links, fork_map(
         "per-link", link_records,
-        [LINK_COST_TAGS + win.tags_a.size + win.tags_b.size
-         for win in windows.values()],
+        [win.tags_a.size + win.tags_b.size for win in windows.values()],
         lambda i: "link {}-{}".format(*links[i]))))
     return ReportBundle(config=cfg, records=records, result=result)
 
@@ -256,8 +249,13 @@ def _pair_label(plan: NetworkPlan, ua: int, ub: int) -> str:
 
 def _atomic_via(path: str, writer_fn) -> None:
     tmp = f"{path}.tmp"
-    writer_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        writer_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:  # path stays as it was
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _keyrates_payload(bundle: ReportBundle) -> dict:

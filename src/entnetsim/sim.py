@@ -53,13 +53,14 @@ place, or through a stable argsort when a truth run needs the
 permutation. Right after a user's second path the two paths' tags are
 merged into the user's one stream, a sorted int64 array of packed tags
 2 * t + path (_kernels), and the user's buffers and per-path arrays are
-freed. A worker's users' streams, packed tag rows and arrival counts
-are its result. This process alone fills the truth log's emission-time
-column: its own share's outcomes as it draws them and, after every
-fork, every other outcome's times, an outcome's first event draw, from
-its own copy of that outcome's generator (_emission_times). With every
-share in, the packed tag rows mark the truth log's detected flags in one
-scatter and are then halved in place into truth rows.
+freed. A worker's users' streams, packed tag rows, arrival counts and
+singles (each path's tags, counted before the merge) are its result.
+This process alone fills the truth log's emission-time column: its own
+share's outcomes as it draws them and, after every fork, every other
+outcome's times, an outcome's first event draw, from its own copy of
+that outcome's generator (_emission_times). With every share in, the
+packed tag rows mark the truth log's detected flags in one scatter and
+are then halved in place into truth rows.
 
 fork_map is the only code that splits a stage: pass 2 here, and the
 analysis's candidate sweep and per-link stage (analysis.link_matrix,
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import pack_paths, tag_paths
+from ._kernels import pack_paths
 from .photonics import (DetectorConfig, DispersionConfig, SourceConfig,
                         db_to_transmittance, detector_response_traced,
                         wavelength_shift_nm_per_ghz, NORMAL, ANOMALOUS,
@@ -341,21 +342,17 @@ class ScenarioResult:
     comes first. A truth run's tag_pair_rows[user] holds each tag's
     truth-log row (-1 for a dark count), aligned with the user's stream.
     arrival_counts[(user, path)] is the number of photons that reached
-    that detector, before any detector loss."""
+    that detector, before any detector loss, and singles_counts[(user,
+    path)] the tags it gave, both counted by the detector's process."""
 
     duration_ps: int
     seed: int
     streams: dict[int, np.ndarray]
     emitted_pairs: dict[int, int]
     arrival_counts: dict[tuple[int, int], int]
+    singles_counts: dict[tuple[int, int], int]
     truth: TruthLog | None
     tag_pair_rows: dict[int, np.ndarray] | None = None
-
-    def singles_counts(self) -> dict[tuple[int, int], int]:
-        """Detected tags per (user, path), counted from the streams."""
-        return {(user, path): int(n) for user, tags in self.streams.items()
-                for path, n in enumerate(np.bincount(tag_paths(tags),
-                                                     minlength=2))}
 
     def user_stream(self, user: int) -> np.ndarray:
         """One user's stream."""
@@ -720,9 +717,9 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
                  rows_buf: dict[int, np.ndarray] | None, n_normal: int,
                  seed_states: np.ndarray, sys_cfg: SystemConfig,
                  duration_s: float):
-    """One user's stream and, in a truth run (rows_buf given), packed tag
-    rows (else None), from its filled buffers, which are popped and freed
-    on the way.
+    """One user's stream, in a truth run (rows_buf given) its packed tag
+    rows (else None), and its tags per path, from its filled buffers,
+    which are popped and freed on the way.
 
     Each path goes through its own detector, seeded per (user, path):
     seed_states[path] is the _seed_states row of its "detector" key.
@@ -768,14 +765,15 @@ def _detect_user(user: int, times_buf: dict[int, np.ndarray],
             del packed, photon
         del tags, origin  # path_tags keeps the only reference
     del user_times, user_rows  # unmaps the user's buffers
+    singles = tuple(tags.size for tags in path_tags)
     stream = pack_paths(*path_tags)
     del path_tags  # frees both paths' tags before the sort
     if not truth:
         stream.sort(kind="stable")
-        return stream, None
+        return stream, None, singles
     order = stream.argsort(kind="stable")
     stream = stream[order]  # frees the unsorted stream before the rows
-    return stream, np.concatenate(path_rows)[order]
+    return stream, np.concatenate(path_rows)[order], singles
 
 
 def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
@@ -833,9 +831,10 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
 
     def run_share(share):
         """Pass 2 for the users selected[i] of share: each one's (stream,
-        packed tag rows or None, (normal, anomalous) arrivals). Only this
-        process writes the emission-time column, and it draws the times of
-        the outcomes only workers draw too."""
+        packed tag rows or None, (normal, anomalous) singles, (normal,
+        anomalous) arrivals). Only this process writes the emission-time
+        column, and it draws the times of the outcomes only workers draw
+        too."""
         users = [selected[i] for i in share]
         mine = set(users)
         here = os.getpid() == parent
@@ -866,7 +865,7 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
     truth = None
     if collect_truth:
         detected = np.zeros((n_rows, 2), dtype=bool)
-        for _, rows, _ in results.values():
+        for _, rows, _, _ in results.values():
             detected.reshape(-1)[rows[rows >= 0]] = True
             rows //= 2  # packed rows to truth rows; -1 stays -1
         truth = TruthLog(t_emit_ps=t_emit, signal_detected=detected[:, 0],
@@ -877,7 +876,9 @@ def run_scenario(plan: NetworkPlan, sys_cfg: SystemConfig, duration_s: float,
         seed=seed,
         streams={u: results[u][0] for u in selected},
         emitted_pairs=emitted,
-        arrival_counts={(u, path): results[u][2][path] for u in selected
+        arrival_counts={(u, path): results[u][3][path] for u in selected
+                        for path in (0, 1)},
+        singles_counts={(u, path): results[u][2][path] for u in selected
                         for path in (0, 1)},
         truth=truth,
         tag_pair_rows=({u: results[u][1] for u in selected}

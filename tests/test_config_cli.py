@@ -531,6 +531,32 @@ class TestCliErrors:
         code = run_cli("--out", str(blocker / "sub"), "--duration", "0.05")
         assert code == 3
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path,
+                                                   monkeypatch):
+        """A writer that fails part-way (a full disk) raises through
+        write_bundle and leaves no .tmp file; the files written before it
+        and the earlier bundle's copy of the failing file are untouched."""
+        bundle = run_bundle(with_overrides(default_config(), seed=3,
+                                           duration_s=0.05, links="0-1"))
+        good, out = tmp_path / "good", tmp_path / "o"
+        write_bundle(bundle, str(good), 1.0)
+        before = {p.name: p.read_bytes() for p in good.iterdir()}
+
+        def full_disk(path, payload):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(report, "_write_json", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_bundle(bundle, str(out), 2.0)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: before[name]
+            for name in ("plan.csv", "links.csv", "histograms.csv")}
+        with pytest.raises(OSError, match="No space left"):
+            write_bundle(bundle, str(good), 2.0)
+        assert {p.name: p.read_bytes() for p in good.iterdir()} == before
+
 
 class TestDumps:
     def test_tag_dump_format(self, tmp_path):

@@ -215,7 +215,7 @@ class TestRunScenario:
                                                         corr=300.0))
         res = run_scenario(plan, sys_cfg, 0.02, seed=13)
         emitted = sum(res.emitted_pairs.values())
-        total_tags = sum(res.singles_counts().values())
+        total_tags = sum(res.singles_counts.values())
         assert emitted > 0
         assert total_tags == 2 * emitted
         assert len(res.truth) == emitted
@@ -235,7 +235,7 @@ class TestRunScenario:
     def test_tags_bounded_and_sorted(self):
         plan = build_plan(2, 2, ItuChannel(40))
         res = run_scenario(plan, light_system(pair_rate=5e4), 0.05, seed=4)
-        singles = res.singles_counts()
+        singles = res.singles_counts
         assert sorted(res.streams) == list(plan.users())
         for user, tags in res.streams.items():
             assert tags.dtype == np.int64 and tags.size > 0
@@ -273,7 +273,7 @@ class TestRunScenario:
         )
         res = run_scenario(reference_plan, sys_cfg, 2.0, seed=31,
                            selected_users=[0, 2, 8], collect_truth=False)
-        singles = res.singles_counts()
+        singles = res.singles_counts
         for user in (0, 2, 8):
             for path in (0, 1):
                 n = singles[(user, path)]
@@ -284,7 +284,7 @@ class TestRunScenario:
         # full reference network: every (user, path) stream is populated
         res = run_scenario(reference_plan, SystemConfig(), 1.0, seed=62,
                            collect_truth=False)
-        singles = res.singles_counts()
+        singles = res.singles_counts
         assert len(singles) == 80
         assert all(n > 0 for n in singles.values())
 
@@ -694,17 +694,27 @@ class TestPass2Workers:
             return detect(arrivals_ps, *args)
 
         monkeypatch.setattr(sim, "detector_response_traced", recording)
-        counts = {}
+        counts, singles = {}, {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(sim, "_workers", lambda: workers)
-            counts[workers] = TestEngineBytes.run().arrival_counts
-            if workers == 1:
-                # one process: every detector call is recorded here, in
-                # user order, path 0 first
-                assert sorted(counts[1]) == list(counts[1])
-                assert list(counts[1].values()) == sizes
-                assert sum(counts[1].values()) == sum(sizes) > 0
-        assert counts[1] == counts[2] == counts[3]
+            for truth in (True, False):
+                sizes.clear()
+                res = TestEngineBytes.run(collect_truth=truth)
+                counts[workers, truth] = res.arrival_counts
+                singles[workers, truth] = res.singles_counts
+                if workers == 1:
+                    # one process: every detector call is recorded here,
+                    # in user order, path 0 first
+                    assert sorted(res.arrival_counts) == list(res.arrival_counts)
+                    assert list(res.arrival_counts.values()) == sizes
+                    assert sum(sizes) > 0
+                # the detectors' counts, recounted from the streams
+                assert res.singles_counts == {
+                    (user, path): n for user, tags in res.streams.items()
+                    for path, n in enumerate(np.bincount(tag_paths(tags),
+                                                         minlength=2))}
+        assert all(c == counts[1, True] for c in counts.values())
+        assert all(s == singles[1, True] for s in singles.values())
         _assert_no_child()
 
     def test_workers_reaped_when_this_process_fails(self, monkeypatch):
