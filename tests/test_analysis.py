@@ -478,25 +478,21 @@ SLABS_AND_WORKERS = ((1, 2), (2, 3), (3, 1), (analysis.POOL_TAGS, 2))
 @given(network_case())
 def test_pooled_filter_equals_full_streams(case):
     """link_matrix pre-filters all user streams in pooled time slabs; for
-    every slab size, the sweep split across processes or not:
-    - each side of each link, reversed and repeated links too, holds
-      exactly the tags with a partner within reach in the other stream
-      (by brute force);
-    - each link's LinkWindow and histogram equal those of link_matrix on
-      the link's two streams alone, and its histogram that of
-      cross_correlate on the two full streams."""
+    every slab size each link's LinkWindow and histogram equal those of
+    link_matrix on the link's two streams alone, and its histogram that
+    of cross_correlate on the two full streams, the sweep split across
+    processes or not."""
     streams, delays, links, window, n_bins, _monitor, reach = case
     duration_ps = 10**12
     expected = {}
     for ua, ub in links:
         two = {u: streams[u] for u in (ua, ub)}
         win = link_matrix(two, [(ua, ub)], delays, window, reach)[(ua, ub)]
-        a, b = tag_times(streams[ua]), tag_times(streams[ub])
-        offset = delays[ub] - delays[ua]
-        hist = cross_correlate(a, b, window, n_bins * window,
-                               offset_ps=offset, duration_ps=duration_ps)
-        near = helpers.brute_candidates(a, b, offset, reach)
-        expected[(ua, ub)] = win, hist, near
+        hist = cross_correlate(tag_times(streams[ua]), tag_times(streams[ub]),
+                               window, n_bins * window,
+                               offset_ps=delays[ub] - delays[ua],
+                               duration_ps=duration_ps)
+        expected[(ua, ub)] = win, hist
     for slab, workers in SLABS_AND_WORKERS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "POOL_TAGS", slab)
@@ -507,12 +503,8 @@ def test_pooled_filter_equals_full_streams(case):
                      for link, win in windows.items()}
         assert list(windows) == list(dict.fromkeys(links))
         for link in links:
-            ref_win, ref_hist, (near_a, near_b) = expected[link]
+            ref_win, ref_hist = expected[link]
             win, hist = windows[link], hists[link]
-            # the sweep's candidates: index_a is _pool_candidates'
-            # cands[(ua, ub)] and index_b its cands[(ub, ua)]
-            np.testing.assert_array_equal(win.index_a, near_a)
-            np.testing.assert_array_equal(win.index_b, near_b)
             np.testing.assert_array_equal(hist.counts, ref_hist.counts)
             assert ((hist.singles_a, hist.singles_b, hist.offset_ps)
                     == (ref_hist.singles_a, ref_hist.singles_b,
@@ -530,6 +522,27 @@ def test_pooled_filter_equals_full_streams(case):
             for name in ("index_a", "index_b", "times_a", "times_b"):
                 np.testing.assert_array_equal(getattr(win.matches, name),
                                               getattr(ref_win.matches, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_case())
+def test_candidate_sweep_matches_brute_force(case):
+    """For every slab size, the sweep split across processes or not, the
+    one sweep gives each side of each link, reversed and repeated links
+    too, exactly the tags with a partner within reach in the other
+    stream."""
+    streams, delays, links, _window, _n_bins, _monitor, reach = case
+    for slab, workers in SLABS_AND_WORKERS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "POOL_TAGS", slab)
+            mp.setattr(sim, "_workers", lambda: workers)
+            cands = analysis._pool_candidates(streams, delays, reach, links)
+        for ua, ub in links:
+            ref_a, ref_b = helpers.brute_candidates(
+                tag_times(streams[ua]), tag_times(streams[ub]),
+                delays[ub] - delays[ua], reach)
+            np.testing.assert_array_equal(cands[(ua, ub)], ref_a)
+            np.testing.assert_array_equal(cands[(ub, ua)], ref_b)
 
 
 def _split_case():
